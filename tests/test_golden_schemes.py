@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import FaultParams
+from repro.distsys import GroupSpec, SystemSpec, ring
 from repro.harness import ExperimentConfig, run_experiment, run_sequential
 from repro.harness.persist import run_result_to_dict
 
@@ -21,11 +22,19 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_runresults.json").read_text())
 
 _BASE = dict(procs_per_group=2, steps=3, domain_cells=16, max_levels=3)
+_RING = ring(4)
 CONFIGS = {
     "wan": ExperimentConfig(**_BASE),
     "lan": ExperimentConfig(app_name="amr64", network="lan", **_BASE),
     "faulted": ExperimentConfig(fault=FaultParams(scenario="slowdown"),
                                 traffic_kind="bursty", **_BASE),
+    # a real neighbour graph: on the two-group configs every group pair is
+    # adjacent, so only this one exercises the diffusion neighbour sets
+    "ring": ExperimentConfig(
+        system=SystemSpec(
+            groups=tuple(GroupSpec(name=n, nprocs=2) for n in _RING.groups),
+            topology=_RING),
+        **_BASE),
 }
 
 
