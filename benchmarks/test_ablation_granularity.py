@@ -12,8 +12,8 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -25,8 +25,9 @@ def sweep():
     rows = []
     for blocks in BLOCK_COUNTS:
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.45), base_speed=2e4)
-        runner = SAMRRunner(app, system, DistributedDLB(),
+        system = build_system(wan_spec(2, base_speed=2e4),
+                              traffic=ConstantTraffic(0.45))
+        runner = SAMRRunner(app, system, make_scheme("distributed"),
                             blocks_per_axis=blocks)
         r = runner.run(6)
         n = blocks[0] * blocks[1] * blocks[2]

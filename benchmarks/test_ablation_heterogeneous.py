@@ -19,7 +19,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, mren_wan
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -42,7 +42,7 @@ def run_heterogeneous(aware: bool):
             group_base_speeds=[SPEED, 2.0 * SPEED],
             group_names=["slow", "fast"],
         )
-    return SAMRRunner(app, system, DistributedDLB()).run(4)
+    return SAMRRunner(app, system, make_scheme("distributed")).run(4)
 
 
 def sweep():

@@ -11,8 +11,8 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB, StaticDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -20,12 +20,13 @@ from repro.runtime import SAMRRunner
 def run_all():
     out = {}
     for name, scheme in (
-        ("static (no DLB)", StaticDLB()),
-        ("parallel DLB", ParallelDLB()),
-        ("distributed DLB", DistributedDLB()),
+        ("static (no DLB)", make_scheme("static")),
+        ("parallel DLB", make_scheme("parallel")),
+        ("distributed DLB", make_scheme("distributed")),
     ):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.45), base_speed=2e4)
+        system = build_system(wan_spec(2, base_speed=2e4),
+                              traffic=ConstantTraffic(0.45))
         out[name] = SAMRRunner(app, system, scheme).run(6)
     return out
 

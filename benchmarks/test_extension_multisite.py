@@ -11,18 +11,19 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, multi_site_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
 
 def run_pair():
     out = {}
-    for name, S in (("parallel DLB", ParallelDLB), ("distributed DLB", DistributedDLB)):
+    for scheme in map(make_scheme, ("parallel", "distributed")):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = multi_site_system([2, 2, 2], ConstantTraffic(0.35), base_speed=2e4)
-        out[name] = SAMRRunner(app, system, S()).run(5)
+        system = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
+                              traffic=ConstantTraffic(0.35))
+        out[scheme.name] = SAMRRunner(app, system, scheme).run(5)
     return out
 
 

@@ -30,27 +30,23 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DiffusionDLB, DistributedDLB, ParallelDLB, StaticDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
-SCHEMES = (
-    ("static", StaticDLB),
-    ("diffusion", DiffusionDLB),
-    ("parallel", ParallelDLB),
-    ("distributed", DistributedDLB),
-)
+SCHEMES = ("static", "diffusion", "parallel", "distributed")
 CONFIGS = (2, 4, 8)
 
 
 def run_matrix():
     rows = {}
     for n in CONFIGS:
-        for name, S in SCHEMES:
+        for name in SCHEMES:
             app = ShockPool3D(domain_cells=16, max_levels=3)
-            system = wan_system(n, ConstantTraffic(0.45), base_speed=2e4)
-            rows[(n, name)] = SAMRRunner(app, system, S()).run(5)
+            system = build_system(wan_spec(n, base_speed=2e4),
+                                  traffic=ConstantTraffic(0.45))
+            rows[(n, name)] = SAMRRunner(app, system, make_scheme(name)).run(5)
     return rows
 
 
@@ -59,7 +55,7 @@ def test_extension_scheme_comparison(benchmark):
     print()
     table = []
     for n in CONFIGS:
-        for name, _S in SCHEMES:
+        for name in SCHEMES:
             r = results[(n, name)]
             table.append(
                 (
@@ -91,7 +87,7 @@ def test_extension_scheme_comparison(benchmark):
     leaked = sum(
         results[(n, s)].remote_bytes_by_kind.get("parent_child", 0.0)
         for n in CONFIGS
-        for s, _ in SCHEMES
+        for s in SCHEMES
         if s != "distributed"
     )
     assert leaked > 0

@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.amr.applications import AMRApplication
 from repro.amr.box import Box
-from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -56,11 +56,10 @@ class CollidingFronts(AMRApplication):
 
 def main() -> None:
     results = {}
-    for name, scheme in (("parallel DLB", ParallelDLB()),
-                         ("distributed DLB", DistributedDLB())):
+    for scheme in map(make_scheme, ("parallel", "distributed")):
         app = CollidingFronts(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.4), base_speed=2e4)
-        results[name] = SAMRRunner(app, system, scheme).run(6)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.4))
+        results[scheme.name] = SAMRRunner(app, system, scheme).run(6)
 
     print(
         format_table(

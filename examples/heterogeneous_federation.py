@@ -17,7 +17,7 @@ exercised.  Here one group's processors are twice as fast, and we compare:
 from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB
+from repro.core import make_scheme
 from repro.distsys import ConstantTraffic, build_system, mren_wan
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -43,7 +43,7 @@ def run(aware: bool):
             group_names=["slow-site", "fast-site"],
         )
     print(system.describe())
-    return SAMRRunner(app, system, DistributedDLB()).run(4)
+    return SAMRRunner(app, system, make_scheme("distributed")).run(4)
 
 
 def main() -> None:

@@ -12,8 +12,8 @@ and the global phase shuffles level-0 grids between all of them.
 from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, multi_site_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.distsys.events import RedistributionEvent
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
@@ -21,15 +21,14 @@ from repro.runtime import SAMRRunner
 
 def main() -> None:
     results = {}
-    for name, scheme in (("parallel DLB", ParallelDLB()),
-                         ("distributed DLB", DistributedDLB())):
+    for scheme in map(make_scheme, ("parallel", "distributed")):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = multi_site_system([2, 2, 2], ConstantTraffic(0.35),
-                                   base_speed=2e4)
-        if name == "distributed DLB":
+        system = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
+                              traffic=ConstantTraffic(0.35))
+        if scheme.name == "distributed DLB":
             print(system.describe())
             print()
-        results[name] = SAMRRunner(app, system, scheme).run(5)
+        results[scheme.name] = SAMRRunner(app, system, scheme).run(5)
 
     print(
         format_table(

@@ -11,11 +11,10 @@ Public API tour
   shared LAN/WAN links with dynamic background traffic, the two-message
   network probe, and the step-driven cost simulator.
 * :mod:`repro.core` -- the DLB schemes, composed from policy components and
-  resolved through the scheme registry: the paper's two-phase
-  :class:`~repro.core.DistributedDLB` (gain/cost-gated global phase +
-  group-local phase), the :class:`~repro.core.ParallelDLB` baseline, and
-  the :class:`~repro.core.StaticDLB` / :class:`~repro.core.DiffusionDLB`
-  controls (see ``docs/SCHEMES.md``).
+  built by name with :func:`~repro.core.make_scheme`: the paper's two-phase
+  ``"distributed"`` scheme (gain/cost-gated global phase + group-local
+  phase), the ``"parallel"`` baseline, and the ``"static"``,
+  ``"diffusion*"`` and ``"sfc:*"`` controls (see ``docs/SCHEMES.md``).
 * :mod:`repro.runtime` -- :class:`~repro.runtime.SAMRRunner` executes an
   (application, system, scheme) triple and returns a
   :class:`~repro.metrics.RunResult`.
@@ -30,28 +29,15 @@ True
 """
 
 from .config import SchemeParams, SimParams
-from .core import (
-    DiffusionDLB,
-    DistributedDLB,
-    ParallelDLB,
-    SchemeSpec,
-    StaticDLB,
-    available_schemes,
-    make_scheme,
-    register_scheme,
-)
+from .core import SchemeSpec, available_schemes, make_scheme, register_scheme
 from .metrics import RunResult, efficiency
 from .runtime import SAMRRunner
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SchemeParams",
     "SimParams",
-    "DiffusionDLB",
-    "DistributedDLB",
-    "ParallelDLB",
-    "StaticDLB",
     "SchemeSpec",
     "register_scheme",
     "available_schemes",

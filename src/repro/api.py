@@ -13,8 +13,7 @@ All ``run_*`` entry points share one call shape::
 ``executor`` overrides the execution engine (serial / process-pool /
 cached), ``tracer`` records spans for every simulated run (see
 :mod:`repro.obs` and ``docs/OBSERVABILITY.md``), and ``seed`` overrides the
-config's traffic seed.  Older positional call forms still work behind
-:class:`DeprecationWarning` shims.
+config's traffic seed.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .core.policies import (
     LocalBalancePolicy,
     WeightPolicy,
 )
-from .core.diffusion_dlb import DIFFUSION_DIMEX_SPEC, DIFFUSION_SOS_SPEC
 from .core.registry import (
     SchemeSpec,
     available_schemes,
@@ -197,8 +195,6 @@ __all__ = [
     "fat_tree",
     "wan_mesh",
     "from_edges",
-    "DIFFUSION_SOS_SPEC",
-    "DIFFUSION_DIMEX_SPEC",
     # schemes: policy protocols + registry
     "WeightPolicy",
     "DecisionPolicy",

@@ -1,16 +1,16 @@
 """The paper's contribution: distributed DLB, its models, and the baseline.
 
 Schemes are compositions of four policy protocols (:mod:`.policies`)
-orchestrated by :class:`.composed.ComposedScheme` and resolved by name
-through :mod:`.registry` -- see ``docs/SCHEMES.md`` for the paper mapping.
+orchestrated by :class:`.composed.ComposedScheme`, described by the
+:data:`.registry.BUILTIN_SPECS` table and built by name with
+:func:`.registry.make_scheme` -- see ``docs/SCHEMES.md`` for the paper
+mapping.
 """
 
 from .base import BalanceContext, DLBScheme, Move, execute_moves
 from .composed import ComposedScheme
 from .cost import CostEstimate, CostModel
 from .decision import Decision, decide
-from .diffusion_dlb import DiffusionDLB
-from .distributed_dlb import DistributedDLB
 from .gain import CoarseStepRecord, WorkloadHistory, estimate_gain
 from .global_phase import (
     GlobalPlan,
@@ -19,7 +19,6 @@ from .global_phase import (
     plan_global_redistribution,
 )
 from .local_phase import lpt_assign, plan_rebalance
-from .parallel_dlb import ParallelDLB
 from .policies import (
     POLICY_REGISTRIES,
     DecisionPolicy,
@@ -28,6 +27,7 @@ from .policies import (
     WeightPolicy,
 )
 from .registry import (
+    BUILTIN_SPECS,
     SEQUENTIAL,
     SchemeSpec,
     available_schemes,
@@ -37,7 +37,6 @@ from .registry import (
     scheme_cache_payload,
     unregister_scheme,
 )
-from .static_dlb import StaticDLB
 from .weights import capacity_normalized_loads, measure_weights, relative_weights
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "CostModel",
     "Decision",
     "decide",
-    "DiffusionDLB",
-    "DistributedDLB",
     "CoarseStepRecord",
     "WorkloadHistory",
     "estimate_gain",
@@ -61,8 +58,6 @@ __all__ = [
     "plan_global_redistribution",
     "lpt_assign",
     "plan_rebalance",
-    "ParallelDLB",
-    "StaticDLB",
     "capacity_normalized_loads",
     "measure_weights",
     "relative_weights",
@@ -74,6 +69,7 @@ __all__ = [
     "POLICY_REGISTRIES",
     # scheme registry
     "SEQUENTIAL",
+    "BUILTIN_SPECS",
     "SchemeSpec",
     "register_scheme",
     "unregister_scheme",

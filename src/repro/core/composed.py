@@ -1,7 +1,8 @@
 """`ComposedScheme`: a DLB scheme assembled from four policy components.
 
-Every scheme in this package -- including the four built-ins -- is a
-composition of one :class:`~repro.core.policies.WeightPolicy`, one
+Every scheme in this package -- the built-ins of
+:data:`~repro.core.registry.BUILTIN_SPECS` included -- is a composition of
+one :class:`~repro.core.policies.WeightPolicy`, one
 :class:`~repro.core.policies.DecisionPolicy`, one
 :class:`~repro.core.policies.GlobalPartitionPolicy` and one
 :class:`~repro.core.policies.LocalBalancePolicy`, described by a

@@ -22,10 +22,9 @@ instantiates one policy per axis from a spec, routing ``spec.options`` to
 the constructors that accept them (``sweeps`` to the diffusion local
 policy, ``initial_delta``/``use_forecast`` to the gain/cost decision, ...).
 
-Every concrete policy here reproduces the corresponding scheme-class code
-path bit for bit: the nominal weight policy resolves to ``time=None`` so
-time-optional helpers (:func:`~repro.partition.proportional.processor_targets`
-and friends) take exactly the branch the pre-refactor schemes took.
+The nominal weight policy resolves to ``time=None``, so time-optional
+helpers (:func:`~repro.partition.proportional.processor_targets` and
+friends) use nominal weights and capacities.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import inspect
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -460,7 +460,65 @@ class FlatPartition:
         return 0.0
 
 
-class ContiguousGroupPartition:
+def _check_curve(curve: str) -> str:
+    if curve not in CURVES:
+        raise ValueError(f"unknown curve {curve!r}; known: {', '.join(CURVES)}")
+    return curve
+
+
+def _curve_sorted(grids: List[Any], curve: str) -> List[Any]:
+    """``grids`` in space-filling-curve order (ties by gid)."""
+    return [grids[i] for i in grids_curve_order(grids, curve)]
+
+
+def _root_group_cut(
+    ctx: BalanceContext,
+    weights: WeightPolicy,
+    order: Callable[[List[Any]], List[Any]],
+) -> Dict[int, int]:
+    """gid -> group for every grid of the initial hierarchy.
+
+    Level-0 grids, walked in ``order``, are cut into contiguous
+    capacity-proportional runs (Eq. 5) weighted by each root's *effective*
+    (all-levels) load, so an already adapted initial hierarchy starts
+    balanced.  Descendant grids inherit their root's group (children stay
+    with parents).
+    """
+    grids = ctx.hierarchy.level_grids(0)
+    eff = effective_level0_loads(ctx)
+    total = sum(eff.values())
+    if total <= 0:
+        total = sum(g.workload for g in grids)
+        eff = {g.gid: g.workload for g in grids}
+    targets = group_targets(ctx.system, total, time=weights.resolve_time(0.0))
+    gorder = sorted(targets)
+    ordered = order(grids)
+    seg = contiguous_segments(
+        [eff[g.gid] for g in ordered], [targets[g] for g in gorder]
+    )
+    grid_group: Dict[int, int] = {}
+    for root, si in zip(ordered, seg):
+        for g in ctx.hierarchy.subtree(root.gid):
+            grid_group[g.gid] = gorder[si]
+    return grid_group
+
+
+class _GroupPartition:
+    """A partition with a global phase on every multi-group system."""
+
+    def active(self, ctx: BalanceContext) -> bool:
+        return ctx.system.ngroups >= 2
+
+    def execute(
+        self, ctx: BalanceContext, plan: GlobalPlan, predicted_cost: float
+    ) -> float:
+        _moved, _cells, delta = execute_global_redistribution(
+            ctx, plan, predicted_cost=predicted_cost
+        )
+        return delta
+
+
+class ContiguousGroupPartition(_GroupPartition):
     """Eq. 5: capacity-proportional split across contiguous group subdomains.
 
     Level-0 grids are sorted along axis 0 and dealt to groups in contiguous
@@ -472,42 +530,12 @@ class ContiguousGroupPartition:
     def initial_distribution(
         self, ctx: BalanceContext, weights: WeightPolicy
     ) -> None:
-        """Capacity-proportional split across groups, LPT within each group.
-
-        The fill is weighted by each root grid's *effective* (all-levels)
-        load, so an already adapted initial hierarchy starts balanced.
-        Descendant grids follow their root ancestor's group (children stay
-        with parents) and are LPT-balanced within it, level by level.
-        """
-        eff = effective_level0_loads(ctx)
-        grids = sorted(
-            ctx.hierarchy.level_grids(0), key=lambda g: (g.box.lo, g.gid)
+        """Capacity-proportional split across groups, LPT within each group,
+        level by level."""
+        grid_group = _root_group_cut(
+            ctx, weights,
+            lambda grids: sorted(grids, key=lambda g: (g.box.lo, g.gid)),
         )
-        total = sum(eff.values())
-        if total <= 0:
-            total = sum(g.workload for g in grids)
-            eff = {g.gid: g.workload for g in grids}
-        targets = group_targets(ctx.system, total, time=weights.resolve_time(0.0))
-        # contiguous fill: walk sorted grids, advance group when target met
-        order = sorted(targets)
-        gi = 0
-        filled = 0.0
-        root_group: Dict[int, int] = {}
-        for grid in grids:
-            if (
-                gi < len(order) - 1
-                and filled + eff[grid.gid] / 2.0 >= targets[order[gi]]
-            ):
-                gi += 1
-                filled = 0.0
-            root_group[grid.gid] = order[gi]
-            filled += eff[grid.gid]
-        # descendants inherit the root's group
-        grid_group: Dict[int, int] = {}
-        for root_gid, group_id in root_group.items():
-            for g in ctx.hierarchy.subtree(root_gid):
-                grid_group[g.gid] = group_id
-        # per level, per group: LPT among the group's processors
         w0 = weights.processor_weights(ctx.system, 0.0)
         for level in range(ctx.hierarchy.max_levels):
             level_grids = ctx.hierarchy.level_grids(level)
@@ -526,22 +554,11 @@ class ContiguousGroupPartition:
                 for gid, pid in lpt_assign(ggrids, ptargets).items():
                     ctx.assignment.assign(gid, pid)
 
-    def active(self, ctx: BalanceContext) -> bool:
-        return ctx.system.ngroups >= 2
-
     def plan(self, ctx: BalanceContext, time: Optional[float]) -> GlobalPlan:
         return plan_global_redistribution(ctx, time=time)
 
-    def execute(
-        self, ctx: BalanceContext, plan: GlobalPlan, predicted_cost: float
-    ) -> float:
-        _moved, _cells, delta = execute_global_redistribution(
-            ctx, plan, predicted_cost=predicted_cost
-        )
-        return delta
 
-
-class SFCPartition:
+class SFCPartition(_GroupPartition):
     """Eq. 5's capacity-proportional split along a space-filling curve.
 
     Identical cut rule to :class:`ContiguousGroupPartition` -- contiguous
@@ -565,52 +582,24 @@ class SFCPartition:
     """
 
     def __init__(self, curve: str = "morton") -> None:
-        if curve not in CURVES:
-            raise ValueError(
-                f"unknown curve {curve!r}; known: {', '.join(CURVES)}"
-            )
-        self.curve = curve
+        self.curve = _check_curve(curve)
 
     def initial_distribution(
         self, ctx: BalanceContext, weights: WeightPolicy
     ) -> None:
-        """Curve-cut across groups, then curve-cut per level within each.
-
-        Mirrors :meth:`ContiguousGroupPartition.initial_distribution`:
-        root grids are cut by effective (all-levels) load, descendants
-        inherit the root's group, and each level is cut per group into
-        weight-proportional processor segments -- curve-contiguous instead
-        of LPT, so neighbouring grids land on neighbouring processors.
-        """
-        eff = effective_level0_loads(ctx)
-        grids = ctx.hierarchy.level_grids(0)
-        total = sum(eff.values())
-        if total <= 0:
-            total = sum(g.workload for g in grids)
-            eff = {g.gid: g.workload for g in grids}
-        targets = group_targets(ctx.system, total, time=weights.resolve_time(0.0))
-        gorder = sorted(targets)
-        order = grids_curve_order(grids, self.curve)
-        seg = contiguous_segments(
-            [eff[grids[i].gid] for i in order], [targets[g] for g in gorder]
+        """Curve-cut across groups, then curve-cut per level within each:
+        curve-contiguous processor segments instead of LPT, so neighbouring
+        grids land on neighbouring processors."""
+        grid_group = _root_group_cut(
+            ctx, weights, lambda grids: _curve_sorted(grids, self.curve)
         )
-        root_group = {
-            grids[i].gid: gorder[seg[k]] for k, i in enumerate(order)
-        }
-        # descendants inherit the root's group
-        grid_group: Dict[int, int] = {}
-        for root_gid, group_id in root_group.items():
-            for g in ctx.hierarchy.subtree(root_gid):
-                grid_group[g.gid] = group_id
         w0 = weights.processor_weights(ctx.system, 0.0)
         for level in range(ctx.hierarchy.max_levels):
             level_grids = ctx.hierarchy.level_grids(level)
             if not level_grids:
                 continue
-            lorder = grids_curve_order(level_grids, self.curve)
             by_group: Dict[int, List[Any]] = {}
-            for i in lorder:
-                g = level_grids[i]
+            for g in _curve_sorted(level_grids, self.curve):
                 by_group.setdefault(grid_group[g.gid], []).append(g)
             for group_id, ggrids in by_group.items():
                 group = ctx.system.groups[group_id]
@@ -623,9 +612,6 @@ class SFCPartition:
                 )
                 for g, si in zip(ggrids, pseg):
                     ctx.assignment.assign(g.gid, group.processors[si].pid)
-
-    def active(self, ctx: BalanceContext) -> bool:
-        return ctx.system.ngroups >= 2
 
     def plan(self, ctx: BalanceContext, time: Optional[float]) -> GlobalPlan:
         """Re-cut the level-0 curve; moves are the grids that change group.
@@ -640,16 +626,15 @@ class SFCPartition:
         total = sum(eff.values())
         if total <= 0:
             return plan
-        grids = ctx.hierarchy.level_grids(0)
         targets = group_targets(ctx.system, total, time=time)
         gorder = sorted(targets)
-        order = grids_curve_order(grids, self.curve)
+        ordered = _curve_sorted(ctx.hierarchy.level_grids(0), self.curve)
         seg = contiguous_segments(
-            [eff[grids[i].gid] for i in order], [targets[g] for g in gorder]
+            [eff[g.gid] for g in ordered], [targets[g] for g in gorder]
         )
         by_group: Dict[int, List[Any]] = {}
-        for k, i in enumerate(order):
-            by_group.setdefault(gorder[seg[k]], []).append(grids[i])
+        for g, si in zip(ordered, seg):
+            by_group.setdefault(gorder[si], []).append(g)
         for group_id, ggrids in by_group.items():
             group = ctx.system.groups[group_id]
             gtotal = sum(eff[g.gid] for g in ggrids)
@@ -670,18 +655,28 @@ class SFCPartition:
                 plan.effective_moved += eff[g.gid]
         return plan
 
-    def execute(
-        self, ctx: BalanceContext, plan: GlobalPlan, predicted_cost: float
-    ) -> float:
-        _moved, _cells, delta = execute_global_redistribution(
-            ctx, plan, predicted_cost=predicted_cost
-        )
-        return delta
-
 
 # --------------------------------------------------------------------- #
 # local balance policies
 # --------------------------------------------------------------------- #
+
+
+def _rebalance(
+    ctx: BalanceContext,
+    grids: Sequence[Any],
+    targets: Mapping[int, float],
+    level: int,
+) -> None:
+    """Move whole grids of one level toward per-processor ``targets``."""
+    owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in grids}
+    moves = plan_rebalance(
+        grids,
+        owner_of,
+        targets,
+        tolerance=ctx.scheme_params.local_tolerance,
+        max_moves=ctx.scheme_params.max_local_moves,
+    )
+    execute_moves(ctx, moves, level=level, purpose="local-balance")
 
 
 class GlobalGreedyLocal:
@@ -733,15 +728,7 @@ class GlobalGreedyLocal:
             return
         total = sum(g.workload for g in grids)
         targets = processor_targets(ctx.system, total, weights.resolve_time(time))
-        owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in grids}
-        moves = plan_rebalance(
-            grids,
-            owner_of,
-            targets,
-            tolerance=ctx.scheme_params.local_tolerance,
-            max_moves=ctx.scheme_params.max_local_moves,
-        )
-        execute_moves(ctx, moves, level=level, purpose="local-balance")
+        _rebalance(ctx, grids, targets, level)
 
 
 class GroupLocal:
@@ -798,24 +785,11 @@ class GroupLocal:
                 gtotal, [w[p.pid] for p in group.processors]
             )
             targets = {p.pid: s for p, s in zip(group.processors, shares)}
-            owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in ggrids}
-            moves = plan_rebalance(
-                ggrids,
-                owner_of,
-                targets,
-                tolerance=ctx.scheme_params.local_tolerance,
-                max_moves=ctx.scheme_params.max_local_moves,
-            )
-            execute_moves(ctx, moves, level=level, purpose="local-balance")
+            _rebalance(ctx, ggrids, targets, level)
 
 
-class StickyLocal:
-    """Zero-information placement, no rebalancing (the static control).
-
-    Children inherit the parent's processor (no movement, no cost), so all
-    adaptation-induced imbalance accumulates on whichever processors own
-    the refining regions.
-    """
+class _ParentPlacement:
+    """New grids start on their parent's processor: no movement, no cost."""
 
     def place_new_grids(
         self,
@@ -826,6 +800,14 @@ class StickyLocal:
         for gid in new_gids:
             parent_gid = ctx.hierarchy.grid(gid).parent_gid
             ctx.assignment.assign(gid, ctx.assignment.pid_of(parent_gid))
+
+
+class StickyLocal(_ParentPlacement):
+    """Zero-information placement, no rebalancing (the static control).
+
+    Children inherit the parent's processor, so all adaptation-induced
+    imbalance accumulates on whichever processors own the refining regions.
+    """
 
     def local_balance(
         self,
@@ -837,37 +819,22 @@ class StickyLocal:
         return None
 
 
-class DiffusionLocal:
-    """First-order diffusive rebalancing on the complete processor graph.
+class _Diffusion(_ParentPlacement):
+    """The diffusion family: one balancing body, one targets kernel each.
 
     New grids stay on the parent's processor; the next diffusion sweeps
     spread them out.  This is how diffusion schemes are actually used:
-    adaptation dumps load locally, diffusion erodes the pile (Cybenko;
-    heterogeneity honoured the way Elsasser et al. generalize diffusion --
-    loads diffused in capacity-normalised space).
-
-    Parameters
-    ----------
-    sweeps:
-        Diffusion sweeps applied per balancing opportunity (each sweep is
-        one neighbourhood-averaging step; more sweeps converge faster at
-        the price of more migration churn).
+    adaptation dumps load locally, diffusion erodes the pile.  Each variant
+    diffuses per-processor loads in capacity-normalised space (the
+    heterogeneous generalization of Elsasser et al.) to per-processor
+    *targets*, and whole grids move toward them through
+    :func:`plan_rebalance`.
     """
 
-    def __init__(self, sweeps: int = 1) -> None:
+    def __init__(self, sweeps: int) -> None:
         if sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {sweeps}")
         self.sweeps = int(sweeps)
-
-    def place_new_grids(
-        self,
-        ctx: BalanceContext,
-        new_gids: Sequence[int],
-        weights: WeightPolicy,
-    ) -> None:
-        for gid in new_gids:
-            parent_gid = ctx.hierarchy.grid(gid).parent_gid
-            ctx.assignment.assign(gid, ctx.assignment.pid_of(parent_gid))
 
     def local_balance(
         self,
@@ -883,25 +850,44 @@ class DiffusionLocal:
         loads = {pid: 0.0 for pid in w}
         for g in grids:
             loads[ctx.assignment.pid_of(g.gid)] += g.workload
-        targets = self._diffusion_targets(loads, w)
-        owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in grids}
-        moves = plan_rebalance(
-            grids,
-            owner_of,
-            targets,
-            tolerance=ctx.scheme_params.local_tolerance,
-            max_moves=ctx.scheme_params.max_local_moves,
-        )
-        execute_moves(ctx, moves, level=level, purpose="local-balance")
+        targets = self._targets(ctx.system, loads, w)
+        if targets is not None:
+            _rebalance(ctx, grids, targets, level)
 
-    def _diffusion_targets(
-        self, loads: Dict[int, float], weights: Dict[int, float]
-    ) -> Dict[int, float]:
+    def _targets(
+        self,
+        system: "DistributedSystem",
+        loads: Dict[int, float],
+        weights: Dict[int, float],
+    ) -> Optional[Dict[int, float]]:
+        """Per-processor load targets, or ``None`` to hold this time."""
+        raise NotImplementedError
+
+
+class DiffusionLocal(_Diffusion):
+    """First-order diffusive rebalancing on the complete processor graph
+    (Cybenko): uniform weights ``alpha = 1/n``, ignoring the topology.
+
+    Parameters
+    ----------
+    sweeps:
+        Diffusion sweeps applied per balancing opportunity (each sweep is
+        one neighbourhood-averaging step; more sweeps converge faster at
+        the price of more migration churn).
+    """
+
+    def __init__(self, sweeps: int = 1) -> None:
+        super().__init__(sweeps)
+
+    def _targets(
+        self,
+        system: "DistributedSystem",
+        loads: Dict[int, float],
+        weights: Dict[int, float],
+    ) -> Optional[Dict[int, float]]:
         """Loads after ``sweeps`` neighbourhood-averaging steps.
 
-        Diffusion runs in capacity-normalised space (load per unit weight),
-        then converts back, which is the heterogeneous generalization.  On
-        the complete graph with uniform alpha = 1/n each sweep moves the
+        On the complete graph with uniform alpha = 1/n each sweep moves the
         normalised loads a fraction ``(n-1)/n`` of the way to the mean.
         """
         n = len(loads)
@@ -917,7 +903,7 @@ class DiffusionLocal:
         return {pid: norm[pid] * weights[pid] for pid in loads}
 
 
-class _TopologyDiffusionLocal:
+class _TopologyDiffusionLocal(_Diffusion):
     """Shared machinery of the topology-aware diffusion variants.
 
     The processor neighbourhood graph is drawn from the system's
@@ -925,68 +911,37 @@ class _TopologyDiffusionLocal:
     group are fully connected, and processors of topology-adjacent groups
     (groups whose route crosses no other group's node) are connected
     across.  On the degenerate star/mesh of a two-level system every group
-    pair is adjacent, recovering the complete-graph behaviour of
-    :class:`DiffusionLocal`.
+    pair is adjacent, recovering the complete-graph neighbourhood.
 
     Indivisibility is honoured the Demirel & Sbalzarini way: the continuous
-    scheme runs in capacity-normalised space to produce per-processor
-    *targets*, and the actual transfers are whole grids planned by
-    ``plan_rebalance`` toward those targets.  ``hysteresis`` suppresses the
-    balancing action entirely while the normalised imbalance is within
-    ``(1 + hysteresis) * mean``, so quantization residue cannot make grids
-    oscillate between balance opportunities.
+    scheme produces targets and the transfers are whole grids.
+    ``hysteresis`` suppresses the balancing action entirely while the
+    normalised imbalance is within ``(1 + hysteresis) * mean``, so
+    quantization residue cannot make grids oscillate between balance
+    opportunities.
     """
 
     def __init__(self, sweeps: int, hysteresis: float) -> None:
-        if sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        super().__init__(sweeps)
         if hysteresis < 0:
             raise ValueError(f"hysteresis must be >= 0, got {hysteresis}")
-        self.sweeps = int(sweeps)
         self.hysteresis = float(hysteresis)
 
-    def place_new_grids(
+    def _targets(
         self,
-        ctx: BalanceContext,
-        new_gids: Sequence[int],
-        weights: WeightPolicy,
-    ) -> None:
-        for gid in new_gids:
-            parent_gid = ctx.hierarchy.grid(gid).parent_gid
-            ctx.assignment.assign(gid, ctx.assignment.pid_of(parent_gid))
-
-    def local_balance(
-        self,
-        ctx: BalanceContext,
-        level: int,
-        time: float,
-        weights: WeightPolicy,
-    ) -> None:
-        grids = ctx.hierarchy.level_grids(level)
-        if not grids:
-            return
-        w = weights.processor_weights(ctx.system, time)
-        if len(w) <= 1:
-            return
-        loads = {pid: 0.0 for pid in w}
-        for g in grids:
-            loads[ctx.assignment.pid_of(g.gid)] += g.workload
+        system: "DistributedSystem",
+        loads: Dict[int, float],
+        weights: Dict[int, float],
+    ) -> Optional[Dict[int, float]]:
+        if len(weights) <= 1:
+            return None
         pids = sorted(loads)
-        norm = np.array([loads[p] / w[p] for p in pids])
+        norm = np.array([loads[p] / weights[p] for p in pids])
         mean = float(norm.sum()) / len(pids)
         if float(norm.max()) <= (1.0 + self.hysteresis) * mean:
-            return  # within the hysteresis band: moving grids would churn
-        norm = self._diffuse(ctx.system, pids, norm)
-        targets = {p: float(norm[i]) * w[p] for i, p in enumerate(pids)}
-        owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in grids}
-        moves = plan_rebalance(
-            grids,
-            owner_of,
-            targets,
-            tolerance=ctx.scheme_params.local_tolerance,
-            max_moves=ctx.scheme_params.max_local_moves,
-        )
-        execute_moves(ctx, moves, level=level, purpose="local-balance")
+            return None  # within the hysteresis band: moving grids would churn
+        norm = self._diffuse(system, pids, norm)
+        return {p: float(norm[i]) * weights[p] for i, p in enumerate(pids)}
 
     def _diffuse(self, system: Any, pids: List[int],
                  norm: np.ndarray) -> np.ndarray:
@@ -1137,7 +1092,7 @@ class DimexDiffusionLocal(_TopologyDiffusionLocal):
         return x
 
 
-class SFCLocal:
+class SFCLocal(_ParentPlacement):
     """Within-group curve re-cut at every balancing opportunity.
 
     New grids inherit the parent's processor (the curve cut at the next
@@ -1155,21 +1110,7 @@ class SFCLocal:
     """
 
     def __init__(self, curve: str = "morton") -> None:
-        if curve not in CURVES:
-            raise ValueError(
-                f"unknown curve {curve!r}; known: {', '.join(CURVES)}"
-            )
-        self.curve = curve
-
-    def place_new_grids(
-        self,
-        ctx: BalanceContext,
-        new_gids: Sequence[int],
-        weights: WeightPolicy,
-    ) -> None:
-        for gid in new_gids:
-            parent_gid = ctx.hierarchy.grid(gid).parent_gid
-            ctx.assignment.assign(gid, ctx.assignment.pid_of(parent_gid))
+        self.curve = _check_curve(curve)
 
     def local_balance(
         self,
@@ -1182,10 +1123,8 @@ class SFCLocal:
         if not grids:
             return
         w = weights.processor_weights(ctx.system, time)
-        order = grids_curve_order(grids, self.curve)
         by_group: Dict[int, List[Any]] = {}
-        for i in order:
-            g = grids[i]
+        for g in _curve_sorted(grids, self.curve):
             group_id = ctx.system.processor(
                 ctx.assignment.pid_of(g.gid)
             ).group_id

@@ -1,14 +1,15 @@
 """The scheme registry: every scheme name resolves here, and only here.
 
-A scheme is registered under a short name (``"parallel"``,
-``"distributed"``, ``"static"``, ``"diffusion"``, or anything a user adds)
-together with a serializable :class:`SchemeSpec` describing its policy
-composition and a factory building the scheme instance.  Everything that
-used to switch on scheme-name strings -- ``make_scheme``, the CLI
-``--scheme`` choices, ``repro.quick_run``, the harness dispatchers and the
-result cache's content address -- resolves through this module instead, so
-registering a scheme once makes it reachable from run/compare/sweep/faults/
-trace with zero harness changes.
+A scheme is a serializable :class:`SchemeSpec` -- one policy per axis --
+registered under a short name (``"parallel"``, ``"distributed"``,
+``"static"``, ``"diffusion"``, ... or anything a user adds); the built-ins
+are the :data:`BUILTIN_SPECS` table, registered when this module is
+imported.  :func:`make_scheme` composes every spec the same way, into a
+:class:`~repro.core.composed.ComposedScheme`.  Everything that takes a
+scheme name -- the CLI ``--scheme`` choices, ``repro.quick_run``, the
+harness dispatchers and the result cache's content address -- resolves it
+here, so registering a scheme once makes it reachable from
+run/compare/sweep/faults/trace with zero harness changes.
 
 >>> from repro.core.registry import SchemeSpec, register_scheme
 >>> hybrid = SchemeSpec(name="dist-diffusion", weights="measured",
@@ -24,9 +25,8 @@ composition can never serve stale cached results.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from .base import DLBScheme
 from .composed import ComposedScheme
@@ -34,6 +34,7 @@ from .policies import POLICY_REGISTRIES, build_policies
 
 __all__ = [
     "SEQUENTIAL",
+    "BUILTIN_SPECS",
     "SchemeSpec",
     "register_scheme",
     "unregister_scheme",
@@ -114,50 +115,53 @@ class SchemeSpec:
         return cls(**dict(payload))
 
 
-SchemeFactory = Callable[[SchemeSpec], DLBScheme]
+#: the built-in schemes; ``display`` labels feed ``RunResult.scheme`` and
+#: every pinned result digest, so they never change
+BUILTIN_SPECS: Tuple[SchemeSpec, ...] = (
+    # the ICPP'01 baseline (Section 2.3): group-oblivious even balancing
+    SchemeSpec(name="parallel", display="parallel DLB", weights="nominal",
+               decision="never", global_partition="flat", local="greedy"),
+    # the paper's contribution (Section 4): group-local phase plus the
+    # gain/cost-gated global phase
+    SchemeSpec(name="distributed", display="distributed DLB",
+               weights="measured", decision="gain-cost",
+               global_partition="proportional", local="group",
+               options={"initial_delta": 0.05, "use_forecast": False}),
+    # control: distribute once, children stay on the parent's processor
+    SchemeSpec(name="static", display="static (no DLB)", weights="nominal",
+               decision="never", global_partition="flat", local="sticky"),
+    # Cybenko's first-order diffusion on the complete processor graph
+    SchemeSpec(name="diffusion", display="diffusion DLB", weights="nominal",
+               decision="never", global_partition="flat", local="diffusion",
+               options={"sweeps": 1}),
+    # topology-aware, whole-grid diffusion (Demirel & Sbalzarini)
+    SchemeSpec(name="diffusion:sos", display="second-order diffusion DLB",
+               weights="nominal", decision="never", global_partition="flat",
+               local="diffusion-sos",
+               options={"sweeps": 2, "beta": 1.6, "hysteresis": 0.02}),
+    SchemeSpec(name="diffusion:dimex",
+               display="dimension-exchange diffusion DLB", weights="nominal",
+               decision="never", global_partition="flat",
+               local="diffusion-dimex",
+               options={"sweeps": 1, "hysteresis": 0.02}),
+    # space-filling-curve cuts in both phases (Schornbaum & Rüde)
+    SchemeSpec(name="sfc:morton", display="SFC Morton DLB", weights="measured",
+               decision="gain-cost", global_partition="sfc", local="sfc",
+               options={"curve": "morton", "initial_delta": 0.05,
+                        "use_forecast": False}),
+    SchemeSpec(name="sfc:hilbert", display="SFC Hilbert DLB",
+               weights="measured", decision="gain-cost",
+               global_partition="sfc", local="sfc",
+               options={"curve": "hilbert", "initial_delta": 0.05,
+                        "use_forecast": False}),
+)
+
+_REGISTRY: Dict[str, SchemeSpec] = {}
 
 
-@dataclass(frozen=True)
-class _Registration:
-    spec: SchemeSpec
-    factory: SchemeFactory
-
-
-_REGISTRY: Dict[str, _Registration] = {}
-#: legacy aliases (the pre-registry display labels) -> registered names;
-#: accepted by :func:`make_scheme` with a DeprecationWarning
-_LEGACY_ALIASES: Dict[str, str] = {}
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in scheme modules so they self-register.
-
-    Function-level imports: the scheme modules import this module at their
-    top level, so eager imports here would be circular.
-    """
-    from . import (  # noqa: F401
-        diffusion_dlb,
-        distributed_dlb,
-        parallel_dlb,
-        sfc_dlb,
-        static_dlb,
-    )
-
-
-def _build_composed(spec: SchemeSpec) -> DLBScheme:
-    return ComposedScheme(spec, **build_policies(spec))
-
-
-def register_scheme(
-    spec: SchemeSpec,
-    factory: Optional[SchemeFactory] = None,
-    *,
-    replace: bool = False,
-) -> SchemeSpec:
+def register_scheme(spec: SchemeSpec, *, replace: bool = False) -> SchemeSpec:
     """Register ``spec`` under ``spec.name``; returns the spec for chaining.
 
-    ``factory`` builds the scheme instance from the spec; the default
-    composes the spec's policies into a plain :class:`ComposedScheme`.
     Re-registering a name raises unless ``replace=True`` (a silent
     overwrite would repoint every harness entry point at different
     behaviour).
@@ -171,66 +175,34 @@ def register_scheme(
             f"scheme {spec.name!r} is already registered "
             f"(pass replace=True to overwrite)"
         )
-    _REGISTRY[spec.name] = _Registration(
-        spec, factory if factory is not None else _build_composed
-    )
-    if spec.display and spec.display != spec.name:
-        _LEGACY_ALIASES[spec.display] = spec.name
+    _REGISTRY[spec.name] = spec
     return spec
 
 
 def unregister_scheme(name: str) -> None:
     """Remove a registered scheme (primarily for test cleanup)."""
-    reg = _REGISTRY.pop(name, None)
-    if reg is not None and _LEGACY_ALIASES.get(reg.spec.display) == name:
-        del _LEGACY_ALIASES[reg.spec.display]
+    _REGISTRY.pop(name, None)
 
 
 def available_schemes() -> Tuple[str, ...]:
     """Registered scheme names, sorted (the CLI ``--scheme`` vocabulary)."""
-    _ensure_builtins()
     return tuple(sorted(_REGISTRY))
 
 
-def _resolve_name(name: str) -> str:
-    if name not in _REGISTRY and name in _LEGACY_ALIASES:
-        canonical = _LEGACY_ALIASES[name]
-        warnings.warn(
-            f"make_scheme({name!r}) uses a legacy display label; "
-            f"use the registered name {canonical!r}",
-            DeprecationWarning, stacklevel=3,
-        )
-        return canonical
+def get_scheme_spec(name: str) -> SchemeSpec:
+    """The registered spec for ``name``."""
     if name not in _REGISTRY:
         known = ", ".join(available_schemes())
         raise ValueError(
             f"unknown scheme {name!r}; registered schemes: {known}"
         )
-    return name
-
-
-def get_scheme_spec(name: str) -> SchemeSpec:
-    """The registered spec for ``name`` (legacy display labels accepted)."""
-    _ensure_builtins()
-    return _REGISTRY[_resolve_name(name)].spec
+    return _REGISTRY[name]
 
 
 def make_scheme(scheme: Union[str, SchemeSpec]) -> DLBScheme:
-    """Build a scheme instance from a registered name or an ad-hoc spec.
-
-    Strings resolve through the registry (pre-registry display labels like
-    ``"parallel DLB"`` still work behind a :class:`DeprecationWarning`);
-    passing a :class:`SchemeSpec` composes it directly -- registered specs
-    use their registered factory, unregistered ones compose generically.
-    """
-    _ensure_builtins()
-    if isinstance(scheme, SchemeSpec):
-        reg = _REGISTRY.get(scheme.name)
-        if reg is not None and reg.spec == scheme:
-            return reg.factory(reg.spec)
-        return _build_composed(scheme)
-    reg = _REGISTRY[_resolve_name(scheme)]
-    return reg.factory(reg.spec)
+    """Build a scheme instance from a registered name or an ad-hoc spec."""
+    spec = scheme if isinstance(scheme, SchemeSpec) else get_scheme_spec(scheme)
+    return ComposedScheme(spec, **build_policies(spec))
 
 
 def scheme_cache_payload(scheme: str) -> Dict[str, Any]:
@@ -244,3 +216,7 @@ def scheme_cache_payload(scheme: str) -> Dict[str, Any]:
     if scheme == SEQUENTIAL:
         return {"pseudo": SEQUENTIAL}
     return get_scheme_spec(scheme).to_dict()
+
+
+for _spec in BUILTIN_SPECS:
+    register_scheme(_spec)

@@ -32,14 +32,7 @@ from .spec import (
     parallel_spec,
     wan_spec,
 )
-from .system import (
-    DistributedSystem,
-    build_system,
-    lan_system,
-    multi_site_system,
-    parallel_system,
-    wan_system,
-)
+from .system import DistributedSystem, build_system
 from .topology import (
     EdgeSpec,
     NetworkTopology,
@@ -98,10 +91,6 @@ __all__ = [
     "multi_site_spec",
     "DistributedSystem",
     "build_system",
-    "lan_system",
-    "parallel_system",
-    "wan_system",
-    "multi_site_system",
     "EdgeSpec",
     "NetworkTopology",
     "Route",

@@ -9,10 +9,8 @@ carried as objects, which keeps specs plain data; the background-traffic
 model stays a runtime argument to :func:`~repro.distsys.system.build_system`
 (the experiment config pins it separately, so paired runs share weather).
 
-The four legacy constructors (``parallel_system`` et al.) survive as
-``DeprecationWarning`` shims over the spec helpers defined here:
-:func:`parallel_spec`, :func:`lan_spec`, :func:`wan_spec` and
-:func:`multi_site_spec` reproduce the paper's testbed shapes exactly.
+The spec helpers :func:`parallel_spec`, :func:`lan_spec`, :func:`wan_spec`
+and :func:`multi_site_spec` reproduce the paper's testbed shapes exactly.
 """
 
 from __future__ import annotations

@@ -1,18 +1,13 @@
 """Distributed systems: two or more groups joined by inter-group links.
 
-Factory helpers build the paper's three testbed shapes:
-
-* a *parallel system* -- one group, dedicated interconnect (Section 3's
-  baseline Origin2000 at ANL);
-* the *LAN system* -- two machines at ANL over shared Gigabit Ethernet
-  (AMR64 experiments);
-* the *WAN system* -- ANL + NCSA over the shared MREN ATM OC-3 network
-  (ShockPool3D experiments and the Section 3 motivation).
+:func:`build_system` resolves a :class:`~repro.distsys.spec.SystemSpec`
+into a live system; the spec helpers in :mod:`repro.distsys.spec`
+(``parallel_spec``, ``lan_spec``, ``wan_spec``, ``multi_site_spec``)
+describe the paper's testbed shapes.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 import numpy as np
@@ -21,14 +16,7 @@ from ..faults.load import NoLoad
 from .group import Group
 from .network import Link, origin2000_interconnect
 from .processor import Processor
-from .spec import (
-    SystemSpec,
-    _resolve_link,
-    lan_spec,
-    multi_site_spec,
-    parallel_spec,
-    wan_spec,
-)
+from .spec import SystemSpec, _resolve_link
 from .topology import (
     NetworkTopology,
     Route,
@@ -37,14 +25,7 @@ from .topology import (
 )
 from .traffic import TrafficModel
 
-__all__ = [
-    "DistributedSystem",
-    "build_system",
-    "parallel_system",
-    "lan_system",
-    "wan_system",
-    "multi_site_system",
-]
+__all__ = ["DistributedSystem", "build_system"]
 
 #: resolver fallback when neither the spec nor a group pins a speed
 DEFAULT_BASE_SPEED = 1.0e6
@@ -384,66 +365,3 @@ def build_system(
             for j in range(i + 1, n):
                 links[frozenset((i, j))] = inter_link
     return DistributedSystem(groups, links)
-
-
-# --------------------------------------------------------------------- #
-# legacy constructors (DeprecationWarning shims over the spec helpers)
-# --------------------------------------------------------------------- #
-
-
-def _warn_legacy(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated; use build_system({new}(...)) "
-        "(see repro.distsys.spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def parallel_system(nprocs: int, base_speed: float = DEFAULT_BASE_SPEED
-                    ) -> DistributedSystem:
-    """Deprecated: use ``build_system(parallel_spec(nprocs, base_speed))``."""
-    _warn_legacy("parallel_system", "parallel_spec")
-    return _system_from_spec(parallel_spec(nprocs, base_speed=base_speed))
-
-
-def lan_system(
-    nprocs_per_group: int,
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(lan_spec(n, base_speed), traffic=...)``."""
-    _warn_legacy("lan_system", "lan_spec")
-    return _system_from_spec(lan_spec(nprocs_per_group, base_speed=base_speed),
-                             traffic)
-
-
-def wan_system(
-    nprocs_per_group: int,
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(wan_spec(n, base_speed), traffic=...)``."""
-    _warn_legacy("wan_system", "wan_spec")
-    return _system_from_spec(wan_spec(nprocs_per_group, base_speed=base_speed),
-                             traffic)
-
-
-def multi_site_system(
-    group_sizes: Sequence[int],
-    traffic: Optional[TrafficModel] = None,
-    base_speed: float = DEFAULT_BASE_SPEED,
-    group_weights: Optional[Sequence[float]] = None,
-) -> DistributedSystem:
-    """Deprecated: use ``build_system(multi_site_spec(...), traffic=...)``.
-
-    The paper's experiments use two sites, but nothing in the scheme is
-    binary: the gain model (Eq. 4) and the capacity-proportional global
-    phase (Section 4.4) are defined over any number of groups.
-    """
-    _warn_legacy("multi_site_system", "multi_site_spec")
-    return _system_from_spec(
-        multi_site_spec(group_sizes, base_speed=base_speed,
-                        group_weights=group_weights),
-        traffic,
-    )

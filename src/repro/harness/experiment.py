@@ -10,7 +10,6 @@ the two executions would have the similar network environments."
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -314,12 +313,11 @@ def _run_replay(cfg: ExperimentConfig, scheme: str, system,
 
 def run_experiment(
     config: ExperimentConfig,
-    scheme: Optional[str] = None,
+    scheme: str = "distributed",
     *,
     executor=None,
     tracer: Optional[Tracer] = None,
     seed: Optional[int] = None,
-    scheme_name: Optional[str] = None,
 ) -> RunResult:
     """Execute one (config, scheme) run and return its result.
 
@@ -342,18 +340,7 @@ def run_experiment(
     seed:
         Optional traffic-seed override (see :func:`ExperimentConfig`).
     """
-    if scheme_name is not None:
-        warnings.warn(
-            "run_experiment(scheme_name=...) is deprecated; "
-            "use run_experiment(config, scheme)",
-            DeprecationWarning, stacklevel=2,
-        )
-        if scheme is not None:
-            raise TypeError("pass either scheme or scheme_name, not both")
-        scheme = scheme_name
-    if scheme is None:
-        scheme = "distributed"
-    cfg = resolve_trace_config(_apply_seed(config, seed))
+    cfg =resolve_trace_config(_apply_seed(config, seed))
     if executor is not None:
         from ..exec import ExecTask
 

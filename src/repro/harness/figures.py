@@ -17,7 +17,7 @@ from ..amr.applications import ShockPool3D
 from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import integration_order
 from ..amr.regrid import regrid_level
-from ..core import DistributedDLB
+from ..core import make_scheme
 from ..distsys.events import (
     ComputeEvent,
     GlobalDecisionEvent,
@@ -352,7 +352,7 @@ def fig6_global_redistribution(cfg: Optional[ExperimentConfig] = None) -> Fig6Re
             return out
 
     runner = CapturingRunner(
-        make_app(cfg), make_system(cfg), DistributedDLB(),
+        make_app(cfg), make_system(cfg), make_scheme("distributed"),
         sim_params=cfg.sim_params, scheme_params=cfg.effective_scheme_params(),
     )
     for _ in range(cfg.steps):

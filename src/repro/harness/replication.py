@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 
 from ..exec import ExecStats, ExecTask, Executor, get_default_executor
 from ..obs import Tracer
-from .deprecation import apply_legacy_positionals
 from .experiment import ExperimentConfig
 from .sweep import DEFAULT_SCHEMES, PairedResult, _collect_spans, _scheme_pair
 
@@ -75,7 +74,7 @@ class ReplicatedResult:
 
 def replicate(
     config: ExperimentConfig,
-    *legacy,
+    *,
     seeds: Optional[Sequence[int]] = None,
     traffic_kind: str = "bursty",
     schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -98,13 +97,6 @@ def replicate(
     ``seed + 1``, ``seed + 2``), and with neither given the historical
     default ``(1, 2, 3)`` applies.
     """
-    kwargs = apply_legacy_positionals(
-        "replicate", ("seeds", "traffic_kind", "executor"), legacy,
-        {"seeds": seeds, "traffic_kind": traffic_kind, "executor": executor},
-        {"seeds": None, "traffic_kind": "bursty", "executor": None},
-    )
-    seeds, traffic_kind = kwargs["seeds"], kwargs["traffic_kind"]
-    executor = kwargs["executor"]
     if seeds is None:
         seeds = (seed, seed + 1, seed + 2) if seed is not None else (1, 2, 3)
     elif not seeds:

@@ -24,7 +24,6 @@ from ..exec import ExecStats, ExecTask, Executor, get_default_executor
 from ..metrics.efficiency import efficiency
 from ..metrics.timing import RunResult
 from ..obs import Tracer
-from .deprecation import apply_legacy_positionals
 from .experiment import (
     ExperimentConfig,
     _apply_seed,
@@ -142,7 +141,7 @@ class SweepResult:
 
 def run_paired(
     config: ExperimentConfig,
-    *legacy,
+    *,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     with_sequential: bool = False,
     executor: Optional[Executor] = None,
@@ -158,12 +157,6 @@ def run_paired(
     engine, ``tracer`` traces every run (spans merged into it, one track
     per run), and ``seed`` overrides the config's traffic seed.
     """
-    kwargs = apply_legacy_positionals(
-        "run_paired", ("with_sequential", "executor"), legacy,
-        {"with_sequential": with_sequential, "executor": executor},
-        {"with_sequential": False, "executor": None},
-    )
-    with_sequential, executor = kwargs["with_sequential"], kwargs["executor"]
     pair = _scheme_pair(schemes)
     cfg = resolve_trace_config(_apply_seed(config, seed))
     ex = executor if executor is not None else get_default_executor()
@@ -186,7 +179,7 @@ def run_paired(
 
 def run_sweep(
     config: ExperimentConfig,
-    *legacy,
+    *,
     procs_per_group: Sequence[int] = PAPER_CONFIGS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     with_sequential: bool = False,
@@ -203,16 +196,6 @@ def run_sweep(
     -- sequential reference plus both schemes of every configuration -- is
     submitted as one batch, so a parallel executor overlaps everything.
     """
-    kwargs = apply_legacy_positionals(
-        "run_sweep", ("procs_per_group", "with_sequential", "executor"),
-        legacy,
-        {"procs_per_group": procs_per_group,
-         "with_sequential": with_sequential, "executor": executor},
-        {"procs_per_group": PAPER_CONFIGS,
-         "with_sequential": False, "executor": None},
-    )
-    procs_per_group = kwargs["procs_per_group"]
-    with_sequential, executor = kwargs["with_sequential"], kwargs["executor"]
     pair = _scheme_pair(schemes)
     base = resolve_trace_config(_apply_seed(config, seed))
     ex = executor if executor is not None else get_default_executor()
@@ -244,7 +227,7 @@ def run_sweep(
 
 def run_fault_scenarios(
     config: ExperimentConfig,
-    *legacy,
+    *,
     scenarios: Sequence[str] = FAULT_SWEEP_SCENARIOS,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     executor: Optional[Executor] = None,
@@ -265,16 +248,6 @@ def run_fault_scenarios(
     metrics are computed from events); pass ``False`` when only the timing
     totals matter and cache hits are welcome.
     """
-    kwargs = apply_legacy_positionals(
-        "run_fault_scenarios", ("scenarios", "executor", "need_events"),
-        legacy,
-        {"scenarios": scenarios, "executor": executor,
-         "need_events": need_events},
-        {"scenarios": FAULT_SWEEP_SCENARIOS, "executor": None,
-         "need_events": True},
-    )
-    scenarios, executor = kwargs["scenarios"], kwargs["executor"]
-    need_events = kwargs["need_events"]
     pair = _scheme_pair(schemes)
     base = resolve_trace_config(_apply_seed(config, seed))
     template = base.fault if base.fault is not None else FaultParams()

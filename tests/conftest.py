@@ -8,7 +8,13 @@ from repro.amr.applications import AMR64, BlastWave, ShockPool3D
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams, SimParams
-from repro.distsys import ConstantTraffic, lan_system, parallel_system, wan_system
+from repro.distsys import (
+    ConstantTraffic,
+    build_system,
+    lan_spec,
+    parallel_spec,
+    wan_spec,
+)
 from repro.runtime import root_blocks
 
 
@@ -59,18 +65,18 @@ def blastwave_app() -> BlastWave:
 @pytest.fixture
 def wan2x2():
     """Two groups of two processors over the shared WAN."""
-    return wan_system(2, ConstantTraffic(0.3), base_speed=2.0e4)
+    return build_system(wan_spec(2, base_speed=2.0e4), traffic=ConstantTraffic(0.3))
 
 
 @pytest.fixture
 def lan2x2():
-    return lan_system(2, ConstantTraffic(0.3), base_speed=2.0e4)
+    return build_system(lan_spec(2, base_speed=2.0e4), traffic=ConstantTraffic(0.3))
 
 
 @pytest.fixture
 def par4():
     """One dedicated four-processor machine."""
-    return parallel_system(4, base_speed=2.0e4)
+    return build_system(parallel_spec(4, base_speed=2.0e4))
 
 
 @pytest.fixture

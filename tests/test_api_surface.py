@@ -6,7 +6,6 @@ name is fine -- extend this list in the same change.
 """
 
 import inspect
-import warnings
 
 import pytest
 
@@ -51,8 +50,6 @@ EXPECTED_API = [
     "fat_tree",
     "wan_mesh",
     "from_edges",
-    "DIFFUSION_SOS_SPEC",
-    "DIFFUSION_DIMEX_SPEC",
     # schemes: policy protocols + registry
     "WeightPolicy",
     "DecisionPolicy",
@@ -201,45 +198,25 @@ class TestSeedOverride:
 
 
 class TestLegacyShims:
-    def test_run_paired_positional_warns_and_matches(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            keyword = run_paired(SMALL, with_sequential=True)
-        with pytest.warns(DeprecationWarning, match="with_sequential"):
-            legacy = run_paired(SMALL, True)
-        assert legacy.sequential is not None
-        assert legacy.distributed.total_time == keyword.distributed.total_time
+    """The deprecation shims for the pre-``repro.api`` call forms are gone:
+    those forms now fail like any other bad call."""
 
-    def test_run_sweep_positional_warns_and_matches(self):
-        keyword = run_sweep(SMALL, procs_per_group=(1,))
-        with pytest.warns(DeprecationWarning, match="procs_per_group"):
-            legacy = run_sweep(SMALL, (1,))
-        assert [p.improvement for p in legacy.pairs] == [
-            p.improvement for p in keyword.pairs]
-
-    def test_run_fault_scenarios_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="scenarios"):
-            results = run_fault_scenarios(SMALL, ("none",))
-        assert list(results) == ["none"]
-
-    def test_replicate_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="seeds"):
-            rep = replicate(SMALL, (3,))
-        assert rep.seeds == [3]
-
-    def test_run_experiment_scheme_name_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="scheme_name"):
-            r = run_experiment(SMALL, scheme_name="parallel")
-        assert r.scheme == "parallel DLB"
+    @pytest.mark.parametrize("call", [
+        lambda: run_paired(SMALL, True),
+        lambda: run_sweep(SMALL, (1,)),
+        lambda: run_fault_scenarios(SMALL, ("none",)),
+        lambda: replicate(SMALL, (3,)),
+        lambda: run_experiment(SMALL, scheme_name="parallel"),
+    ], ids=["run_paired", "run_sweep", "run_fault_scenarios", "replicate",
+            "run_experiment-scheme_name"])
+    def test_old_call_form_raises(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     def test_too_many_positionals_raise(self):
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_paired(SMALL, True, None, "extra")
+            run_paired(SMALL, True, None, "extra")
 
     def test_positional_keyword_collision_raises(self):
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_paired(SMALL, True, with_sequential=True)
+            run_paired(SMALL, True, with_sequential=True)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distsys import build_system, wan_spec
 from repro.distsys.comm import CommPhaseResult, Message, MessageKind, comm_phase_time
-from repro.distsys.system import wan_system
 from repro.distsys.traffic import ConstantTraffic
 
 
 @pytest.fixture
 def system():
-    return wan_system(2, ConstantTraffic(0.0))
+    return build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
 
 
 def wan_params(system, t=0.0):
@@ -32,7 +32,7 @@ class TestMessage:
 
 class TestCommPhaseTime:
     def test_empty_phase_free(self):
-        r = comm_phase_time(wan_system(1), [], 0.0)
+        r = comm_phase_time(build_system(wan_spec(1)), [], 0.0)
         assert r.elapsed == 0.0
 
     def test_self_message_free(self, system):
@@ -93,8 +93,8 @@ class TestCommPhaseTime:
         assert r.remote_bytes == 30
 
     def test_traffic_slows_transfers(self):
-        quiet = wan_system(2, ConstantTraffic(0.0))
-        busy = wan_system(2, ConstantTraffic(0.6))
+        quiet = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
+        busy = build_system(wan_spec(2), traffic=ConstantTraffic(0.6))
         msgs = [Message(0, 2, 1e6, MessageKind.MIGRATION)]
         assert (
             comm_phase_time(busy, msgs, 0.0).elapsed

@@ -7,7 +7,7 @@ import pytest
 from repro.core.cost import CostEstimate, CostModel
 from repro.core.decision import decide
 from repro.core.gain import CoarseStepRecord, WorkloadHistory, estimate_gain
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 
 
 class TestCostModel:
@@ -73,7 +73,8 @@ class TestWorkloadHistory:
         assert h.last_complete.proc_level_loads[0] == {0: 4.0}
 
     def test_group_math_eq2_eq3(self):
-        system = wan_system(2, ConstantTraffic(0.0))  # pids 0,1 | 2,3
+        system = build_system(wan_spec(2),
+                              traffic=ConstantTraffic(0.0))  # pids 0,1 | 2,3
         rec = CoarseStepRecord(
             index=0,
             proc_level_loads={
@@ -104,28 +105,28 @@ class TestEstimateGain:
         return h
 
     def test_eq4_two_groups(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         h = self.make_history(30.0, 10.0, walltime=8.0)
         # Gain = T * (max-min)/(N*max) = 8 * 20/(2*30)
         assert estimate_gain(h, system) == pytest.approx(8.0 * 20.0 / 60.0)
 
     def test_balanced_zero_gain(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         h = self.make_history(10.0, 10.0)
         assert estimate_gain(h, system) == 0.0
 
     def test_no_history_zero_gain(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         assert estimate_gain(WorkloadHistory(), system) == 0.0
 
     def test_idle_system_zero_gain(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         h = self.make_history(0.0, 0.0)
         assert estimate_gain(h, system) == 0.0
 
     def test_gain_bounded_by_walltime(self):
         """Eq. 4 is 'a very conservative estimate': gain <= T/N_groups."""
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         h = self.make_history(100.0, 0.0, walltime=6.0)
         assert estimate_gain(h, system) <= 6.0 / 2 + 1e-12
 

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DiffusionDLB, DistributedDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import get_scheme_spec, make_scheme
+from repro.core.policies import DiffusionLocal
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.metrics.imbalance import imbalance_ratio
 from repro.runtime import SAMRRunner
 
 
+def diffusion(sweeps=1):
+    """The registered ``diffusion`` scheme with ``sweeps`` per opportunity."""
+    return make_scheme(
+        replace(get_scheme_spec("diffusion"), options={"sweeps": sweeps}))
+
+
 class TestDiffusionTargets:
     def targets(self, loads, weights=None, sweeps=1):
-        scheme = DiffusionDLB(sweeps=sweeps)
+        local = diffusion(sweeps).local_policy
         w = weights or {pid: 1.0 for pid in loads}
-        return scheme._diffusion_targets(loads, w)
+        return local._targets(None, loads, w)
 
     def test_single_processor_identity(self):
         assert self.targets({0: 10.0}) == {0: 10.0}
@@ -50,14 +59,14 @@ class TestDiffusionTargets:
 
     def test_bad_sweeps_raise(self):
         with pytest.raises(ValueError):
-            DiffusionDLB(sweeps=0)
+            DiffusionLocal(sweeps=0)
 
 
 class TestDiffusionRuns:
     def run(self, steps=4, sweeps=1):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        return SAMRRunner(app, system, DiffusionDLB(sweeps=sweeps)).run(steps)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
+        return SAMRRunner(app, system, diffusion(sweeps)).run(steps)
 
     def test_completes_and_balances(self):
         r = self.run()
@@ -77,22 +86,23 @@ class TestDiffusionRuns:
         placement is a genuinely competitive baseline at moderate scale,
         which the scheme-comparison benchmark reports.)"""
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(4, ConstantTraffic(0.45), base_speed=2e4)
-        diff = SAMRRunner(app, system, DiffusionDLB()).run(5)
+        system = build_system(wan_spec(4, base_speed=2e4),
+                              traffic=ConstantTraffic(0.45))
+        diff = SAMRRunner(app, system, make_scheme("diffusion")).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
-        system2 = wan_system(4, ConstantTraffic(0.45), base_speed=2e4)
-        dist = SAMRRunner(app2, system2, DistributedDLB()).run(5)
+        system2 = build_system(wan_spec(4, base_speed=2e4),
+                               traffic=ConstantTraffic(0.45))
+        dist = SAMRRunner(app2, system2, make_scheme("distributed")).run(5)
         assert diff.remote_bytes_by_kind.get("parent_child", 0.0) > 0.0
         assert dist.remote_bytes_by_kind.get("parent_child", 0.0) == 0.0
 
     def test_compute_balance_improves_over_static(self):
         """Diffusion does reduce compute imbalance relative to no DLB."""
-        from repro.core import StaticDLB
-
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        static = SAMRRunner(app, system, StaticDLB()).run(5)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
+        static = SAMRRunner(app, system, make_scheme("static")).run(5)
         app2 = ShockPool3D(domain_cells=16, max_levels=3)
-        system2 = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        diff = SAMRRunner(app2, system2, DiffusionDLB()).run(5)
+        system2 = build_system(wan_spec(2, base_speed=2e4),
+                               traffic=ConstantTraffic(0.3))
+        diff = SAMRRunner(app2, system2, make_scheme("diffusion")).run(5)
         assert diff.compute_time < static.compute_time

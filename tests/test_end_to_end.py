@@ -12,8 +12,8 @@ import pytest
 
 from repro import quick_run
 from repro.amr.applications import BlastWave, ShockPool3D
-from repro.core import DistributedDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent, RedistributionEvent
 from repro.harness import ExperimentConfig, run_experiment, run_paired
 from repro.runtime import SAMRRunner
@@ -106,9 +106,10 @@ class TestSchemeDynamics:
         app = BlastWave(domain_cells=16, max_levels=3)
         shock = ShockPool3D(domain_cells=16, max_levels=3)
         def system():
-            return wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        blast = SAMRRunner(app, system(), DistributedDLB()).run(4)
-        moving = SAMRRunner(shock, system(), DistributedDLB()).run(4)
+            return build_system(wan_spec(2, base_speed=2e4),
+                                traffic=ConstantTraffic(0.3))
+        blast = SAMRRunner(app, system(), make_scheme("distributed")).run(4)
+        moving = SAMRRunner(shock, system(), make_scheme("distributed")).run(4)
         assert blast.redistributions <= moving.redistributions
 
     def test_redistribution_reduces_group_imbalance(self):
@@ -137,7 +138,7 @@ class TestSchemeDynamics:
 
         from repro.harness import make_app, make_system
 
-        Capture(make_app(cfg), make_system(cfg), DistributedDLB()).run(cfg.steps)
+        Capture(make_app(cfg), make_system(cfg), make_scheme("distributed")).run(cfg.steps)
         assert captured, "no redistribution fired"
         for before, after in captured:
             assert after < before
@@ -147,7 +148,7 @@ class TestCrossSchemeInvariants:
     @pytest.mark.parametrize("scheme", ["parallel", "distributed"])
     def test_all_grids_assigned_throughout(self, scheme):
         cfg = ExperimentConfig(procs_per_group=2, steps=3)
-        from repro.harness import make_app, make_scheme, make_system
+        from repro.harness import make_app, make_system
 
         runner = SAMRRunner(make_app(cfg), make_system(cfg), make_scheme(scheme))
         for _ in range(cfg.steps):

@@ -8,8 +8,8 @@ import pytest
 
 from repro.amr.applications import ShockPool3D
 from repro.config import FaultParams
-from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, FaultEvent, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, FaultEvent, build_system, wan_spec
 from repro.distsys.events import ComputeEvent, EventLog, RedistributionEvent
 from repro.faults import (
     MAX_CPU_OCCUPANCY,
@@ -106,7 +106,8 @@ class TestLoadModels:
 
 class TestProcessorAvailability:
     def test_loaded_processor_slows_down(self):
-        system = wan_system(2, ConstantTraffic(0.0), base_speed=1000.0)
+        system = build_system(wan_spec(2, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.0))
         proc = system.processors[0]
         from dataclasses import replace
 
@@ -119,7 +120,8 @@ class TestProcessorAvailability:
         )
 
     def test_group_capacity_tracks_time(self):
-        system = wan_system(2, ConstantTraffic(0.0), base_speed=1000.0)
+        system = build_system(wan_spec(2, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.0))
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=10.0, end=20.0, factor=4.0)]
         )
@@ -138,7 +140,8 @@ class TestProcessorAvailability:
 
 class TestFaultSchedule:
     def test_apply_targets_only_matching_processors(self):
-        system = wan_system(2, ConstantTraffic(0.0), base_speed=1000.0)
+        system = build_system(wan_spec(2, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.0))
         sched = FaultSchedule([SlowdownFault(pids=(0,), start=0.0, end=5.0)])
         faulted = sched.apply(system)
         assert faulted.processor(0).availability(1.0) < 1.0
@@ -150,7 +153,8 @@ class TestFaultSchedule:
     def test_apply_composes_with_existing_load(self):
         from dataclasses import replace
 
-        system = wan_system(1, ConstantTraffic(0.0), base_speed=1000.0)
+        system = build_system(wan_spec(1, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.0))
         g0 = system.groups[0]
         preloaded = replace(g0.processors[0], load=ConstantLoad(0.2))
         from repro.distsys.group import Group
@@ -170,7 +174,8 @@ class TestFaultSchedule:
         assert faulted.processor(0).availability(10.0) == pytest.approx(0.8)
 
     def test_dropout_floors_availability(self):
-        system = wan_system(1, ConstantTraffic(0.0), base_speed=1000.0)
+        system = build_system(wan_spec(1, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.0))
         faulted = FaultSchedule(
             [DropoutFault(group=0, start=0.0, end=5.0)]
         ).apply(system)
@@ -179,7 +184,8 @@ class TestFaultSchedule:
         assert p.availability(6.0) == 1.0
 
     def test_link_fault_overlays_inter_links(self):
-        system = wan_system(1, ConstantTraffic(0.1), base_speed=1000.0)
+        system = build_system(wan_spec(1, base_speed=1000.0),
+                              traffic=ConstantTraffic(0.1))
         faulted = FaultSchedule(
             [LinkDegradationFault(start=0.0, end=5.0, occupancy=0.6)]
         ).apply(system)
@@ -256,7 +262,7 @@ class TestFaultParams:
 
 def faulted_runner(scheme, sched, steps=4):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
     runner = SAMRRunner(app, system, scheme, fault_schedule=sched)
     if steps:
         runner.run(steps)
@@ -268,7 +274,7 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        runner = faulted_runner(DistributedDLB(), sched)
+        runner = faulted_runner(make_scheme("distributed"), sched)
         events = runner.sim.log.of_type(FaultEvent)
         assert [e.phase for e in events] == ["start", "end"]
         assert events[0].time == 2.0 and events[1].time == 8.0
@@ -278,7 +284,7 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        runner = faulted_runner(ParallelDLB(), sched)
+        runner = faulted_runner(make_scheme("parallel"), sched)
         result = runner.result()
         assert result.faults == 2
         assert result.system == "2+2procs"
@@ -287,8 +293,8 @@ class TestRunnerIntegration:
         sched = FaultSchedule(
             [SlowdownFault(group=1, start=2.0, end=8.0, factor=4.0)]
         )
-        clean = faulted_runner(ParallelDLB(), None).result()
-        faulted = faulted_runner(ParallelDLB(), sched).result()
+        clean = faulted_runner(make_scheme("parallel"), None).result()
+        faulted = faulted_runner(make_scheme("parallel"), sched).result()
         assert faulted.total_time > clean.total_time
 
     def test_deterministic_repeats(self):
@@ -301,7 +307,7 @@ class TestRunnerIntegration:
         assert a.redistributions == b.redistributions
 
     def test_ideal_elapsed_recorded(self):
-        runner = faulted_runner(DistributedDLB(), None, steps=2)
+        runner = faulted_runner(make_scheme("distributed"), None, steps=2)
         phases = [
             e for e in runner.sim.log.of_type(ComputeEvent) if e.elapsed > 0
         ]

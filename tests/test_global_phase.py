@@ -14,7 +14,7 @@ from repro.core.global_phase import (
     execute_global_redistribution,
     plan_global_redistribution,
 )
-from repro.distsys import ClusterSimulator, ConstantTraffic, wan_system
+from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import RedistributionEvent
 from repro.partition import GridAssignment
 from repro.runtime import root_blocks
@@ -26,7 +26,7 @@ def make_ctx(blocks=(8, 1, 1), n=16, assign_split=4):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
     roots = h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.0), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.0))
     a = GridAssignment(h, system)
     for i, g in enumerate(roots):
         a.assign(g.gid, 0 if i < assign_split else 2)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distsys import build_system, parallel_spec
 from repro.distsys.network import mren_wan
-from repro.distsys.system import build_system, parallel_system
 from repro.metrics import (
     RunResult,
     efficiency,
@@ -33,7 +33,7 @@ class TestEfficiency:
             efficiency(1, 1, 0)
 
     def test_relative_power_homogeneous(self):
-        assert relative_power(parallel_system(8)) == 8.0
+        assert relative_power(build_system(parallel_spec(8))) == 8.0
 
     def test_relative_power_weighted(self):
         s = build_system([2, 2], inter_link=mren_wan(), group_weights=[1.0, 2.0])

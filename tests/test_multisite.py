@@ -10,15 +10,15 @@ from __future__ import annotations
 import pytest
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.core.gain import WorkloadHistory, estimate_gain
-from repro.distsys import ConstantTraffic, multi_site_system
+from repro.distsys import ConstantTraffic, build_system, multi_site_spec
 from repro.runtime import SAMRRunner
 
 
 class TestMultiSiteSystem:
     def test_three_sites_shape(self):
-        s = multi_site_system([2, 2, 2], ConstantTraffic(0.2))
+        s = build_system(multi_site_spec([2, 2, 2]), traffic=ConstantTraffic(0.2))
         assert s.ngroups == 3
         assert s.nprocs == 6
         # every pair connected with its own link
@@ -26,26 +26,27 @@ class TestMultiSiteSystem:
         assert s.inter_link(0, 2) is not s.inter_link(0, 1)
 
     def test_uneven_sites(self):
-        s = multi_site_system([1, 2, 4])
+        s = build_system(multi_site_spec([1, 2, 4]))
         assert s.capacity_fraction(2) == pytest.approx(4 / 7)
 
     def test_weighted_sites(self):
-        s = multi_site_system([2, 2], group_weights=[1.0, 3.0])
+        s = build_system(multi_site_spec([2, 2], group_weights=[1.0, 3.0]))
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
     def test_single_site_rejected(self):
         with pytest.raises(ValueError):
-            multi_site_system([4])
+            build_system(multi_site_spec([4]))
 
 
 class TestThreeSiteRuns:
     @pytest.fixture(scope="class")
     def results(self):
         out = {}
-        for name, S in (("parallel", ParallelDLB), ("distributed", DistributedDLB)):
+        for name in ("parallel", "distributed"):
             app = ShockPool3D(domain_cells=16, max_levels=3)
-            sys_ = multi_site_system([2, 2, 2], ConstantTraffic(0.3), base_speed=2e4)
-            out[name] = SAMRRunner(app, sys_, S()).run(4)
+            sys_ = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
+                                traffic=ConstantTraffic(0.3))
+            out[name] = SAMRRunner(app, sys_, make_scheme(name)).run(4)
         return out
 
     def test_both_schemes_complete(self, results):
@@ -77,7 +78,8 @@ class TestThreeSiteRuns:
         domain = Box.cube(0, 16, 3)
         h = GridHierarchy(domain, 2, 3)
         roots = h.create_root_grids(root_blocks(domain, (8, 1, 1)))
-        system = multi_site_system([2, 2, 2], ConstantTraffic(0.0), base_speed=2e4)
+        system = build_system(multi_site_spec([2, 2, 2], base_speed=2e4),
+                              traffic=ConstantTraffic(0.0))
         a = GridAssignment(h, system)
         # pile everything on site 0: two receivers with deficits
         for g in roots:
@@ -97,7 +99,7 @@ class TestThreeSiteRuns:
 
 class TestGainWithThreeGroups:
     def test_eq4_uses_group_count(self):
-        system = multi_site_system([1, 1, 1], ConstantTraffic(0.0))
+        system = build_system(multi_site_spec([1, 1, 1]), traffic=ConstantTraffic(0.0))
         h = WorkloadHistory()
         h.record_solve(0, {0: 30.0, 1: 10.0, 2: 20.0})
         h.end_coarse_step(walltime=9.0)

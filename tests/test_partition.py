@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
-from repro.distsys import ConstantTraffic, wan_system
-from repro.distsys.system import build_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.network import mren_wan
 from repro.partition import (
     GridAssignment,
@@ -26,7 +25,7 @@ def make_setup(blocks=(4, 1, 1), n=16):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.0))
+    system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
     a = GridAssignment(h, system)
     return h, system, a
 

@@ -13,7 +13,7 @@ from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import regrid_level
 from repro.core.gain import WorkloadHistory, estimate_gain
-from repro.distsys import ConstantTraffic, wan_system
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.comm import Message, MessageKind, comm_phase_time
 from repro.runtime import root_blocks
 
@@ -63,7 +63,7 @@ class TestGainProperties:
     @settings(max_examples=60, deadline=None)
     def test_gain_nonnegative_and_bounded(self, loads, walltime):
         """0 <= Gain <= T / N_groups for any recorded loads."""
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         hist = WorkloadHistory()
         hist.record_solve(0, {i: loads[i] for i in range(4)})
         hist.end_coarse_step(walltime)
@@ -75,7 +75,7 @@ class TestGainProperties:
     @settings(max_examples=30, deadline=None)
     def test_gain_scale_invariant_in_loads(self, scale):
         """Scaling every load leaves Eq. 4 unchanged (it is a ratio)."""
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
 
         def gain_for(factor):
             hist = WorkloadHistory()
@@ -94,7 +94,7 @@ class TestCommMonotonicity:
     )
     @settings(max_examples=40, deadline=None)
     def test_more_bytes_never_faster(self, nbytes, extra):
-        system = wan_system(1, ConstantTraffic(0.2))
+        system = build_system(wan_spec(1), traffic=ConstantTraffic(0.2))
         small = comm_phase_time(
             system, [Message(0, 1, nbytes, MessageKind.SIBLING)], 0.0
         )
@@ -106,7 +106,7 @@ class TestCommMonotonicity:
     @given(n=st.integers(min_value=1, max_value=16))
     @settings(max_examples=20, deadline=None)
     def test_more_pairs_never_faster(self, n):
-        system = wan_system(8, ConstantTraffic(0.2))
+        system = build_system(wan_spec(8), traffic=ConstantTraffic(0.2))
         def phase(k):
             msgs = [Message(i % 8, 8 + (i % 8), 100.0, MessageKind.SIBLING)
                     for i in range(k)]

@@ -2,8 +2,8 @@
 
 Covers the registry contract promised by ``docs/SCHEMES.md``: a
 ``SchemeSpec`` round-trips through its dict form, unknown names fail with
-a message listing what *is* registered, legacy display labels resolve
-behind a :class:`DeprecationWarning`, and a user-registered hybrid scheme
+a message listing what *is* registered, display labels are not names, and
+a user-registered hybrid scheme
 flows through ``run_paired`` / ``run_sweep`` / the result cache with zero
 harness changes -- including a cache key distinct from every built-in.
 """
@@ -14,14 +14,9 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import main
-from repro.core import (
-    ComposedScheme,
-    DiffusionDLB,
-    DistributedDLB,
-    ParallelDLB,
-    StaticDLB,
-)
+from repro.core import ComposedScheme
 from repro.core.registry import (
+    BUILTIN_SPECS,
     SEQUENTIAL,
     SchemeSpec,
     available_schemes,
@@ -55,8 +50,8 @@ def scratch_registry():
     """Register specs through this and they are removed again afterwards."""
     registered = []
 
-    def _register(spec, factory=None, **kwargs):
-        register_scheme(spec, factory, **kwargs)
+    def _register(spec, **kwargs):
+        register_scheme(spec, **kwargs)
         registered.append(spec.name)
         return spec
 
@@ -104,15 +99,17 @@ class TestResolution:
     def test_builtins_registered(self):
         assert available_schemes() == BUILTINS
 
+    def test_builtins_are_the_spec_table(self):
+        assert tuple(sorted(s.name for s in BUILTIN_SPECS)) == BUILTINS
+        for spec in BUILTIN_SPECS:
+            assert get_scheme_spec(spec.name) is spec
+
     def test_make_scheme_builds_builtin_classes(self):
-        for name, cls in [("parallel", ParallelDLB),
-                          ("distributed", DistributedDLB),
-                          ("static", StaticDLB),
-                          ("diffusion", DiffusionDLB)]:
+        for name in BUILTINS:
             scheme = make_scheme(name)
-            assert isinstance(scheme, cls)
-            assert isinstance(scheme, ComposedScheme)
+            assert type(scheme) is ComposedScheme
             assert scheme.spec == get_scheme_spec(name)
+            assert scheme.name == get_scheme_spec(name).display
 
     def test_unknown_name_lists_registered_schemes(self):
         with pytest.raises(ValueError) as err:
@@ -122,10 +119,9 @@ class TestResolution:
         for name in BUILTINS:
             assert name in message
 
-    def test_legacy_display_label_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="parallel DLB"):
-            scheme = make_scheme("parallel DLB")
-        assert isinstance(scheme, ParallelDLB)
+    def test_display_label_is_not_a_name(self):
+        with pytest.raises(ValueError, match="registered schemes"):
+            make_scheme("parallel DLB")
 
     def test_canonical_names_do_not_warn(self):
         with warnings.catch_warnings():
@@ -140,6 +136,11 @@ class TestResolution:
         register_scheme(replace(spec, local="greedy", options={}),
                         replace=True)
         assert get_scheme_spec("dup-check").local == "greedy"
+
+    def test_register_takes_no_factory(self):
+        with pytest.raises(TypeError):
+            register_scheme(HYBRID, lambda spec: None)  # type: ignore[misc]
+        assert HYBRID.name not in available_schemes()
 
     def test_sequential_name_reserved(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.amr.box import Box
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, ParallelDLB
-from repro.distsys import ConstantTraffic, parallel_system, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, parallel_spec, wan_spec
 from repro.distsys.events import (
     CommEvent,
     ComputeEvent,
@@ -79,7 +79,8 @@ class TestRootBlocks:
 
 def small_runner(scheme, nprocs_per_group=2, steps=0, **kw):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(nprocs_per_group, ConstantTraffic(0.3), base_speed=2e4)
+    system = build_system(wan_spec(nprocs_per_group, base_speed=2e4),
+                          traffic=ConstantTraffic(0.3))
     runner = SAMRRunner(app, system, scheme, **kw)
     if steps:
         runner.run(steps)
@@ -88,12 +89,12 @@ def small_runner(scheme, nprocs_per_group=2, steps=0, **kw):
 
 class TestRunnerLifecycle:
     def test_initial_adaptation_builds_levels(self):
-        runner = small_runner(DistributedDLB())
+        runner = small_runner(make_scheme("distributed"))
         assert runner.hierarchy.nlevels == 3  # initial conditions adapted
         runner.assignment.validate()
 
     def test_run_produces_consistent_result(self):
-        runner = small_runner(DistributedDLB())
+        runner = small_runner(make_scheme("distributed"))
         result = runner.run(2)
         assert result.nsteps == 2
         assert result.total_time > 0
@@ -103,17 +104,17 @@ class TestRunnerLifecycle:
         assert result.compute_time + result.comm_time <= result.total_time + 1e-9
 
     def test_invalid_steps_raise(self):
-        runner = small_runner(ParallelDLB())
+        runner = small_runner(make_scheme("parallel"))
         with pytest.raises(ValueError):
             runner.run(0)
 
     def test_assignment_complete_after_run(self):
-        runner = small_runner(DistributedDLB(), steps=2)
+        runner = small_runner(make_scheme("distributed"), steps=2)
         runner.assignment.validate()
         runner.hierarchy.validate()
 
     def test_events_cover_all_phases(self):
-        runner = small_runner(DistributedDLB(), steps=2)
+        runner = small_runner(make_scheme("distributed"), steps=2)
         log = runner.sim.log
         assert log.of_type(ComputeEvent)
         assert log.of_type(CommEvent)
@@ -122,19 +123,19 @@ class TestRunnerLifecycle:
         assert log.of_type(GlobalDecisionEvent)
 
     def test_one_global_decision_per_coarse_step(self):
-        runner = small_runner(DistributedDLB(), steps=3)
+        runner = small_runner(make_scheme("distributed"), steps=3)
         decisions = runner.sim.log.of_type(GlobalDecisionEvent)
         assert len(decisions) == 3
 
     def test_solver_order_matches_fig2_shape(self):
-        runner = small_runner(DistributedDLB(), steps=1)
+        runner = small_runner(make_scheme("distributed"), steps=1)
         levels = [s.level for s in runner.integrator.trace]
         from repro.amr.integrator import integration_order
 
         assert levels == integration_order(3, 2)
 
     def test_history_records_every_coarse_step(self):
-        runner = small_runner(DistributedDLB(), steps=3)
+        runner = small_runner(make_scheme("distributed"), steps=3)
         assert runner.history.completed_steps == 3
         rec = runner.history.last_complete
         assert rec.walltime > 0
@@ -143,7 +144,7 @@ class TestRunnerLifecycle:
         assert rec.level_iterations[2] == 4
 
     def test_result_snapshot_midrun(self):
-        runner = small_runner(DistributedDLB())
+        runner = small_runner(make_scheme("distributed"))
         runner.integrator.step()
         r = runner.result()
         assert r.nsteps == 1
@@ -151,19 +152,19 @@ class TestRunnerLifecycle:
 
 class TestRunnerCommAttribution:
     def test_parallel_scheme_creates_remote_parent_child_traffic(self):
-        runner = small_runner(ParallelDLB(), steps=1)
+        runner = small_runner(make_scheme("parallel"), steps=1)
         assert runner.sim.remote_comm_busy > 0
 
     def test_distributed_scheme_no_remote_parent_child(self):
         """Children stay in the parent's group, so any remote ghost bytes
         come from level-0 siblings only -- far less than the baseline."""
-        par = small_runner(ParallelDLB(), steps=2)
-        dist = small_runner(DistributedDLB(), steps=2)
+        par = small_runner(make_scheme("parallel"), steps=2)
+        dist = small_runner(make_scheme("distributed"), steps=2)
         assert dist.sim.remote_comm_busy < par.sim.remote_comm_busy
 
     def test_sequential_system_has_zero_comm(self):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        runner = SAMRRunner(app, parallel_system(1, base_speed=2e4), ParallelDLB())
+        runner = SAMRRunner(app, build_system(parallel_spec(1, base_speed=2e4)), make_scheme("parallel"))
         result = runner.run(2)
         assert result.comm_time == 0.0
         assert result.total_time == pytest.approx(
@@ -173,16 +174,17 @@ class TestRunnerCommAttribution:
     def test_system_label_reports_per_group_sizes(self):
         """Asymmetric federations must not be mislabelled with the first
         group's size (the old ``NxM`` format said "3x1procs" here)."""
-        from repro.distsys import multi_site_system
+        from repro.distsys import multi_site_spec
 
         app = ShockPool3D(domain_cells=16, max_levels=2)
-        system = multi_site_system([1, 2, 1], ConstantTraffic(0.1), base_speed=2e4)
-        runner = SAMRRunner(app, system, DistributedDLB())
+        system = build_system(multi_site_spec([1, 2, 1], base_speed=2e4),
+                              traffic=ConstantTraffic(0.1))
+        runner = SAMRRunner(app, system, make_scheme("distributed"))
         assert runner.result().system == "1+2+1procs"
 
     def test_ghost_cache_consistent_after_redistribution(self):
         """A carve changes level-0 grids; the sibling cache must follow."""
-        runner = small_runner(DistributedDLB(), steps=4)
+        runner = small_runner(make_scheme("distributed"), steps=4)
         # simply completing 4 steps without KeyError proves cache hygiene;
         # assert the cache is keyed at the current version
         for level, (version, _pairs) in runner._sibling_cache.items():

@@ -7,10 +7,11 @@ import pytest
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.core.base import BalanceContext, DLBScheme, execute_moves
 from repro.core.gain import WorkloadHistory
-from repro.distsys import ClusterSimulator, ConstantTraffic, wan_system
+from repro.core.policies import group_imbalance_exists
+from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import LocalBalanceEvent
 from repro.partition import GridAssignment
 from repro.runtime import root_blocks
@@ -20,7 +21,7 @@ def make_ctx(blocks=(8, 1, 1)):
     domain = Box.cube(0, 16, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.2), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.2))
     return BalanceContext(
         hierarchy=h,
         assignment=GridAssignment(h, system),
@@ -33,7 +34,7 @@ def make_ctx(blocks=(8, 1, 1)):
 class TestExecuteMoves:
     def test_stale_plan_rejected(self):
         ctx = make_ctx()
-        ParallelDLB().initial_distribution(ctx)
+        make_scheme("parallel").initial_distribution(ctx)
         gid = ctx.hierarchy.level_grids(0)[0].gid
         actual = ctx.assignment.pid_of(gid)
         wrong_src = (actual + 1) % ctx.system.nprocs
@@ -43,7 +44,7 @@ class TestExecuteMoves:
 
     def test_empty_moves_log_event_without_cost(self):
         ctx = make_ctx()
-        ParallelDLB().initial_distribution(ctx)
+        make_scheme("parallel").initial_distribution(ctx)
         clock = ctx.sim.clock
         execute_moves(ctx, [], level=1, purpose="local-balance")
         assert ctx.sim.clock == clock
@@ -52,7 +53,7 @@ class TestExecuteMoves:
 
     def test_moves_charge_migration_and_update_owner(self):
         ctx = make_ctx()
-        ParallelDLB().initial_distribution(ctx)
+        make_scheme("parallel").initial_distribution(ctx)
         grid = ctx.hierarchy.level_grids(0)[0]
         src = ctx.assignment.pid_of(grid.gid)
         dst = (src + 2) % ctx.system.nprocs  # other group for nonzero cost
@@ -79,7 +80,7 @@ class TestImbalanceDetection:
     def setup_scheme(self, loads, threshold=1.05, walltime=10.0):
         ctx = make_ctx()
         ctx.scheme_params = SchemeParams(imbalance_threshold=threshold)
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         ctx.history.record_solve(0, loads)
         ctx.history.end_coarse_step(walltime)
@@ -87,28 +88,24 @@ class TestImbalanceDetection:
 
     def test_no_history_no_imbalance(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
-        assert not scheme._imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx)
 
     def test_balanced_below_threshold(self):
         ctx, scheme = self.setup_scheme({0: 10.0, 1: 10.0, 2: 10.2, 3: 10.0})
-        assert not scheme._imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx)
 
     def test_imbalanced_above_threshold(self):
         ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 10.0, 3: 0.0})
-        assert scheme._imbalance_exists(ctx)
+        assert group_imbalance_exists(ctx)
 
     def test_one_group_idle_counts_as_imbalance(self):
         ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 0.0, 3: 0.0})
-        assert scheme._imbalance_exists(ctx)
+        assert group_imbalance_exists(ctx)
 
     def test_all_idle_is_balanced(self):
         ctx, scheme = self.setup_scheme({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
-        assert not scheme._imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx)
 
-    def test_level0_work_per_cell(self):
-        ctx, scheme = self.setup_scheme({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
-        assert DistributedDLB._level0_work_per_cell(ctx) == pytest.approx(1.0)
 
 
 class TestParallelPlacementCost:
@@ -116,7 +113,7 @@ class TestParallelPlacementCost:
         """When the baseline places a child away from its parent, the
         interpolated initial data crosses the network once."""
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # force every processor except a remote one to look "loaded"
         parent = ctx.hierarchy.level_grids(0)[0]

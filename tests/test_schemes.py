@@ -18,10 +18,10 @@ import pytest
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams, SimParams
-from repro.core import DistributedDLB, ParallelDLB
+from repro.core import make_scheme
 from repro.core.base import BalanceContext
 from repro.core.gain import WorkloadHistory
-from repro.distsys import ClusterSimulator, ConstantTraffic, wan_system
+from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import GlobalDecisionEvent, RedistributionEvent
 from repro.partition import GridAssignment
 from repro.runtime import root_blocks
@@ -31,7 +31,7 @@ def make_ctx(blocks=(8, 1, 1), n=16, gamma=2.0):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
     h.create_root_grids(root_blocks(domain, blocks))
-    system = wan_system(2, ConstantTraffic(0.2), base_speed=2e4)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.2))
     ctx = BalanceContext(
         hierarchy=h,
         assignment=GridAssignment(h, system),
@@ -47,13 +47,13 @@ def make_ctx(blocks=(8, 1, 1), n=16, gamma=2.0):
 class TestParallelDLBPolicy:
     def test_initial_distribution_even(self):
         ctx = make_ctx()
-        ParallelDLB().initial_distribution(ctx)
+        make_scheme("parallel").initial_distribution(ctx)
         loads = ctx.assignment.level_loads(0)
         assert max(loads.values()) == pytest.approx(min(loads.values()))
 
     def test_new_grids_scatter_across_groups(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # create 8 children under a single group-0 parent
         parent = next(
@@ -72,7 +72,7 @@ class TestParallelDLBPolicy:
 
     def test_remote_placement_charged(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         parent = next(
             g for g in ctx.hierarchy.level_grids(0)
@@ -87,7 +87,7 @@ class TestParallelDLBPolicy:
 
     def test_local_balance_uses_all_processors(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # skew everything onto pid 0
         for g in ctx.hierarchy.level_grids(0):
@@ -98,7 +98,7 @@ class TestParallelDLBPolicy:
 
     def test_global_balance_is_noop(self):
         ctx = make_ctx()
-        scheme = ParallelDLB()
+        scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         clock = ctx.sim.clock
         scheme.global_balance(ctx, 0.0)
@@ -109,7 +109,7 @@ class TestParallelDLBPolicy:
 class TestDistributedDLBPolicy:
     def test_initial_distribution_contiguous_by_group(self):
         ctx = make_ctx()
-        DistributedDLB().initial_distribution(ctx)
+        make_scheme("distributed").initial_distribution(ctx)
         # walking slabs along x, group id changes exactly once (contiguous)
         groups = [
             ctx.assignment.group_of(g.gid)
@@ -120,7 +120,7 @@ class TestDistributedDLBPolicy:
 
     def test_new_grids_stay_in_parent_group(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         for parent in ctx.hierarchy.level_grids(0):
             child = ctx.hierarchy.add_grid(1, parent.box.refine(2), parent.gid)
@@ -132,7 +132,7 @@ class TestDistributedDLBPolicy:
 
     def test_local_balance_never_crosses_groups(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # skew group 0's grids onto its first processor
         g0_pids = ctx.system.groups[0].pids
@@ -156,7 +156,7 @@ class TestDistributedDLBPolicy:
 
     def test_global_balance_requires_history(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         scheme.global_balance(ctx, 0.0)
         ev = ctx.sim.log.of_type(GlobalDecisionEvent)
@@ -165,7 +165,7 @@ class TestDistributedDLBPolicy:
 
     def _imbalanced_ctx(self, gamma):
         ctx = make_ctx(gamma=gamma)
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # skew the actual level-0 ownership: 6 of 8 slabs on group 0
         slabs = sorted(ctx.hierarchy.level_grids(0), key=lambda g: g.box.lo)
@@ -186,7 +186,7 @@ class TestDistributedDLBPolicy:
         assert ev.imbalance_detected
         assert ev.invoked
         assert ctx.sim.log.of_type(RedistributionEvent)
-        assert scheme.cost_model.nmeasurements == 1  # delta recorded
+        assert scheme.decision_policy.cost_model.nmeasurements == 1  # delta recorded
 
     def test_gate_blocked_by_huge_gamma(self):
         ctx, scheme = self._imbalanced_ctx(gamma=1e9)
@@ -198,7 +198,7 @@ class TestDistributedDLBPolicy:
 
     def test_probe_runs_only_when_imbalanced(self):
         ctx = make_ctx()
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # balanced history
         ctx.history.record_solve(0, {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0})
@@ -207,9 +207,9 @@ class TestDistributedDLBPolicy:
         assert ctx.sim.probe_time == 0.0  # no probe when balanced
 
     def test_single_group_system_noop(self):
-        from repro.distsys import parallel_system
+        from repro.distsys import parallel_spec
 
-        system = parallel_system(4, base_speed=2e4)
+        system = build_system(parallel_spec(4, base_speed=2e4))
         domain = Box.cube(0, 16, 3)
         h = GridHierarchy(domain, 2, 3)
         h.create_root_grids(root_blocks(domain, (8, 1, 1)))
@@ -217,7 +217,7 @@ class TestDistributedDLBPolicy:
             hierarchy=h, assignment=GridAssignment(h, system), system=system,
             sim=ClusterSimulator(system), history=WorkloadHistory(),
         )
-        scheme = DistributedDLB()
+        scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         scheme.global_balance(ctx, 0.0)
         assert len(ctx.sim.log) == 0

@@ -1,19 +1,19 @@
-"""Unit/integration tests for the StaticDLB reference scheme."""
+"""Unit/integration tests for the ``static`` reference scheme."""
 
 from __future__ import annotations
 
 
 from repro.amr.applications import ShockPool3D
-from repro.core import DistributedDLB, StaticDLB
-from repro.distsys import ConstantTraffic, wan_system
+from repro.core import make_scheme
+from repro.distsys import ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import LocalBalanceEvent, RedistributionEvent
 from repro.runtime import SAMRRunner
 
 
 def run_static(steps=3):
     app = ShockPool3D(domain_cells=16, max_levels=3)
-    system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-    return SAMRRunner(app, system, StaticDLB()).run(steps)
+    system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
+    return SAMRRunner(app, system, make_scheme("static")).run(steps)
 
 
 class TestStaticDLB:
@@ -25,7 +25,7 @@ class TestStaticDLB:
     def test_no_balancing_events(self):
         r = run_static()
         # zero-move LocalBalanceEvents are logged by execute_moves only when
-        # a scheme calls it; StaticDLB never does
+        # a scheme calls it; the static scheme never does
         assert r.events.of_type(LocalBalanceEvent) == []
         assert r.events.of_type(RedistributionEvent) == []
         assert r.balance_overhead == 0.0
@@ -33,8 +33,8 @@ class TestStaticDLB:
 
     def test_children_inherit_parent_processor(self):
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        runner = SAMRRunner(app, system, StaticDLB())
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
+        runner = SAMRRunner(app, system, make_scheme("static"))
         runner.integrator.step()
         for g in runner.hierarchy.all_grids():
             if g.level > 0:
@@ -54,6 +54,6 @@ class TestStaticDLB:
         without it."""
         static = run_static(steps=4)
         app = ShockPool3D(domain_cells=16, max_levels=3)
-        system = wan_system(2, ConstantTraffic(0.3), base_speed=2e4)
-        dist = SAMRRunner(app, system, DistributedDLB()).run(4)
+        system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
+        dist = SAMRRunner(app, system, make_scheme("distributed")).run(4)
         assert dist.total_time < static.total_time

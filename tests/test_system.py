@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distsys import (
+    DistributedSystem,
+    build_system,
+    lan_spec,
+    parallel_spec,
+    wan_spec,
+)
 from repro.distsys.group import Group
 from repro.distsys.network import gigabit_lan, mren_wan
 from repro.distsys.processor import Processor
-from repro.distsys.system import (
-    DistributedSystem,
-    build_system,
-    lan_system,
-    parallel_system,
-    wan_system,
-)
 
 
 class TestProcessor:
@@ -66,26 +66,26 @@ class TestGroup:
 
 class TestDistributedSystem:
     def test_wan_shape(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.ngroups == 2
         assert s.nprocs == 4
         assert [p.pid for p in s.processors] == [0, 1, 2, 3]
 
     def test_group_of_and_is_remote(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.group_of(0).group_id == 0
         assert s.group_of(3).group_id == 1
         assert s.is_remote(0, 3)
         assert not s.is_remote(0, 1)
 
     def test_link_between(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         assert s.link_between(0, 0) is None
         assert s.link_between(0, 1) is s.groups[0].intra_link
         assert s.link_between(0, 2) is s.inter_link(0, 1)
 
     def test_inter_link_same_group_raises(self):
-        s = wan_system(2)
+        s = build_system(wan_spec(2))
         with pytest.raises(ValueError):
             s.inter_link(0, 0)
 
@@ -100,7 +100,7 @@ class TestDistributedSystem:
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
     def test_parallel_system_single_group(self):
-        s = parallel_system(8)
+        s = build_system(parallel_spec(8))
         assert s.ngroups == 1
         assert s.nprocs == 8
         assert not s.is_remote(0, 7)
@@ -127,9 +127,9 @@ class TestDistributedSystem:
             build_system([1, 1])
 
     def test_describe_mentions_groups(self):
-        text = wan_system(2).describe()
+        text = build_system(wan_spec(2)).describe()
         assert "ANL" in text and "NCSA" in text
 
     def test_lan_system_names(self):
-        s = lan_system(1)
+        s = build_system(lan_spec(1))
         assert {g.name for g in s.groups} == {"ANL-1", "ANL-2"}

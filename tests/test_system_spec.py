@@ -1,11 +1,10 @@
 """The declarative system API: ``SystemSpec`` -> ``build_system`` (PR satellite).
 
 Pins the contract of :mod:`repro.distsys.spec`: specs round-trip through
-plain JSON, resolve into systems identical to what the deprecated
-constructor zoo produced (the legacy shims now delegate to the same
-resolver, behind :class:`DeprecationWarning`), flow through
-``ExperimentConfig.system`` into the harness/cache/persist layers, and the
-CLI accepts ``--system`` as inline JSON or a file path.
+plain JSON, the testbed helpers resolve into the paper's system shapes,
+specs flow through ``ExperimentConfig.system`` into the
+harness/cache/persist layers, and the CLI accepts ``--system`` as inline
+JSON or a file path.
 """
 
 from __future__ import annotations
@@ -23,14 +22,8 @@ from repro.distsys import (
     GroupSpec,
     SystemSpec,
     build_system,
-    lan_spec,
-    lan_system,
     multi_site_spec,
-    multi_site_system,
-    parallel_spec,
-    parallel_system,
     wan_spec,
-    wan_system,
 )
 from repro.exec import task_key
 from repro.harness import ExperimentConfig, run_experiment, sequential_config
@@ -129,25 +122,11 @@ class TestResolver:
 
 
 class TestLegacyShims:
-    @pytest.mark.parametrize("legacy,spec_fn,args", [
-        (parallel_system, parallel_spec, (4,)),
-        (lan_system, lan_spec, (2,)),
-        (wan_system, wan_spec, (2,)),
-        (multi_site_system, multi_site_spec, ([2, 2, 2],)),
-    ])
-    def test_shim_warns_and_matches_spec_path(self, legacy, spec_fn, args):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = legacy(*args)
-        new = build_system(spec_fn(*args))
-        assert old.describe() == new.describe()
-        assert [p.speed for p in old.processors] == \
-               [p.speed for p in new.processors]
-        assert [p.weight for p in old.processors] == \
-               [p.weight for p in new.processors]
+    """What the removed ``*_system`` constructor shims guaranteed, checked on
+    the spec helpers that replace them."""
 
     def test_wan_shim_keeps_link_parameters(self):
-        with pytest.warns(DeprecationWarning):
-            link = wan_system(1).inter_link(0, 1)
+        link = build_system(wan_spec(1)).inter_link(0, 1)
         assert link.name == "mren-oc3-wan"
         assert link.latency == pytest.approx(5.0e-3)
         assert link.bandwidth == pytest.approx(19.0e6)

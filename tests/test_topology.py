@@ -31,11 +31,13 @@ from repro.distsys import (
     build_system,
     fat_tree,
     from_edges,
+    lan_spec,
+    multi_site_spec,
     ring,
     star,
     torus,
     wan_mesh,
-    wan_system,
+    wan_spec,
 )
 from repro.distsys.comm import (
     CommGeometry,
@@ -44,7 +46,6 @@ from repro.distsys.comm import (
     MessageKind,
     comm_phase_time,
 )
-from repro.distsys.system import lan_system, multi_site_system
 from repro.distsys.topology import degenerate_topology, resolve_topology
 from repro.distsys.traffic import ConstantTraffic
 from repro.faults.schedule import FaultSchedule, LinkDegradationFault
@@ -256,14 +257,15 @@ class TestDegenerateDerivation:
     """Two-level systems become derived topologies over the same Links."""
 
     def test_wan_resolves_to_single_shared_edge(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         topo = system.topology
         assert topo.derived
         assert len(topo.edges) == 1
         assert system.route_between(0, 1).links[0] is system.inter_link(0, 1)
 
     def test_shared_link_three_groups_becomes_star(self):
-        shared = wan_system(1, ConstantTraffic(0.0)).inter_link(0, 1)
+        shared = build_system(wan_spec(1),
+                              traffic=ConstantTraffic(0.0)).inter_link(0, 1)
         topo = degenerate_topology(["a", "b", "c"],
                                    {(i, j): shared
                                     for i in range(3) for j in range(3)
@@ -277,7 +279,7 @@ class TestDegenerateDerivation:
                     assert topo.route(a, b).links == (shared,)
 
     def test_multi_site_keeps_per_pair_identity(self):
-        system = multi_site_system([1, 1, 1], ConstantTraffic(0.0))
+        system = build_system(multi_site_spec([1, 1, 1]), traffic=ConstantTraffic(0.0))
         topo = system.topology
         assert topo.derived
         assert len(topo.edges) == 3  # complete mesh, one edge per pair
@@ -288,9 +290,10 @@ class TestDegenerateDerivation:
                             is system.inter_link(a, b))
 
     def test_two_level_geometry_keeps_fast_path(self):
-        for system in (wan_system(2, ConstantTraffic(0.0)),
-                       lan_system(2, ConstantTraffic(0.0)),
-                       multi_site_system([2, 2], ConstantTraffic(0.0))):
+        for system in (build_system(wan_spec(2), traffic=ConstantTraffic(0.0)),
+                       build_system(lan_spec(2), traffic=ConstantTraffic(0.0)),
+                       build_system(multi_site_spec([2, 2]),
+                                    traffic=ConstantTraffic(0.0))):
             assert not CommGeometry(system).multihop
 
     def test_explicit_topology_geometry_is_multihop(self):
@@ -298,7 +301,7 @@ class TestDegenerateDerivation:
         assert CommGeometry(system).multihop
 
     def test_group_neighbors_complete_on_degenerate(self):
-        system = wan_system(2, ConstantTraffic(0.0))
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         assert system.group_neighbors(0) == (1,)
 
     def test_group_neighbors_follow_graph(self):

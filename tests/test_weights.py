@@ -9,8 +9,8 @@ from repro.core.weights import (
     measure_weights,
     relative_weights,
 )
+from repro.distsys import build_system, parallel_spec
 from repro.distsys.network import mren_wan
-from repro.distsys.system import build_system, parallel_system
 
 
 class TestRelativeWeights:
@@ -34,7 +34,7 @@ class TestRelativeWeights:
 
 class TestMeasureWeights:
     def test_homogeneous_system(self):
-        s = parallel_system(4)
+        s = build_system(parallel_spec(4))
         w = measure_weights(s)
         assert w == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
