@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import FaultParams
+from repro.config import FaultParams, ServiceConfig
 from repro.distsys import GroupSpec, SystemSpec, ring
 from repro.harness import ExperimentConfig, run_experiment, run_sequential
 from repro.harness.persist import run_result_to_dict
@@ -28,6 +28,21 @@ CONFIGS = {
     "lan": ExperimentConfig(app_name="amr64", network="lan", **_BASE),
     "faulted": ExperimentConfig(fault=FaultParams(scenario="slowdown"),
                                 traffic_kind="bursty", **_BASE),
+    # the other fault scenarios: bursty CPU weather (the scenario's own
+    # burst probability), a link overlay on the bursty WAN, and both at once
+    "cpu-load": ExperimentConfig(fault=FaultParams(scenario="cpu-load"),
+                                 traffic_kind="bursty", **_BASE),
+    "link-degraded": ExperimentConfig(
+        fault=FaultParams(scenario="link-degraded"), traffic_kind="bursty",
+        **_BASE),
+    "mixed": ExperimentConfig(fault=FaultParams(scenario="mixed"),
+                              traffic_kind="bursty", **_BASE),
+    # the composite arrival preset's raw three-source sum exceeds the
+    # arrival ceiling on 11 of the 60 ticks at seed 0, so this pins the
+    # ceiling on the arrival rate; the dropout window pins the availability
+    # floor of the dropped group
+    "service": ExperimentConfig(service=ServiceConfig(arrivals="composite"),
+                                fault=FaultParams(scenario="dropout"), **_BASE),
     # a real neighbour graph: on the two-group configs every group pair is
     # adjacent, so only this one exercises the diffusion neighbour sets
     "ring": ExperimentConfig(
