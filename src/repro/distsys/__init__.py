@@ -53,9 +53,9 @@ from .traffic import (
     DiurnalTraffic,
     FlashCrowdTraffic,
     NoTraffic,
-    OverlaidTraffic,
     TraceTraffic,
     TrafficModel,
+    WindowTraffic,
 )
 
 __all__ = [
@@ -108,7 +108,7 @@ __all__ = [
     "DiurnalTraffic",
     "FlashCrowdTraffic",
     "NoTraffic",
-    "OverlaidTraffic",
     "TraceTraffic",
     "TrafficModel",
+    "WindowTraffic",
 ]

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from ..faults.load import NoLoad
 from .network import Link, origin2000_interconnect
 from .processor import Processor
+from .traffic import NoTraffic
 
 __all__ = ["Group"]
 
@@ -62,11 +62,11 @@ class Group:
         # mutating -- so these never need invalidation.  Only external load
         # is time-dependent: processors carrying a real load model are
         # remembered so the common all-idle case short-circuits exactly
-        # (NoLoad availability is exactly 1.0, and w * 1.0 == w bitwise).
+        # (NoTraffic availability is exactly 1.0, and w * 1.0 == w bitwise).
         self._pids = [p.pid for p in self.processors]
         self._capacity = sum(p.weight for p in self.processors)
         self._has_load = any(
-            not isinstance(p.load, NoLoad) for p in self.processors
+            not isinstance(p.load, NoTraffic) for p in self.processors
         )
         self._capacity_memo: tuple = (None, 0.0)
 

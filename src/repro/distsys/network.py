@@ -17,9 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .traffic import MAX_OCCUPANCY, NoTraffic, TrafficModel
+from .traffic import NoTraffic, TrafficModel
 
 __all__ = ["Link", "origin2000_interconnect", "gigabit_lan", "mren_wan"]
+
+#: ceiling of a link's background occupancy, so effective bandwidth never
+#: reaches zero; service arrival rates saturate at the same occupancy
+MAX_OCCUPANCY = 0.95
 
 
 @dataclass

@@ -6,21 +6,24 @@ workload among processors, the load is balanced proportional to these
 weights."  A processor here is exactly that: an id, a group membership and a
 relative weight -- plus, because shared systems shift under the application,
 an external-load model that scales the *available* speed over time.  The
-time to execute ``L`` work units starting at ``t`` is
-``L / (base_speed * weight * availability(t))``.
+load is an occupancy model from :mod:`repro.distsys.traffic`, the same
+family that carries link traffic; the processor applies its own floor,
+:data:`MIN_AVAILABILITY`.  The time to execute ``L`` work units starting
+at ``t`` is ``L / (base_speed * weight * availability(t))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..faults.load import MAX_CPU_OCCUPANCY, LoadModel, NoLoad
+from .traffic import NoTraffic, TrafficModel
 
 __all__ = ["Processor", "MIN_AVAILABILITY"]
 
 #: availability never falls below this (a stalled processor is slow, not
-#: infinitely slow); mirrors the load models' occupancy clamp
-MIN_AVAILABILITY = 1.0 - MAX_CPU_OCCUPANCY
+#: infinitely slow): 1% of nominal speed, written as ``1.0 - 0.99`` because
+#: every pinned result depends on that exact float
+MIN_AVAILABILITY = 1.0 - 0.99
 
 
 @dataclass(frozen=True)
@@ -42,17 +45,18 @@ class Processor:
         Work units per second of a weight-1.0 processor.  The absolute value
         only scales reported seconds; ratios between schemes are invariant.
     load:
-        External CPU-load model (:mod:`repro.faults.load`): the fraction of
-        this processor consumed by competing work as a function of time.
-        The default :class:`~repro.faults.load.NoLoad` reproduces the
-        original static processor exactly.
+        External CPU-load occupancy model (:mod:`repro.distsys.traffic`):
+        the fraction of this processor consumed by competing work as a
+        function of time.  The default
+        :class:`~repro.distsys.traffic.NoTraffic` reproduces the original
+        static processor exactly.
     """
 
     pid: int
     group_id: int
     weight: float = 1.0
     base_speed: float = 1.0e6
-    load: LoadModel = field(default_factory=NoLoad)
+    load: TrafficModel = field(default_factory=NoTraffic)
 
     def __post_init__(self) -> None:
         if self.pid < 0:

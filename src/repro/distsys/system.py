@@ -12,7 +12,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..faults.load import NoLoad
 from .group import Group
 from .network import Link, origin2000_interconnect
 from .processor import Processor
@@ -23,7 +22,7 @@ from .topology import (
     degenerate_topology,
     resolve_topology,
 )
-from .traffic import TrafficModel
+from .traffic import NoTraffic, TrafficModel
 
 __all__ = ["DistributedSystem", "build_system"]
 
@@ -109,7 +108,7 @@ class DistributedSystem:
         #: pids whose processor carries a real external-load model -- the
         #: only ones whose availability can differ from exactly 1.0
         self.loaded_pids: List[int] = [
-            p.pid for p in self._processors if not isinstance(p.load, NoLoad)
+            p.pid for p in self._processors if not isinstance(p.load, NoTraffic)
         ]
         self._describe: Optional[str] = None
 

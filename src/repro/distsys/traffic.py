@@ -1,23 +1,34 @@
-"""Background-traffic models for shared network links.
+"""Occupancy models: external load on shared links, processors and arrivals.
 
+The paper's premise (Section 1) is that distributed systems are *shared*:
+"the performance of [shared] resources changes with the external load".
 The paper's networks (Gigabit-Ethernet LAN at ANL, MREN ATM OC-3 WAN between
-ANL and NCSA) are *shared*: other users' traffic changes the latency and
-bandwidth an application observes over time, which is precisely the
-"dynamic load of the networks" the DLB scheme adapts to.
+ANL and NCSA) carry other users' traffic, and its processors run other
+users' jobs -- precisely the dynamic load the DLB scheme adapts to.
 
-A traffic model maps simulation time to an *occupancy* in ``[0, 1)``: the
-fraction of the link's nominal capacity consumed by background traffic at
-that instant.  All models are deterministic functions of time (randomness is
-fixed at construction from a seed), so paired experiment runs -- parallel DLB
-then distributed DLB, as in the paper's back-to-back methodology -- observe
-the identical network weather.
+One model family describes all of it.  A model maps simulation time to a
+non-negative *occupancy*: the fraction of a resource consumed by external
+load at that instant.  The same models drive the background traffic of a
+:class:`~repro.distsys.network.Link`, the external CPU load of a
+:class:`~repro.distsys.processor.Processor` (installed by
+:mod:`repro.faults.schedule`) and the arrival rate of
+:class:`~repro.service.arrivals.RequestArrivals`.  Parameters are checked
+against the fraction domain ``[0, 1]``, but a model applies no ceiling;
+each consumer applies its own (``Link.occupancy`` and the arrival rate cap
+at :data:`~repro.distsys.network.MAX_OCCUPANCY`, ``Processor.availability``
+floors at :data:`~repro.distsys.processor.MIN_AVAILABILITY`).
+
+All models are deterministic functions of time (randomness is fixed at
+construction from a seed), so paired experiment runs -- parallel DLB then
+distributed DLB, as in the paper's back-to-back methodology -- observe the
+identical weather.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,29 +39,28 @@ __all__ = [
     "DiurnalTraffic",
     "BurstyTraffic",
     "FlashCrowdTraffic",
+    "WindowTraffic",
     "TraceTraffic",
-    "OverlaidTraffic",
     "ComposedTraffic",
 ]
 
-#: occupancy is clamped below this so effective bandwidth never reaches zero
-MAX_OCCUPANCY = 0.95
+
+def _check_fraction(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 class TrafficModel:
     """Base class: occupancy as a deterministic function of time."""
 
     def occupancy(self, time: float) -> float:
-        """Fraction of link capacity consumed by background traffic."""
+        """Fraction of the resource consumed by external load (>= 0)."""
         raise NotImplementedError
-
-    def _clamp(self, x: float) -> float:
-        return min(MAX_OCCUPANCY, max(0.0, x))
 
 
 @dataclass(frozen=True)
 class NoTraffic(TrafficModel):
-    """A dedicated link (the parallel-machine interconnect case)."""
+    """A dedicated resource (the parallel-machine case)."""
 
     def occupancy(self, time: float) -> float:
         return 0.0
@@ -58,13 +68,12 @@ class NoTraffic(TrafficModel):
 
 @dataclass(frozen=True)
 class ConstantTraffic(TrafficModel):
-    """Steady background load, e.g. a persistent bulk transfer."""
+    """Steady external load, e.g. a persistent bulk transfer or batch job."""
 
     level: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= MAX_OCCUPANCY:
-            raise ValueError(f"level must be in [0, {MAX_OCCUPANCY}], got {self.level}")
+        _check_fraction("level", self.level)
 
     def occupancy(self, time: float) -> float:
         return self.level
@@ -72,9 +81,9 @@ class ConstantTraffic(TrafficModel):
 
 @dataclass(frozen=True)
 class DiurnalTraffic(TrafficModel):
-    """Smooth sinusoidal load: the day/night cycle of a shared WAN.
+    """Smooth sinusoidal load: the day/night cycle of a shared system.
 
-    ``occupancy(t) = mean + amplitude * sin(2*pi*(t/period) + phase)``.
+    ``occupancy(t) = max(0, mean + amplitude * sin(2*pi*(t/period) + phase))``.
     """
 
     mean: float = 0.35
@@ -90,7 +99,7 @@ class DiurnalTraffic(TrafficModel):
 
     def occupancy(self, time: float) -> float:
         raw = self.mean + self.amplitude * math.sin(2.0 * math.pi * time / self.period + self.phase)
-        return self._clamp(raw)
+        return max(0.0, raw)
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,8 @@ class BurstyTraffic(TrafficModel):
     def __post_init__(self) -> None:
         if self.bucket_seconds <= 0:
             raise ValueError(f"bucket_seconds must be positive, got {self.bucket_seconds}")
-        if not 0.0 <= self.burst_probability <= 1.0:
-            raise ValueError(f"burst_probability must be in [0,1], got {self.burst_probability}")
-        for name in ("base", "burst"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= MAX_OCCUPANCY:
-                raise ValueError(f"{name} must be in [0, {MAX_OCCUPANCY}], got {v}")
+        for name in ("base", "burst", "burst_probability"):
+            _check_fraction(name, getattr(self, name))
 
     def occupancy(self, time: float) -> float:
         bucket = int(time // self.bucket_seconds)
@@ -159,16 +164,12 @@ class FlashCrowdTraffic(TrafficModel):
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.onset_seconds <= 0 or self.decay_seconds <= 0:
             raise ValueError("onset_seconds and decay_seconds must be positive")
-        if not 0.0 <= self.crowd_probability <= 1.0:
-            raise ValueError(
-                f"crowd_probability must be in [0,1], got {self.crowd_probability}"
-            )
-        if not 0.0 <= self.base <= MAX_OCCUPANCY:
-            raise ValueError(f"base must be in [0, {MAX_OCCUPANCY}], got {self.base}")
+        _check_fraction("crowd_probability", self.crowd_probability)
+        _check_fraction("base", self.base)
         if self.peak < 0:
             raise ValueError(f"peak must be >= 0, got {self.peak}")
 
-    def crowd_in_window(self, window: int):
+    def crowd_in_window(self, window: int) -> Optional[Tuple[float, float]]:
         """``(onset_time, peak)`` of the crowd in ``window``, or ``None``.
 
         Exposed so the service-arrival presets (and tests) can locate the
@@ -202,11 +203,31 @@ class FlashCrowdTraffic(TrafficModel):
                 occ += peak * dt / self.onset_seconds
             else:
                 occ += peak * math.exp(-(dt - self.onset_seconds) / self.decay_seconds)
-        return self._clamp(occ)
+        return occ
+
+
+@dataclass(frozen=True)
+class WindowTraffic(TrafficModel):
+    """A single occupancy window ``[start, end)`` -- the building block of
+    transient slowdowns, dropout/rejoin windows and link outages."""
+
+    start: float
+    end: float
+    level: float
+
+    def __post_init__(self) -> None:
+        if self.end <= self.start:
+            raise ValueError(
+                f"window must have end > start, got [{self.start}, {self.end})"
+            )
+        _check_fraction("level", self.level)
+
+    def occupancy(self, time: float) -> float:
+        return self.level if self.start <= time < self.end else 0.0
 
 
 class TraceTraffic(TrafficModel):
-    """Step-function occupancy from a recorded trace.
+    """Step-function occupancy from a recorded trace (e.g. host monitoring).
 
     Parameters
     ----------
@@ -229,8 +250,8 @@ class TraceTraffic(TrafficModel):
             raise ValueError("times must be strictly increasing")
         if self.times[0] > 0:
             raise ValueError("trace must start at or before t=0")
-        if np.any((self.occupancies < 0) | (self.occupancies > MAX_OCCUPANCY)):
-            raise ValueError(f"occupancies must be in [0, {MAX_OCCUPANCY}]")
+        if np.any((self.occupancies < 0) | (self.occupancies > 1)):
+            raise ValueError("occupancies must be in [0, 1]")
 
     def occupancy(self, time: float) -> float:
         idx = int(np.searchsorted(self.times, time, side="right")) - 1
@@ -243,46 +264,14 @@ class TraceTraffic(TrafficModel):
 
 @dataclass(frozen=True)
 class ComposedTraffic(TrafficModel):
-    """Sum of component occupancy sources, clamped once *after* summing.
+    """Sum of component occupancies -- several external stressors at once.
 
-    Components are any objects with an ``occupancy(time)`` method (traffic
-    models, fault :class:`~repro.faults.load.LoadModel` overlays).  The
-    clamp to ``MAX_OCCUPANCY`` is applied exactly once, to the composite
-    sum -- never to partial sums -- so a three-way composition (e.g. the
-    service arrival preset's diurnal + bursty + flash crowd) is a plain
-    sum of its parts until the composite saturates.
-
-    Composition audit (pinned by ``tests/test_traffic.py``): because every
-    component occupancy is >= 0, nesting pairwise :class:`OverlaidTraffic`
-    clamps is numerically identical to this single post-sum clamp
-    (``min(C, min(C, a+b) + c) == min(C, a+b+c)`` for non-negative
-    ``a, b, c``), and the final consumers -- :meth:`repro.distsys.network.
-    Link.occupancy` and :meth:`repro.distsys.processor.Processor.
-    availability` -- clamp once more.  A composite can therefore never
-    exceed ``MAX_OCCUPANCY``, and effective bandwidth keeps its
-    ``(1 - MAX_OCCUPANCY)`` floor no matter how many sources stack.
+    The sum is left unclamped: the consumer applies its ceiling once, to
+    the whole composite (e.g. the service arrival preset's diurnal +
+    bursty + flash crowd, or a link's weather plus a fault overlay).
     """
 
-    parts: tuple = ()
+    parts: Tuple[TrafficModel, ...] = ()
 
     def occupancy(self, time: float) -> float:
-        return self._clamp(sum(p.occupancy(time) for p in self.parts))
-
-
-@dataclass(frozen=True)
-class OverlaidTraffic(TrafficModel):
-    """Base traffic plus an extra occupancy source, clamped after summing.
-
-    ``extra`` is any object with an ``occupancy(time)`` method -- in
-    practice a :class:`~repro.faults.load.LoadModel` installed by a
-    :class:`~repro.faults.schedule.FaultSchedule` to model a link
-    degradation or outage window on top of the ordinary weather.  The
-    two-source special case of :class:`ComposedTraffic` (same clamp
-    discipline: one clamp, applied to the sum).
-    """
-
-    base: TrafficModel
-    extra: object
-
-    def occupancy(self, time: float) -> float:
-        return self._clamp(self.base.occupancy(time) + self.extra.occupancy(time))
+        return sum((p.occupancy(time) for p in self.parts), 0.0)

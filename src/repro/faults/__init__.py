@@ -2,11 +2,10 @@
 
 The paper's motivating observation is that shared distributed systems shift
 under the application: "the performance of [shared] resources changes with
-the external load".  This subsystem turns that from a network-only effect
-(:mod:`repro.distsys.traffic`) into a whole-environment one:
+the external load".  The occupancy models of :mod:`repro.distsys.traffic`
+describe that load for links and processors alike; this subsystem places
+them on the environment:
 
-* :mod:`repro.faults.load` -- deterministic external CPU-load models
-  (occupancy over time, mirroring the traffic models);
 * :mod:`repro.faults.schedule` -- :class:`FaultSchedule`: timed slowdowns,
   dropout/rejoin windows, continuous CPU weather and link
   degradation/outage windows, applied to a system before a run;
@@ -15,17 +14,6 @@ the external load".  This subsystem turns that from a network-only effect
   to degraded capacity.
 """
 
-from .load import (
-    MAX_CPU_OCCUPANCY,
-    BurstyLoad,
-    ComposedLoad,
-    ConstantLoad,
-    DiurnalLoad,
-    LoadModel,
-    NoLoad,
-    TraceLoad,
-    WindowLoad,
-)
 from .schedule import (
     CpuLoadFault,
     DropoutFault,
@@ -44,15 +32,6 @@ from .resilience import (
 )
 
 __all__ = [
-    "MAX_CPU_OCCUPANCY",
-    "LoadModel",
-    "NoLoad",
-    "ConstantLoad",
-    "DiurnalLoad",
-    "BurstyLoad",
-    "WindowLoad",
-    "TraceLoad",
-    "ComposedLoad",
     "CpuLoadFault",
     "SlowdownFault",
     "DropoutFault",

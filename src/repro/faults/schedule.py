@@ -4,34 +4,36 @@ A :class:`FaultSchedule` is a declarative list of perturbations -- external
 CPU load on processors, transient slowdowns, dropout/rejoin windows, link
 degradation/outage windows -- that is *applied* to a
 :class:`~repro.distsys.system.DistributedSystem` before the run starts.
-Applying a schedule returns a new system whose processors carry composed
-:class:`~repro.faults.load.LoadModel`\\ s and whose inter-group links carry
-overlaid background traffic; from then on every quantity the simulator and
-the DLB schemes observe (execution times, probed alpha/beta, measured
-weights) is a pure deterministic function of the simulation clock.
+Applying a schedule returns a new system whose processors and inter-group
+links carry composed occupancy models (:mod:`repro.distsys.traffic`, the
+one family for links, processors and service arrivals): a processor's
+external load plus its CPU faults, a link's background traffic plus its
+degradation windows.  From then on every quantity the simulator and the
+DLB schemes observe (execution times, probed alpha/beta, measured weights)
+is a pure deterministic function of the simulation clock.
 
 Determinism is the point: the paper's methodology runs the parallel scheme
 and the distributed scheme back to back "so that the two executions would
 have the similar network environments" -- with a schedule, both executions
 see the *identical* environment, faults included, and repeated runs with
 the same seed reproduce bit-identical timelines.
-
-Imports from ``repro.distsys`` are deferred to call time so the dependency
-arrow at module-import time points one way only (``distsys.processor`` ->
-``faults.load``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .load import MAX_CPU_OCCUPANCY, ComposedLoad, LoadModel, NoLoad, WindowLoad
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..distsys.processor import Processor
-    from ..distsys.system import DistributedSystem
+from ..distsys.group import Group
+from ..distsys.processor import Processor
+from ..distsys.system import DistributedSystem
+from ..distsys.traffic import (
+    ComposedTraffic,
+    NoTraffic,
+    TrafficModel,
+    WindowTraffic,
+)
 
 __all__ = [
     "CpuLoadFault",
@@ -42,9 +44,13 @@ __all__ = [
     "FaultSchedule",
 ]
 
-#: residual availability of a "dropped out" processor (stalled, not gone --
-#: the simulated analogue of a node swapping or rebooting under the job)
-DROPOUT_RESIDUAL = 1.0 - MAX_CPU_OCCUPANCY
+
+def _overlaid(traffic: TrafficModel,
+              overlays: List[TrafficModel]) -> TrafficModel:
+    """A link's weather plus its fault overlays.  The overlays are summed
+    first, then added to the weather: this fixes the float summation
+    order every pinned link-fault result was recorded with."""
+    return ComposedTraffic((traffic, ComposedTraffic(tuple(overlays))))
 
 
 def _targets_label(pids: Optional[Tuple[int, ...]], group: Optional[int]) -> str:
@@ -71,14 +77,14 @@ class _ProcessorFault:
         if self.pids is not None:
             object.__setattr__(self, "pids", tuple(int(p) for p in self.pids))
 
-    def matches(self, proc: "Processor") -> bool:
+    def matches(self, proc: Processor) -> bool:
         if self.pids is not None:
             return proc.pid in self.pids
         if self.group is not None:
             return proc.group_id == self.group
         return True
 
-    def load_model(self, seed: int, pid: int) -> LoadModel:
+    def load_model(self, seed: int, pid: int) -> TrafficModel:
         raise NotImplementedError
 
     def window(self) -> Optional[Tuple[float, float]]:
@@ -93,15 +99,16 @@ class _ProcessorFault:
 class CpuLoadFault(_ProcessorFault):
     """Continuous external CPU load on the targeted processors.
 
-    ``model`` is any :class:`~repro.faults.load.LoadModel`; the schedule
-    seed does not alter it (the model carries its own seed if stochastic).
+    ``model`` is any :class:`~repro.distsys.traffic.TrafficModel`; the
+    schedule seed does not alter it (the model carries its own seed if
+    stochastic).
     """
 
-    model: LoadModel = field(default_factory=NoLoad)
+    model: TrafficModel = field(default_factory=NoTraffic)
 
     kind = "cpu-load"
 
-    def load_model(self, seed: int, pid: int) -> LoadModel:
+    def load_model(self, seed: int, pid: int) -> TrafficModel:
         return self.model
 
     def describe(self) -> str:
@@ -129,10 +136,9 @@ class SlowdownFault(_ProcessorFault):
         if self.end <= self.start:
             raise ValueError(f"need end > start, got [{self.start}, {self.end})")
 
-    def load_model(self, seed: int, pid: int) -> LoadModel:
+    def load_model(self, seed: int, pid: int) -> TrafficModel:
         # running `factor` times slower == (1 - 1/factor) of the CPU stolen
-        return WindowLoad(self.start, self.end,
-                          min(MAX_CPU_OCCUPANCY, 1.0 - 1.0 / self.factor))
+        return WindowTraffic(self.start, self.end, 1.0 - 1.0 / self.factor)
 
     def window(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.end)
@@ -146,8 +152,13 @@ class SlowdownFault(_ProcessorFault):
 @dataclass(frozen=True, kw_only=True)
 class DropoutFault(_ProcessorFault):
     """Dropout/rejoin window: targeted processors are effectively gone
-    during ``[start, end)`` (stalled at :data:`DROPOUT_RESIDUAL` of nominal
-    speed) and recover at ``end``."""
+    during ``[start, end)`` and recover at ``end``.
+
+    The window occupies the whole processor; availability then sits at
+    its floor, :data:`~repro.distsys.processor.MIN_AVAILABILITY` (stalled,
+    not gone -- the simulated analogue of a node swapping or rebooting
+    under the job).
+    """
 
     start: float = 0.0
     end: float = math.inf
@@ -159,8 +170,8 @@ class DropoutFault(_ProcessorFault):
         if self.end <= self.start:
             raise ValueError(f"need end > start, got [{self.start}, {self.end})")
 
-    def load_model(self, seed: int, pid: int) -> LoadModel:
-        return WindowLoad(self.start, self.end, MAX_CPU_OCCUPANCY)
+    def load_model(self, seed: int, pid: int) -> TrafficModel:
+        return WindowTraffic(self.start, self.end, 1.0)
 
     def window(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.end)
@@ -173,7 +184,8 @@ class DropoutFault(_ProcessorFault):
 class LinkDegradationFault:
     """Extra occupancy on inter-group links during ``[start, end)``.
 
-    ``occupancy`` near the link clamp (0.95) is an outage; smaller values
+    ``occupancy`` at or above the link ceiling
+    (:data:`~repro.distsys.network.MAX_OCCUPANCY`) is an outage; smaller values
     model a routing detour or a competing bulk transfer.  ``groups`` names
     one group pair, ``edge`` one topology edge by name (see
     :meth:`~repro.distsys.topology.NetworkTopology.edge_names`), or both
@@ -208,11 +220,8 @@ class LinkDegradationFault:
             return False  # edge faults resolve through the topology
         return self.groups is None or frozenset(self.groups) == pair
 
-    def overlay_model(self) -> LoadModel:
-        # the Link clamps total occupancy to its own MAX_OCCUPANCY; the
-        # WindowLoad clamp (0.99) is looser, so no information is lost here
-        return WindowLoad(self.start, self.end,
-                          min(MAX_CPU_OCCUPANCY, self.occupancy))
+    def overlay_model(self) -> TrafficModel:
+        return WindowTraffic(self.start, self.end, self.occupancy)
 
     def window(self) -> Optional[Tuple[float, float]]:
         return (self.start, self.end)
@@ -225,6 +234,9 @@ class LinkDegradationFault:
         else:
             where = "all inter-group links"
         return f"{self.occupancy:.0%} degradation of {where}"
+
+
+Fault = Union[CpuLoadFault, SlowdownFault, DropoutFault, LinkDegradationFault]
 
 
 @dataclass(frozen=True)
@@ -252,13 +264,14 @@ class FaultSchedule:
     """
 
     def __init__(self, faults: Sequence[object] = (), seed: int = 0) -> None:
-        self.faults: List[object] = list(faults)
+        self.faults: List[Fault] = []
         self.seed = int(seed)
-        for f in self.faults:
+        for f in faults:
             if not isinstance(
                 f, (CpuLoadFault, SlowdownFault, DropoutFault, LinkDegradationFault)
             ):
                 raise TypeError(f"not a fault spec: {f!r}")
+            self.faults.append(f)
 
     # ------------------------------------------------------------------ #
 
@@ -281,19 +294,15 @@ class FaultSchedule:
     # application
     # ------------------------------------------------------------------ #
 
-    def apply(self, system: "DistributedSystem") -> "DistributedSystem":
+    def apply(self, system: DistributedSystem) -> DistributedSystem:
         """Return a new system with this schedule's perturbations installed.
 
-        Processors targeted by CPU faults get a :class:`ComposedLoad` of
+        Processors targeted by CPU faults get a :class:`ComposedTraffic` of
         every matching model (on top of any load the processor already
         carried); inter-group links targeted by link faults get their
-        traffic model overlaid with the fault occupancy.  The input system
+        traffic model composed with the fault occupancy.  The input system
         is not modified.
         """
-        from ..distsys.group import Group
-        from ..distsys.system import DistributedSystem
-        from ..distsys.traffic import OverlaidTraffic
-
         pfaults = self.processor_faults
         new_groups = []
         for g in system.groups:
@@ -301,20 +310,20 @@ class FaultSchedule:
             for p in g.processors:
                 models = [f.load_model(self.seed, p.pid) for f in pfaults if f.matches(p)]
                 if models:
-                    if not isinstance(p.load, NoLoad):
+                    if not isinstance(p.load, NoTraffic):
                         models.insert(0, p.load)
-                    p = replace(p, load=ComposedLoad(tuple(models)))
+                    p = replace(p, load=ComposedTraffic(tuple(models)))
                 procs.append(p)
             new_groups.append(Group(g.group_id, g.name, procs, intra_link=g.intra_link))
 
         lfaults = self.link_faults
         topo = system.topology
-        known_edges = set(topo.edge_names())
+        edge_links = {e.name: e.link for e in topo.edges}
         for f in lfaults:
-            if f.edge is not None and f.edge not in known_edges:
+            if f.edge is not None and f.edge not in edge_links:
                 raise ValueError(
                     f"link fault targets unknown edge {f.edge!r}; "
-                    f"known edges: {sorted(known_edges)}"
+                    f"known edges: {sorted(edge_links)}"
                 )
 
         new_links = {}
@@ -325,13 +334,10 @@ class FaultSchedule:
             overlays += [
                 f.overlay_model()
                 for f in lfaults
-                if f.edge is not None and topo.edge_named(f.edge).link is link
+                if f.edge is not None and edge_links[f.edge] is link
             ]
             if overlays:
-                link = replace(
-                    link,
-                    traffic=OverlaidTraffic(link.traffic, ComposedLoad(tuple(overlays))),
-                )
+                link = replace(link, traffic=_overlaid(link.traffic, overlays))
             new_links[pair] = link
         if topo.derived:
             # re-derive the degenerate topology over the replaced links
@@ -355,10 +361,7 @@ class FaultSchedule:
                     overlays.append(f.overlay_model())
             if overlays:
                 new_edge_links[ei] = replace(
-                    e.link,
-                    traffic=OverlaidTraffic(e.link.traffic,
-                                            ComposedLoad(tuple(overlays))),
-                )
+                    e.link, traffic=_overlaid(e.link.traffic, overlays))
         new_topo = topo.with_edge_links(new_edge_links) if new_edge_links else topo
         return DistributedSystem(new_groups, new_links, topology=new_topo)
 

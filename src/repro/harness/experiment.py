@@ -11,7 +11,7 @@ the two executions would have the similar network environments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from ..amr.applications import AMR64, AMRApplication, BlastWave, ShockPool3D
 from ..config import (
@@ -36,7 +36,6 @@ from ..distsys import (
     wan_spec,
 )
 from ..faults import (
-    BurstyLoad,
     CpuLoadFault,
     DropoutFault,
     FaultSchedule,
@@ -222,10 +221,11 @@ def make_faults(cfg: ExperimentConfig) -> Optional[FaultSchedule]:
         faults = [
             CpuLoadFault(
                 group=fp.group,
-                model=BurstyLoad(
+                model=BurstyTraffic(
                     seed=fp.seed,
                     base=fp.stolen_share * 0.25,
                     burst=fp.stolen_share,
+                    burst_probability=0.25,
                     bucket_seconds=5.0,
                 ),
             ),
@@ -242,8 +242,9 @@ def make_faults(cfg: ExperimentConfig) -> Optional[FaultSchedule]:
             LinkDegradationFault(start=fp.start, end=fp.end, occupancy=0.5),
             CpuLoadFault(
                 pids=(0,),
-                model=BurstyLoad(seed=fp.seed, base=0.05, burst=0.4,
-                                 bucket_seconds=5.0),
+                model=BurstyTraffic(seed=fp.seed, base=0.05, burst=0.4,
+                                    burst_probability=0.25,
+                                    bucket_seconds=5.0),
             ),
         ]
     else:  # pragma: no cover - FaultParams validates the vocabulary
@@ -283,15 +284,31 @@ def resolve_trace_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, trace=replace(tp, content_hash=trace_file_hash(tp.source)))
 
 
+def _traced_run(
+    tracer: Optional[Tracer],
+    run: Callable[[Optional[MetricsRegistry]], RunResult],
+) -> RunResult:
+    """Call ``run(metrics)``, traced when ``tracer`` is given.
+
+    Untraced, ``metrics`` is ``None``.  Traced, ``run`` gets a fresh
+    :class:`~repro.obs.MetricsRegistry` and the result carries the spans
+    ``tracer`` recorded while it ran.
+    """
+    if tracer is None:
+        return run(None)
+    start_count = tracer.record_count
+    result = run(MetricsRegistry())
+    result.spans = tracer.records()[start_count:]
+    return result
+
+
 def _run_replay(cfg: ExperimentConfig, scheme: str, system,
                 tracer: Optional[Tracer], seq: bool = False) -> RunResult:
     """In-process replay of ``cfg.trace`` under ``scheme`` on ``system``."""
     from ..traces.replay import TraceReplayRunner, load_trace_source
 
     trace = load_trace_source(cfg)
-    metrics = MetricsRegistry() if tracer is not None else None
-    start_count = tracer.record_count if tracer is not None else 0
-    runner = TraceReplayRunner(
+    return _traced_run(tracer, lambda metrics: TraceReplayRunner(
         trace,
         system,
         make_scheme(scheme),
@@ -304,11 +321,7 @@ def _run_replay(cfg: ExperimentConfig, scheme: str, system,
         # system than recorded, where strict cross-checks legitimately
         # diverge
         strict=cfg.trace.strict and not seq,
-    )
-    result = runner.run(min(cfg.steps, trace.nsteps))
-    if tracer is not None:
-        result.spans = tracer.records()[start_count:]
-    return result
+    ).run(min(cfg.steps, trace.nsteps)))
 
 
 def run_experiment(
@@ -355,15 +368,9 @@ def run_experiment(
     if cfg.service is not None:
         from ..service import simulate_service
 
-        metrics = MetricsRegistry() if tracer is not None else None
-        start_count = tracer.record_count if tracer is not None else 0
-        result = simulate_service(cfg, scheme, tracer=tracer, metrics=metrics)
-        if tracer is not None:
-            result.spans = tracer.records()[start_count:]
-        return result
-    metrics = MetricsRegistry() if tracer is not None else None
-    start_count = tracer.record_count if tracer is not None else 0
-    runner = SAMRRunner(
+        return _traced_run(tracer, lambda metrics: simulate_service(
+            cfg, scheme, tracer=tracer, metrics=metrics))
+    return _traced_run(tracer, lambda metrics: SAMRRunner(
         make_app(cfg),
         make_system(cfg),
         make_scheme(scheme),
@@ -372,11 +379,7 @@ def run_experiment(
         fault_schedule=make_faults(cfg),
         tracer=tracer,
         metrics=metrics,
-    )
-    result = runner.run(cfg.steps)
-    if tracer is not None:
-        result.spans = tracer.records()[start_count:]
-    return result
+    ).run(cfg.steps))
 
 
 def sequential_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -430,19 +433,12 @@ def run_sequential(
         from ..service import simulate_service
 
         seq_cfg = replace(cfg, fault=None)
-        metrics = MetricsRegistry() if tracer is not None else None
-        start_count = tracer.record_count if tracer is not None else 0
-        result = simulate_service(
+        return _traced_run(tracer, lambda metrics: simulate_service(
             seq_cfg, "parallel", tracer=tracer, metrics=metrics,
             system=build_system(parallel_spec(1, base_speed=cfg.base_speed)),
-        )
-        if tracer is not None:
-            result.spans = tracer.records()[start_count:]
-        return result
+        ))
     seq_cfg = replace(cfg, network="parallel")
-    metrics = MetricsRegistry() if tracer is not None else None
-    start_count = tracer.record_count if tracer is not None else 0
-    runner = SAMRRunner(
+    return _traced_run(tracer, lambda metrics: SAMRRunner(
         make_app(seq_cfg),
         build_system(parallel_spec(1, base_speed=cfg.base_speed)),
         make_scheme("parallel"),
@@ -450,8 +446,4 @@ def run_sequential(
         scheme_params=cfg.effective_scheme_params(),
         tracer=tracer,
         metrics=metrics,
-    )
-    result = runner.run(cfg.steps)
-    if tracer is not None:
-        result.spans = tracer.records()[start_count:]
-    return result
+    ).run(cfg.steps))

@@ -5,8 +5,9 @@ The arrival side composes two orthogonal structures:
 * **when** requests arrive -- a :class:`~repro.distsys.traffic.TrafficModel`
   shapes the aggregate rate over time.  The presets compose diurnal,
   bursty and flash-crowd sources through
-  :class:`~repro.distsys.traffic.ComposedTraffic` (one clamp, after the
-  sum), reusing the exact weather machinery the network links run on;
+  :class:`~repro.distsys.traffic.ComposedTraffic`, reusing the exact
+  weather machinery the network links run on; the rate applies the
+  ceiling once, to the composite;
 * **where** they land -- a Zipf popularity field over the key space gives
   every key-space *cell* a rank-``1/r^s`` weight under a seeded
   permutation, so each shard's arrival share is the sum of its cells'
@@ -27,8 +28,8 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from ..amr.box import Box
+from ..distsys.network import MAX_OCCUPANCY
 from ..distsys.traffic import (
-    MAX_OCCUPANCY,
     BurstyTraffic,
     ComposedTraffic,
     ConstantTraffic,
@@ -114,8 +115,9 @@ class RequestArrivals:
     """Per-tick Poisson arrival counts, shaped by a traffic model.
 
     The instantaneous aggregate rate is ``requests_per_second *
-    occupancy(t) / MAX_OCCUPANCY`` -- the traffic model's occupancy, mapped
-    onto ``[0, requests_per_second]`` so ``requests_per_second`` is the
+    min(MAX_OCCUPANCY, occupancy(t)) / MAX_OCCUPANCY`` -- the traffic
+    model's occupancy, capped at the link ceiling and mapped onto
+    ``[0, requests_per_second]`` so ``requests_per_second`` is the
     saturation rate a fully-developed flash crowd reaches.  Per-shard
     expected counts split the aggregate by popularity share; the Poisson
     draw for tick ``k`` comes from ``Philox(key=seed, counter=k)``.
@@ -135,7 +137,7 @@ class RequestArrivals:
     def rate(self, time: float) -> float:
         """Aggregate arrival rate (requests/second) at ``time``."""
         return (self.requests_per_second
-                * self.model.occupancy(time) / MAX_OCCUPANCY)
+                * min(MAX_OCCUPANCY, self.model.occupancy(time)) / MAX_OCCUPANCY)
 
     def counts_for_tick(self, tick: int, shares: np.ndarray) -> np.ndarray:
         """Arrival counts per shard for tick ``tick``.

@@ -167,12 +167,12 @@ def record_run(
     """
     from ..harness.experiment import (
         _apply_seed,
+        _traced_run,
         make_app,
         make_faults,
         make_scheme,
         make_system,
     )
-    from ..obs import MetricsRegistry
     from ..runtime import SAMRRunner
 
     if scheme is None:
@@ -184,9 +184,7 @@ def record_run(
         )
     recorder = TraceRecorder(config=cfg, scheme_name=scheme,
                              manifests=manifests)
-    metrics = MetricsRegistry() if tracer is not None else None
-    start_count = tracer.record_count if tracer is not None else 0
-    runner = SAMRRunner(
+    result = _traced_run(tracer, lambda metrics: SAMRRunner(
         make_app(cfg),
         make_system(cfg),
         make_scheme(scheme),
@@ -196,10 +194,7 @@ def record_run(
         tracer=tracer,
         metrics=metrics,
         recorder=recorder,
-    )
-    result = runner.run(cfg.steps)
-    if tracer is not None:
-        result.spans = tracer.records()[start_count:]
+    ).run(cfg.steps))
     trace = recorder.finish()
     m = get_default_metrics()
     m.counter("trace.recorded_runs").inc()

@@ -35,13 +35,12 @@ from ..amr.integrator import SubStep
 from ..amr.regrid import RegridParams, apply_cluster_boxes
 from ..config import SchemeParams, SimParams
 from ..core.base import DLBScheme
-from ..distsys.comm import MessageBatch, MessageKind
 from ..distsys.events import EventLog
 from ..distsys.system import DistributedSystem
 from ..faults.schedule import FaultSchedule
 from ..metrics.timing import RunResult
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer, get_default_metrics
-from ..runtime.runner import SAMRRunner, _paired_batch
+from ..runtime.runner import SAMRRunner
 from .schema import Trace, TraceReplayError, decode_box, read_trace
 
 __all__ = ["TraceReplayRunner", "replay_trace", "load_trace_source",
@@ -208,42 +207,23 @@ class TraceReplayRunner(SAMRRunner):
         super().global_balance(time)
 
     # -- manifest fast path -------------------------------------------------- #
+    # The runner builds its ghost and parent/child messages from these
+    # geometry arrays; a manifest recorded at the current hierarchy version
+    # stands in for the geometric recomputation.
 
-    def _ghost_messages(self, level: int) -> MessageBatch:
+    def _ghost_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
         manifest = self._manifests.get(level)
-        if manifest is None or manifest[0] != self.hierarchy.version:
-            if manifest is not None:
-                self.manifest_fallbacks += 1
-            return super()._ghost_messages(level)
-        gids_a, gids_b, area = manifest[1]
-        if not gids_a:
-            return MessageBatch.empty()
-        pa = self.assignment.pids_of(gids_a)
-        pb = self.assignment.pids_of(gids_b)
-        cross = pa != pb
-        if not cross.any():
-            return MessageBatch.empty()
-        half = area[cross] * self.sim_params.bytes_per_cell / 2.0
-        return _paired_batch(pa[cross], pb[cross], half, MessageKind.SIBLING)
+        if manifest is not None and manifest[0] == self.hierarchy.version:
+            return manifest[1]
+        if manifest is not None:
+            self.manifest_fallbacks += 1
+        return super()._ghost_arrays(level)
 
-    def _parent_child_messages(self, level: int) -> MessageBatch:
-        if level == 0:
-            return MessageBatch.empty()
+    def _pc_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
         manifest = self._manifests.get(level)
-        if manifest is None or manifest[0] != self.hierarchy.version:
-            return super()._parent_child_messages(level)
-        gids, parent_gids, bcells = manifest[2]
-        if not gids:
-            return MessageBatch.empty()
-        child = self.assignment.pids_of(gids)
-        parent = self.assignment.pids_of(parent_gids)
-        cross = child != parent
-        if not cross.any():
-            return MessageBatch.empty()
-        bpc = self.sim_params.bytes_per_cell * self.sim_params.parent_child_factor
-        nbytes = bcells[cross] * bpc
-        return _paired_batch(parent[cross], child[cross], nbytes,
-                             MessageKind.PARENT_CHILD)
+        if manifest is not None and manifest[0] == self.hierarchy.version:
+            return manifest[2]
+        return super()._pc_arrays(level)
 
     # -- driving ------------------------------------------------------------ #
 
@@ -361,6 +341,7 @@ def replay_trace(
         )
     from ..harness.experiment import (
         _apply_seed,
+        _traced_run,
         make_faults,
         make_scheme,
         make_system,
@@ -369,9 +350,7 @@ def replay_trace(
     if scheme is None:
         scheme = "distributed"
     cfg = _apply_seed(config, seed)
-    metrics = MetricsRegistry() if tracer is not None else None
-    start_count = tracer.record_count if tracer is not None else 0
-    runner = TraceReplayRunner(
+    return _traced_run(tracer, lambda metrics: TraceReplayRunner(
         source,
         make_system(cfg),
         make_scheme(scheme),
@@ -381,8 +360,4 @@ def replay_trace(
         tracer=tracer,
         metrics=metrics,
         strict=strict,
-    )
-    result = runner.run(cfg.steps)
-    if tracer is not None:
-        result.spans = tracer.records()[start_count:]
-    return result
+    ).run(cfg.steps))

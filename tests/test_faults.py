@@ -9,22 +9,26 @@ import pytest
 from repro.amr.applications import ShockPool3D
 from repro.config import FaultParams
 from repro.core import make_scheme
-from repro.distsys import ConstantTraffic, FaultEvent, build_system, wan_spec
+from repro.distsys import (
+    BurstyTraffic,
+    ComposedTraffic,
+    ConstantTraffic,
+    DiurnalTraffic,
+    FaultEvent,
+    NoTraffic,
+    TraceTraffic,
+    WindowTraffic,
+    build_system,
+    wan_spec,
+)
 from repro.distsys.events import ComputeEvent, EventLog, RedistributionEvent
+from repro.distsys.processor import MIN_AVAILABILITY, Processor
 from repro.faults import (
-    MAX_CPU_OCCUPANCY,
-    BurstyLoad,
-    ComposedLoad,
-    ConstantLoad,
     CpuLoadFault,
-    DiurnalLoad,
     DropoutFault,
     FaultSchedule,
     LinkDegradationFault,
-    NoLoad,
     SlowdownFault,
-    TraceLoad,
-    WindowLoad,
     imbalance_trajectory,
     lost_compute_time,
     peak_imbalance,
@@ -36,31 +40,37 @@ from repro.runtime import SAMRRunner
 
 
 # --------------------------------------------------------------------- #
-# load models
+# occupancy models as CPU load
 # --------------------------------------------------------------------- #
 
 
 class TestLoadModels:
+    """The traffic models carried as a processor's external CPU load."""
+
     def test_no_load_is_zero(self):
-        assert NoLoad().occupancy(0.0) == 0.0
-        assert NoLoad().occupancy(1e6) == 0.0
+        assert NoTraffic().occupancy(0.0) == 0.0
+        assert NoTraffic().occupancy(1e6) == 0.0
+        assert Processor(pid=0, group_id=0).availability(5.0) == 1.0
 
     def test_constant_load(self):
-        assert ConstantLoad(0.4).occupancy(123.0) == 0.4
+        assert ConstantTraffic(0.4).occupancy(123.0) == 0.4
         with pytest.raises(ValueError):
-            ConstantLoad(1.5)
+            ConstantTraffic(1.5)
 
     def test_diurnal_oscillates_and_clamps(self):
-        m = DiurnalLoad(mean=0.5, amplitude=0.6, period=100.0)
+        m = DiurnalTraffic(mean=0.5, amplitude=0.6, period=100.0)
         vals = [m.occupancy(t) for t in range(0, 100, 5)]
-        assert max(vals) <= MAX_CPU_OCCUPANCY
         assert min(vals) >= 0.0
         assert max(vals) > min(vals)
+        proc = Processor(pid=0, group_id=0, load=m)
+        assert min(proc.availability(t) for t in range(0, 100, 5)) >= MIN_AVAILABILITY
 
     def test_bursty_deterministic_and_seed_sensitive(self):
-        a = BurstyLoad(seed=1, bucket_seconds=10.0)
-        b = BurstyLoad(seed=1, bucket_seconds=10.0)
-        c = BurstyLoad(seed=2, bucket_seconds=10.0)
+        # base/burst/probability: the fault scenarios' CPU weather values
+        kw = dict(base=0.05, burst=0.6, burst_probability=0.25, bucket_seconds=10.0)
+        a = BurstyTraffic(seed=1, **kw)
+        b = BurstyTraffic(seed=1, **kw)
+        c = BurstyTraffic(seed=2, **kw)
         ts = [0.5, 15.0, 25.0, 999.0]
         assert [a.occupancy(t) for t in ts] == [b.occupancy(t) for t in ts]
         assert any(
@@ -68,35 +78,39 @@ class TestLoadModels:
         )
 
     def test_bursty_constant_within_bucket(self):
-        m = BurstyLoad(seed=3, bucket_seconds=10.0)
+        m = BurstyTraffic(seed=3, base=0.05, burst=0.6, burst_probability=0.25,
+                          bucket_seconds=10.0)
         assert m.occupancy(20.0) == m.occupancy(29.999)
 
     def test_window_load_boundaries(self):
-        w = WindowLoad(10.0, 20.0, 0.75)
+        w = WindowTraffic(10.0, 20.0, 0.75)
         assert w.occupancy(9.999) == 0.0
         assert w.occupancy(10.0) == 0.75
         assert w.occupancy(19.999) == 0.75
         assert w.occupancy(20.0) == 0.0
         with pytest.raises(ValueError):
-            WindowLoad(20.0, 10.0, 0.5)
+            WindowTraffic(20.0, 10.0, 0.5)
 
     def test_trace_load_steps(self):
-        tr = TraceLoad([0.0, 10.0, 20.0], [0.1, 0.5, 0.2])
+        tr = TraceTraffic([0.0, 10.0, 20.0], [0.1, 0.5, 0.2])
         assert tr.occupancy(0.0) == 0.1
         assert tr.occupancy(9.9) == 0.1
         assert tr.occupancy(10.0) == 0.5
         assert tr.occupancy(1e9) == 0.2
         with pytest.raises(ValueError):
-            TraceLoad([5.0], [0.1])  # must start at or before t=0
+            TraceTraffic([5.0], [0.1])  # must start at or before t=0
         with pytest.raises(ValueError):
-            TraceLoad([0.0, 0.0], [0.1, 0.2])
+            TraceTraffic([0.0, 0.0], [0.1, 0.2])
 
     def test_composed_load_sums_and_clamps(self):
-        m = ComposedLoad((ConstantLoad(0.3), WindowLoad(0.0, 10.0, 0.2)))
+        m = ComposedTraffic((ConstantTraffic(0.3), WindowTraffic(0.0, 10.0, 0.2)))
         assert m.occupancy(5.0) == pytest.approx(0.5)
         assert m.occupancy(15.0) == pytest.approx(0.3)
-        big = ComposedLoad((ConstantLoad(0.9), ConstantLoad(0.9)))
-        assert big.occupancy(0.0) == MAX_CPU_OCCUPANCY
+        # the sum is unclamped; the processor floors its availability
+        big = ComposedTraffic((ConstantTraffic(0.9), ConstantTraffic(0.9)))
+        assert big.occupancy(0.0) == pytest.approx(1.8)
+        proc = Processor(pid=0, group_id=0, load=big)
+        assert proc.availability(0.0) == MIN_AVAILABILITY
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +125,7 @@ class TestProcessorAvailability:
         proc = system.processors[0]
         from dataclasses import replace
 
-        loaded = replace(proc, load=WindowLoad(10.0, 20.0, 0.75))
+        loaded = replace(proc, load=WindowTraffic(10.0, 20.0, 0.75))
         assert loaded.effective_speed(0.0) == pytest.approx(proc.speed)
         assert loaded.effective_speed(15.0) == pytest.approx(proc.speed * 0.25)
         # 4x slower inside the window
@@ -156,7 +170,7 @@ class TestFaultSchedule:
         system = build_system(wan_spec(1, base_speed=1000.0),
                               traffic=ConstantTraffic(0.0))
         g0 = system.groups[0]
-        preloaded = replace(g0.processors[0], load=ConstantLoad(0.2))
+        preloaded = replace(g0.processors[0], load=ConstantTraffic(0.2))
         from repro.distsys.group import Group
         from repro.distsys.system import DistributedSystem
 
@@ -180,7 +194,7 @@ class TestFaultSchedule:
             [DropoutFault(group=0, start=0.0, end=5.0)]
         ).apply(system)
         p = faulted.processor(0)
-        assert p.availability(1.0) == pytest.approx(1.0 - MAX_CPU_OCCUPANCY)
+        assert p.availability(1.0) == MIN_AVAILABILITY
         assert p.availability(6.0) == 1.0
 
     def test_link_fault_overlays_inter_links(self):
@@ -199,7 +213,7 @@ class TestFaultSchedule:
         sched = FaultSchedule(
             [
                 SlowdownFault(group=1, start=10.0, end=20.0),
-                CpuLoadFault(group=0, model=ConstantLoad(0.1)),
+                CpuLoadFault(group=0, model=ConstantTraffic(0.1)),
                 LinkDegradationFault(start=5.0, end=math.inf, occupancy=0.5),
             ]
         )

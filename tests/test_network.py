@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distsys.network import Link, gigabit_lan, mren_wan, origin2000_interconnect
-from repro.distsys.traffic import MAX_OCCUPANCY, ConstantTraffic, NoTraffic
+from repro.distsys.network import (
+    MAX_OCCUPANCY,
+    Link,
+    gigabit_lan,
+    mren_wan,
+    origin2000_interconnect,
+)
+from repro.distsys.traffic import ConstantTraffic, NoTraffic
 
 
 class _SaturatedTraffic:
@@ -145,8 +151,8 @@ class TestOccupancyClamp:
         assert 0.0 < t < float("inf")
 
     def test_clamp_is_noop_for_builtin_models(self):
-        """Built-in models already sit inside [0, MAX_OCCUPANCY]: the clamp
-        must be bit-for-bit invisible for them (golden safety)."""
+        """Occupancies inside [0, MAX_OCCUPANCY] must pass the clamp
+        bit-for-bit (golden safety); only the link applies the ceiling."""
         for level in (0.0, 0.3, MAX_OCCUPANCY):
             link = Link("t", latency=0.001, bandwidth=1e6,
                         traffic=ConstantTraffic(level))

@@ -367,7 +367,7 @@ class TestArrivals:
                     == b.counts_for_tick(tick, shares)).all()
 
     def test_rate_maps_occupancy_to_saturation(self):
-        from repro.distsys.traffic import MAX_OCCUPANCY
+        from repro.distsys.network import MAX_OCCUPANCY
 
         arr = RequestArrivals(make_arrival_model("steady", 0), 950.0, 1.0)
         # the steady preset holds occupancy 0.6

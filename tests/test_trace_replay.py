@@ -79,6 +79,27 @@ class TestGoldenEquivalence:
         runner.run(SMALL.steps)
         assert runner.manifest_fallbacks == 0
 
+    def test_stale_manifests_fall_back_to_geometry(self):
+        """Once the replayed hierarchy diverges from the recorded one, the
+        stale manifests are counted and the geometry is recomputed: a
+        parallel-DLB recording replayed under the distributed scheme
+        matches the distributed scheme's own recording."""
+        from repro.core.registry import make_scheme
+        from repro.harness.experiment import make_faults, make_system
+
+        cfg = replace(SMALL, procs_per_group=4, steps=4, traffic_kind="bursty",
+                      fault=FaultParams(scenario="slowdown", severity=8.0))
+        _, trace = record_run(cfg, "parallel")
+        recorded, _ = record_run(cfg, "distributed")
+        runner = TraceReplayRunner(trace, make_system(cfg),
+                                   make_scheme("distributed"),
+                                   sim_params=cfg.sim_params,
+                                   scheme_params=cfg.effective_scheme_params(),
+                                   fault_schedule=make_faults(cfg))
+        replayed = runner.run(cfg.steps)
+        assert runner.manifest_fallbacks > 0
+        assert run_result_to_dict(replayed) == run_result_to_dict(recorded)
+
     def test_manifest_free_replay_still_matches(self):
         """Manifests are an optimisation: without them the replayer
         recomputes adjacency geometrically to identical results."""

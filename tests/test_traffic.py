@@ -1,25 +1,34 @@
-"""Unit tests for background-traffic models."""
+"""Unit tests for the occupancy models and the ceilings their consumers own."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from repro.distsys.network import MAX_OCCUPANCY, Link
+from repro.distsys.processor import MIN_AVAILABILITY, Processor
 from repro.distsys.traffic import (
-    MAX_OCCUPANCY,
     BurstyTraffic,
     ComposedTraffic,
     ConstantTraffic,
     DiurnalTraffic,
     FlashCrowdTraffic,
     NoTraffic,
-    OverlaidTraffic,
     TraceTraffic,
+    WindowTraffic,
 )
+from repro.service.arrivals import RequestArrivals
 
 times = st.floats(min_value=0.0, max_value=1.0e5, allow_nan=False)
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _link(traffic) -> Link:
+    return Link("shared", latency=1e-3, bandwidth=1e6, traffic=traffic)
 
 
 class TestNoTraffic:
@@ -37,7 +46,7 @@ class TestConstantTraffic:
         with pytest.raises(ValueError):
             ConstantTraffic(-0.1)
         with pytest.raises(ValueError):
-            ConstantTraffic(0.99)
+            ConstantTraffic(1.01)
 
 
 class TestDiurnalTraffic:
@@ -47,8 +56,10 @@ class TestDiurnalTraffic:
 
     @given(times)
     def test_clamped(self, t):
+        # the model floors at zero; the link applies the ceiling
         m = DiurnalTraffic(mean=0.5, amplitude=0.9, period=60.0)
-        assert 0.0 <= m.occupancy(t) <= MAX_OCCUPANCY
+        assert m.occupancy(t) >= 0.0
+        assert 0.0 <= _link(m).occupancy(t) <= MAX_OCCUPANCY
 
     def test_mean_at_phase_zero(self):
         m = DiurnalTraffic(mean=0.35, amplitude=0.25, period=600.0)
@@ -96,7 +107,9 @@ class TestBurstyTraffic:
         with pytest.raises(ValueError):
             BurstyTraffic(burst_probability=1.5)
         with pytest.raises(ValueError):
-            BurstyTraffic(burst=0.99)
+            BurstyTraffic(burst=1.5)
+        with pytest.raises(ValueError):
+            BurstyTraffic(base=-0.1)
 
 
 class TestFlashCrowdTraffic:
@@ -110,7 +123,8 @@ class TestFlashCrowdTraffic:
     def test_clamped(self, t):
         m = FlashCrowdTraffic(seed=2, base=0.3, peak=0.9,
                               crowd_probability=1.0)
-        assert 0.0 <= m.occupancy(t) <= MAX_OCCUPANCY
+        assert m.occupancy(t) >= 0.0
+        assert 0.0 <= _link(m).occupancy(t) <= MAX_OCCUPANCY
 
     def test_no_pre_history_window(self):
         m = FlashCrowdTraffic(seed=0)
@@ -162,13 +176,28 @@ class TestFlashCrowdTraffic:
         with pytest.raises(ValueError):
             FlashCrowdTraffic(crowd_probability=1.2)
         with pytest.raises(ValueError):
-            FlashCrowdTraffic(base=0.99)
+            FlashCrowdTraffic(base=1.5)
         with pytest.raises(ValueError):
             FlashCrowdTraffic(peak=-0.1)
 
 
+class TestWindowTraffic:
+    def test_boundaries(self):
+        w = WindowTraffic(10.0, 20.0, 0.75)
+        assert w.occupancy(9.999) == 0.0
+        assert w.occupancy(10.0) == 0.75
+        assert w.occupancy(19.999) == 0.75
+        assert w.occupancy(20.0) == 0.0
+
+    def test_bad_params_raise(self):
+        with pytest.raises(ValueError):
+            WindowTraffic(20.0, 10.0, 0.5)
+        with pytest.raises(ValueError):
+            WindowTraffic(0.0, 10.0, 1.5)
+
+
 class TestComposedTraffic:
-    """The composition-clamp audit: one clamp, after the sum."""
+    """Compositions are plain sums; the consumer clamps once, after the sum."""
 
     PARTS = (
         DiurnalTraffic(mean=0.3, amplitude=0.2, period=240.0),
@@ -185,25 +214,29 @@ class TestComposedTraffic:
     @given(times)
     def test_composite_never_exceeds_max(self, t):
         m = ComposedTraffic(self.PARTS)
-        assert 0.0 <= m.occupancy(t) <= MAX_OCCUPANCY
+        assert m.occupancy(t) >= 0.0
+        assert 0.0 <= _link(m).occupancy(t) <= MAX_OCCUPANCY
 
     @given(times)
     def test_equivalent_to_nested_overlays(self, t):
-        """For non-negative sources, nesting pairwise OverlaidTraffic
-        clamps is numerically identical to the single post-sum clamp:
-        ``min(C, min(C, a+b) + c) == min(C, a+b+c)``."""
+        """Nesting compositions (a link's weather plus a fault overlay) is
+        the flat sum, and the consumer's single clamp sees the same value:
+        ``min(C, (a+b) + c) == min(C, a+b+c)`` up to summation order."""
         composed = ComposedTraffic(self.PARTS)
-        nested = OverlaidTraffic(
-            base=OverlaidTraffic(base=self.PARTS[0], extra=self.PARTS[1]),
-            extra=self.PARTS[2])
+        nested = ComposedTraffic((ComposedTraffic(self.PARTS[:2]), self.PARTS[2]))
         assert composed.occupancy(t) == pytest.approx(nested.occupancy(t))
+        assert _link(composed).occupancy(t) == pytest.approx(
+            _link(nested).occupancy(t))
 
     def test_saturating_stack_clamps_to_max_exactly(self):
-        # three 0.5 sources sum to 1.5 -> clamped to MAX_OCCUPANCY, so the
-        # effective-bandwidth floor (1 - MAX_OCCUPANCY) survives any stack
+        # three 0.5 sources sum to 1.5; the link clamps to MAX_OCCUPANCY, so
+        # the effective-bandwidth floor (1 - MAX_OCCUPANCY) survives any stack
         m = ComposedTraffic(tuple(ConstantTraffic(0.5) for _ in range(3)))
-        assert m.occupancy(0.0) == MAX_OCCUPANCY
-        assert 1.0 - m.occupancy(0.0) == pytest.approx(1.0 - MAX_OCCUPANCY)
+        assert m.occupancy(0.0) == 1.5
+        link = _link(m)
+        assert link.occupancy(0.0) == MAX_OCCUPANCY
+        assert link.effective_bandwidth(0.0) == pytest.approx(
+            link.bandwidth * (1.0 - MAX_OCCUPANCY))
 
     def test_empty_composition_is_silence(self):
         assert ComposedTraffic(()).occupancy(3.0) == 0.0
@@ -231,4 +264,48 @@ class TestTraceTraffic:
 
     def test_occupancy_bounds_validated(self):
         with pytest.raises(ValueError):
-            TraceTraffic([0.0], [0.99])
+            TraceTraffic([0.0], [1.5])
+        with pytest.raises(ValueError):
+            TraceTraffic([0.0], [-0.1])
+
+
+# a random occupancy model, parameterised by fractions
+models = st.one_of(
+    st.builds(ConstantTraffic, fractions),
+    st.builds(WindowTraffic, st.just(0.0), st.just(math.inf), fractions),
+    st.builds(BurstyTraffic, seed=st.integers(0, 2**32 - 1), base=fractions,
+              burst=fractions, burst_probability=fractions,
+              bucket_seconds=st.just(5.0)),
+    st.builds(DiurnalTraffic, mean=fractions, amplitude=fractions,
+              period=st.just(60.0)),
+    st.builds(FlashCrowdTraffic, seed=st.integers(0, 2**32 - 1),
+              base=fractions, peak=fractions, crowd_probability=fractions),
+    st.builds(TraceTraffic, st.just([0.0, 50.0]),
+              st.lists(fractions, min_size=2, max_size=2)),
+)
+
+
+class TestConsumersOwnTheCeilings:
+    """Models apply no ceiling; every consumer applies its own."""
+
+    @given(st.lists(models, min_size=2, max_size=6), times,
+           st.floats(min_value=1.0, max_value=1.0e6))
+    def test_saturated_composition(self, parts, t, rps):
+        m = ComposedTraffic(tuple(parts))
+        raw = m.occupancy(t)
+        # above both the link/arrival ceiling and the processor's
+        assume(raw > 0.99)
+        assert raw == pytest.approx(sum(p.occupancy(t) for p in parts))
+
+        occ = _link(m).occupancy(t)
+        assert 0.0 <= occ <= MAX_OCCUPANCY
+
+        proc = Processor(pid=0, group_id=0, load=m)
+        assert proc.availability(t) >= MIN_AVAILABILITY
+
+        rate = RequestArrivals(m, requests_per_second=rps,
+                               tick_seconds=1.0).rate(t)
+        # the saturated rate is (rps * C) / C, which rounds to rps or to
+        # one of its float neighbours
+        assert rate <= math.nextafter(rps, math.inf)
+        assert rate == pytest.approx(rps)
