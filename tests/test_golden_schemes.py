@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import FaultParams, ServiceConfig
-from repro.distsys import GroupSpec, SystemSpec, ring
+from repro.distsys import GroupSpec, SystemSpec, multi_site_spec, ring
 from repro.harness import ExperimentConfig, run_experiment, run_sequential
 from repro.harness.persist import run_result_to_dict
 
@@ -50,6 +50,17 @@ CONFIGS = {
             groups=tuple(GroupSpec(name=n, nprocs=2) for n in _RING.groups),
             topology=_RING),
         **_BASE),
+    # three groups without a topology: a star whose spokes all carry the
+    # one shared backbone link, and a mesh of independent per-pair links
+    # under the two link-fault scenarios
+    "star3": ExperimentConfig(system=SystemSpec(groups=(2, 2, 2)), **_BASE),
+    "mesh3-link-degraded": ExperimentConfig(
+        system=multi_site_spec([2, 2, 2]),
+        fault=FaultParams(scenario="link-degraded"), traffic_kind="bursty",
+        **_BASE),
+    "mesh3-mixed": ExperimentConfig(
+        system=multi_site_spec([2, 2, 2]),
+        fault=FaultParams(scenario="mixed"), traffic_kind="bursty", **_BASE),
 }
 
 
