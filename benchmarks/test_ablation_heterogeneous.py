@@ -20,7 +20,7 @@ from conftest import run_once
 
 from repro.amr.applications import ShockPool3D
 from repro.core import make_scheme
-from repro.distsys import ConstantTraffic, build_system, mren_wan
+from repro.distsys import ConstantTraffic, GroupSpec, SystemSpec, build_system
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -31,17 +31,13 @@ def run_heterogeneous(aware: bool):
     app = ShockPool3D(domain_cells=16, max_levels=3)
     traffic = ConstantTraffic(0.3)
     if aware:
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_weights=[1.0, 2.0], base_speed=SPEED,
-            group_names=["slow", "fast"],
-        )
+        groups = (GroupSpec(nprocs=2, name="slow", weight=1.0),
+                  GroupSpec(nprocs=2, name="fast", weight=2.0))
     else:
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_base_speeds=[SPEED, 2.0 * SPEED],
-            group_names=["slow", "fast"],
-        )
+        groups = (GroupSpec(nprocs=2, name="slow", base_speed=SPEED),
+                  GroupSpec(nprocs=2, name="fast", base_speed=2.0 * SPEED))
+    spec = SystemSpec(groups=groups, inter_link="mren-wan", base_speed=SPEED)
+    system = build_system(spec, traffic=traffic)
     return SAMRRunner(app, system, make_scheme("distributed")).run(4)
 
 

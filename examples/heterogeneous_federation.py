@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.amr.applications import ShockPool3D
 from repro.core import make_scheme
-from repro.distsys import ConstantTraffic, build_system, mren_wan
+from repro.distsys import ConstantTraffic, GroupSpec, SystemSpec, build_system
 from repro.harness.report import format_table
 from repro.runtime import SAMRRunner
 
@@ -30,18 +30,14 @@ def run(aware: bool):
     traffic = ConstantTraffic(0.3)
     if aware:
         # the scheme *sees* the difference as relative performance weights
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_weights=[1.0, 2.0], base_speed=BASE_SPEED,
-            group_names=["slow-site", "fast-site"],
-        )
+        groups = (GroupSpec(nprocs=2, name="slow-site", weight=1.0),
+                  GroupSpec(nprocs=2, name="fast-site", weight=2.0))
     else:
         # same hardware, but the scheme believes the groups are equal
-        system = build_system(
-            [2, 2], inter_link=mren_wan(traffic),
-            group_base_speeds=[BASE_SPEED, 2.0 * BASE_SPEED],
-            group_names=["slow-site", "fast-site"],
-        )
+        groups = (GroupSpec(nprocs=2, name="slow-site", base_speed=BASE_SPEED),
+                  GroupSpec(nprocs=2, name="fast-site", base_speed=2.0 * BASE_SPEED))
+    spec = SystemSpec(groups=groups, inter_link="mren-wan", base_speed=BASE_SPEED)
+    system = build_system(spec, traffic=traffic)
     print(system.describe())
     return SAMRRunner(app, system, make_scheme("distributed")).run(4)
 

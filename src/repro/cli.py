@@ -824,10 +824,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         print(topo.to_dot())
         return 0
     print(system.describe())
-    if topo.derived:
-        print()
-        print("topology (derived from two-level links):")
-        print(topo.describe())
     print()
     npairs = sum(1 for (a, b) in topo.route_table() if a < b)
     print(f"validated: spec round-trips, route table deterministic "

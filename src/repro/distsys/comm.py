@@ -16,17 +16,19 @@ SAMR generates three kinds of traffic, each with its own volume law:
 Cost model: within one bulk-synchronous phase, messages between the same
 ``(src, dst)`` processor pair are *bundled* into a single transfer (MPI
 codes pack per-neighbour buffers, so the pair pays one latency per phase);
-per link, propagation latency is paid once (in-flight transfers overlap),
-per-bundle software overhead and bytes serialize (one shared medium), and
-distinct links proceed in parallel, so a communication phase lasts as long
-as its busiest link.  Messages a processor sends to itself are free.
+each bundle crosses every link of its route through the system's
+:class:`~repro.distsys.topology.NetworkTopology`; per link, propagation
+latency is paid once (in-flight transfers overlap), per-bundle software
+overhead and bytes serialize (one shared medium), and distinct links
+proceed in parallel, so a communication phase lasts as long as its busiest
+link.  Messages a processor sends to itself are free.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -76,10 +78,10 @@ class MessageBatch:
     per-object construction and per-message dict accounting dominated the
     profile.  A batch carries the same information as a ``List[Message]`` --
     ``src``/``dst`` pids, ``nbytes`` and a kind code per message, in message
-    order -- and :func:`comm_phase_time` costs it through a vectorized path
-    that reproduces the scalar loop bit-for-bit (order-sensitive float
-    accumulations use ``np.cumsum`` / ``np.add.at``, which apply in element
-    order exactly like the loop's ``+=``).
+    order -- and :func:`comm_phase_time` costs it with array operations
+    whose order-sensitive float accumulations (``np.cumsum`` /
+    ``np.add.at``) apply in element order, exactly like a per-message
+    ``+=`` loop.
     """
 
     __slots__ = ("src", "dst", "nbytes", "kind_codes")
@@ -133,13 +135,6 @@ class MessageBatch:
             np.concatenate([b.kind_codes for b in seq]),
         )
 
-    def to_messages(self) -> List[Message]:
-        """Unpack into :class:`Message` objects (tests / debugging)."""
-        return [
-            Message(int(s), int(d), float(b), _KIND_LIST[int(k)])
-            for s, d, b, k in zip(self.src, self.dst, self.nbytes, self.kind_codes)
-        ]
-
     def total_bytes(self) -> float:
         """Sum of all message volumes (metrics only -- not order-sensitive)."""
         return float(self.nbytes.sum())
@@ -154,45 +149,33 @@ class MessageBatch:
 class CommGeometry:
     """Precomputed routing tables of one :class:`DistributedSystem`.
 
-    ``system.is_remote`` / ``system.link_between`` cost two dict lookups per
-    call; inside a message loop that is paid per message.  The geometry
-    hoists the pid -> group table and the (group, group) -> *route* tables
-    out of the loop.  Routes come from the system's
-    :class:`~repro.distsys.topology.NetworkTopology` (a degenerate
-    star/mesh for classic two-level systems) and are stored per ordered
-    group pair in CSR form over the deduplicated link list: the distinct
-    links of the pair's route in hop order plus an endpoint flag marking
-    the first/last hop links that pay the per-message software overhead.
-
-    When every route has exactly one distinct link -- all two-level systems
-    -- ``multihop`` is ``False`` and ``link_index`` is the dense
-    (group, group) -> link matrix the pre-topology geometry carried, so
-    the single-link accounting below is byte-for-byte the original code
-    path (links deduplicated by object identity, shared inter-site links
-    aggregate exactly as the ``id(link)``-keyed scalar path did).
-    Multi-hop pairs get ``link_index == -1`` and route the CSR path.
-    :class:`~repro.distsys.simulator.ClusterSimulator` caches one instance
-    per fault epoch and hands it to every :func:`comm_phase_time` call.
+    Hoists the pid -> group table and the (group, group) -> *route* tables
+    out of the message loop.  Routes come from the system's
+    :class:`~repro.distsys.topology.NetworkTopology` and are stored per
+    ordered group pair in CSR form over the deduplicated link list: the
+    distinct links of the pair's route in hop order plus an endpoint flag
+    marking the first/last hop links that pay the per-message software
+    overhead.  A group talks to itself over its one intra link.  Links are
+    deduplicated by object identity, so pairs whose routes share one
+    ``Link`` (the spokes of a shared backbone) contend on one medium.
+    :class:`~repro.distsys.simulator.ClusterSimulator` builds one instance
+    per system and hands it to every :func:`comm_phase_time` call.
     """
 
-    __slots__ = ("nprocs", "ngroups", "group_of_pid", "links", "link_index",
-                 "multihop", "route_start", "route_len", "route_links_flat",
-                 "route_endpoint_flat")
+    __slots__ = ("nprocs", "ngroups", "group_of_pid", "links", "route_start",
+                 "route_len", "route_links_flat", "route_endpoint_flat")
 
     def __init__(self, system: DistributedSystem) -> None:
         self.nprocs = system.nprocs
         self.ngroups = system.ngroups
         self.group_of_pid = system.pid_groups
-        # O(G + #links) for two-level systems, O(G^2 * route length) worst
-        # case.  Which integer index a link gets is arbitrary -- only link
-        # identity reaches the phase-time accounting -- so enumeration
-        # order is free.
+        # O(G^2 * route length).  Which integer index a link gets is
+        # arbitrary -- only link identity reaches the phase-time
+        # accounting -- so enumeration order is free.
         self.links: List[Link] = []
         G = self.ngroups
-        self.link_index = np.empty((G, G), dtype=np.int64)
         self.route_start = np.zeros((G, G), dtype=np.int64)
         self.route_len = np.zeros((G, G), dtype=np.int64)
-        self.multihop = False
         flat_links: List[int] = []
         flat_endpoint: List[int] = []
         by_id: Dict[int, int] = {}
@@ -216,41 +199,14 @@ class CommGeometry:
 
         topo = system.topology
         for g in range(G):
-            idx = _index_of(system.groups[g].intra_link)
-            self.link_index[g, g] = idx
-            _add_route(g, g, [idx])
+            _add_route(g, g, [_index_of(system.groups[g].intra_link)])
         for a in range(G):
             for b in range(a + 1, G):
                 idxs = [_index_of(link) for link in topo.route(a, b).links]
-                if len(idxs) == 1:
-                    self.link_index[a, b] = self.link_index[b, a] = idxs[0]
-                else:
-                    self.link_index[a, b] = self.link_index[b, a] = -1
-                    self.multihop = True
                 _add_route(a, b, idxs)
                 _add_route(b, a, list(reversed(idxs)))
         self.route_links_flat = np.asarray(flat_links, dtype=np.int64)
         self.route_endpoint_flat = np.asarray(flat_endpoint, dtype=np.int64)
-
-    def link_between(self, src: int, dst: int) -> Link:
-        """The single link between two pids (two-level / single-link pairs)."""
-        ga = self.group_of_pid[src]
-        gb = self.group_of_pid[dst]
-        return self.links[self.link_index[ga, gb]]
-
-    def route_links_between(self, src: int, dst: int
-                            ) -> List[Tuple[Link, int]]:
-        """The distinct links of the route between two pids, in hop order,
-        each with its endpoint flag (1 = pays per-message overhead)."""
-        ga = int(self.group_of_pid[src])
-        gb = int(self.group_of_pid[dst])
-        s = int(self.route_start[ga, gb])
-        n = int(self.route_len[ga, gb])
-        return [
-            (self.links[int(self.route_links_flat[k])],
-             int(self.route_endpoint_flat[k]))
-            for k in range(s, s + n)
-        ]
 
 
 @dataclass
@@ -301,106 +257,26 @@ def comm_phase_time(
     """Cost one bulk-synchronous communication phase starting at ``time``.
 
     Messages between the same ``(src, dst)`` pair are bundled (volumes
-    added -- MPI codes pack per-neighbour buffers); each link then costs
-    ``alpha(t) + nbundles * overhead + total_bytes * beta(t)`` via
-    :meth:`~repro.distsys.network.Link.phase_time`: propagation latency
-    once per phase, software overhead per bundle, bytes serialized on the
-    shared medium.  Link conditions are sampled once at the phase start
+    added -- MPI codes pack per-neighbour buffers).  Every link of a
+    bundle's route carries the bundle's bytes (shared-edge contention);
+    per-bundle software overhead is paid at the route's two endpoint links
+    only, propagation latency once per traversed link.  Each link then
+    costs ``alpha(t) + nendpoint * overhead + total_bytes * beta(t)`` --
+    on a one-link route exactly :meth:`~repro.distsys.network.Link.
+    phase_time`.  Link conditions are sampled once at the phase start
     (phases are short relative to traffic time scales).
 
-    Accepts either a :class:`MessageBatch` (vectorized accounting) or any
-    iterable of :class:`Message` (scalar loop); both produce bit-identical
-    results for the same message sequence.  ``geometry`` hoists the routing
-    tables out of the loop; ``None`` builds one on the spot.
+    ``messages`` is a :class:`MessageBatch` or any iterable of
+    :class:`Message` (converted with :meth:`MessageBatch.from_messages`).
+    Per-pair and per-link byte volumes accumulate in message /
+    first-appearance order (``np.add.at`` applies its updates sequentially
+    in element order; subsetting then ``cumsum`` keeps left-to-right float
+    rounding), and link busy times fold into the result in link
+    first-appearance order.  ``geometry`` hoists the routing tables out of
+    repeated calls; ``None`` builds one on the spot.
     """
-    if isinstance(messages, MessageBatch):
-        return _batch_phase_time(system, messages, time, geometry)
-    # bundle volumes per (src, dst) pair
-    bundles: Dict[Tuple[int, int], float] = {}
-    result = CommPhaseResult()
-    for msg in messages:
-        if msg.src == msg.dst:
-            continue  # self-message: no network cost
-        bundles[(msg.src, msg.dst)] = bundles.get((msg.src, msg.dst), 0.0) + msg.nbytes
-        if system.is_remote(msg.src, msg.dst):
-            result.remote_messages += 1
-            result.remote_bytes += msg.nbytes
-            kind = msg.kind.value
-            result.remote_bytes_by_kind[kind] = (
-                result.remote_bytes_by_kind.get(kind, 0.0) + msg.nbytes
-            )
-        else:
-            result.local_messages += 1
-            result.local_bytes += msg.nbytes
-
-    geo = geometry if geometry is not None else CommGeometry(system)
-    if not geo.multihop:
-        # serialize bundles per link; links run concurrently
-        per_link: Dict[int, Tuple[Link, bool, float, int]] = {}
-        for (src, dst), nbytes in bundles.items():
-            link = geo.link_between(src, dst)
-            remote = system.is_remote(src, dst)
-            key = id(link)
-            prev = per_link.get(key)
-            if prev is None:
-                per_link[key] = (link, remote, nbytes, 1)
-            else:
-                per_link[key] = (link, remote, prev[2] + nbytes, prev[3] + 1)
-
-        elapsed = 0.0
-        for link, remote, nbytes, npairs in per_link.values():
-            busy = link.phase_time(npairs, nbytes, time)
-            if remote:
-                result.remote_time += busy
-            else:
-                result.local_time += busy
-            elapsed = max(elapsed, busy)
-        result.elapsed = elapsed
-        return result
-
-    # routed: every edge of a bundle's route carries the bundle's bytes
-    # (shared-edge contention); per-message overhead is paid at the two
-    # endpoint links only, propagation latency once per traversed link.
-    per_route_link: Dict[int, List] = {}  # id -> [link, remote, bytes, nendp]
-    for (src, dst), nbytes in bundles.items():
-        remote = system.is_remote(src, dst)
-        for link, endp in geo.route_links_between(src, dst):
-            rec = per_route_link.get(id(link))
-            if rec is None:
-                per_route_link[id(link)] = [link, remote, nbytes, endp]
-            else:
-                rec[1] = remote
-                rec[2] += nbytes
-                rec[3] += endp
-
-    elapsed = 0.0
-    for link, remote, nbytes, nendp in per_route_link.values():
-        busy = (link.alpha(time) + nendp * link.per_message_overhead
-                + nbytes * link.beta(time))
-        if remote:
-            result.remote_time += busy
-        else:
-            result.local_time += busy
-        elapsed = max(elapsed, busy)
-    result.elapsed = elapsed
-    return result
-
-
-def _batch_phase_time(
-    system: DistributedSystem,
-    batch: MessageBatch,
-    time: float,
-    geometry: Optional[CommGeometry],
-) -> CommPhaseResult:
-    """Vectorized :func:`comm_phase_time` over a :class:`MessageBatch`.
-
-    Bit-for-bit with the scalar loop: per-pair and per-link byte volumes
-    accumulate in message / first-appearance order (``np.add.at`` applies
-    its updates sequentially in element order; subsetting then ``cumsum``
-    preserves the loop's left-to-right float rounding), and link busy times
-    fold into the result in the same first-appearance order the dict-based
-    loop used.
-    """
+    batch = (messages if isinstance(messages, MessageBatch)
+             else MessageBatch.from_messages(messages))
     result = CommPhaseResult()
     src, dst, nbytes, kinds = batch.src, batch.dst, batch.nbytes, batch.kind_codes
     keep = src != dst  # self-messages: no network cost
@@ -439,46 +315,12 @@ def _batch_phase_time(
     ordered_sums = sums[order]
     ordered_remote = remote[first][order]
 
-    if not geo.multihop:
-        pair_link = geo.link_index[gsrc[first], gdst[first]]
-
-        # serialize bundles per link; links run concurrently.  Grouped
-        # without a per-pair Python loop: with the pairs arranged in
-        # first-appearance order, np.add.at accumulates each link's bytes
-        # in exactly the order the dict-based loop added them (element
-        # order), the re-stamped remote flag is the link's *last* pair's
-        # flag, and folding busy times in link first-appearance order
-        # preserves the accumulation sequence.
-        ordered_link = pair_link[order]
-        uniq, lfirst, linv = np.unique(
-            ordered_link, return_index=True, return_inverse=True
-        )
-        link_sums = np.zeros(uniq.shape[0], dtype=np.float64)
-        np.add.at(link_sums, linv, ordered_sums)
-        link_npairs = np.bincount(linv)
-        last_pos = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.maximum.at(last_pos, linv, np.arange(ordered_link.shape[0]))
-        link_remote = ordered_remote[last_pos]
-
-        elapsed = 0.0
-        for k in np.argsort(lfirst, kind="stable"):
-            busy = geo.links[int(uniq[k])].phase_time(
-                int(link_npairs[k]), float(link_sums[k]), time
-            )
-            if link_remote[k]:
-                result.remote_time += busy
-            else:
-                result.local_time += busy
-            elapsed = max(elapsed, busy)
-        result.elapsed = elapsed
-        return result
-
-    # routed: expand each pair bundle (still in first-appearance order)
-    # into the distinct links of its route via the CSR tables, then
-    # aggregate per link -- every traversed edge carries the bundle's
-    # bytes (shared-edge contention), only endpoint-flagged hops count
-    # toward the per-message overhead.  The same order conventions as the
-    # single-link path keep the float folds deterministic.
+    # expand each pair bundle (in first-appearance order) into the
+    # distinct links of its route via the CSR tables, then aggregate per
+    # link without a per-pair Python loop: np.add.at accumulates each
+    # link's bytes in element order, a link's remote flag is that of the
+    # *last* bundle crossing it, and busy times fold in link
+    # first-appearance order.
     ga_o = gsrc[first][order]
     gb_o = gdst[first][order]
     counts = geo.route_len[ga_o, gb_o]

@@ -155,8 +155,10 @@ class SystemSpec:
         graph.  When set, ``inter_link``/``inter_link_name``/
         ``independent_inter_links`` are ignored: groups communicate over
         the graph's precomputed routes instead of direct pairwise links.
-        When ``None`` (the default) the classic two-level federation is
-        built and auto-derived as a degenerate star/mesh topology.
+        When ``None`` (the default) the paper's two-level federation is
+        built as a graph: three or more groups sharing one inter link form
+        a star through a ``backbone`` switch whose spokes all carry that
+        link; otherwise every pair gets one edge of a complete mesh.
     """
 
     groups: Tuple[GroupSpec, ...] = field(default_factory=tuple)

@@ -20,16 +20,17 @@ Cost semantics (see ``docs/TOPOLOGY.md``):
 * **Contention** -- within a bulk-synchronous phase, the bytes of every
   bundle whose route traverses an edge aggregate into that edge's
   ``phase_time``, so two site pairs sharing a backbone edge serialize on it.
-* **Degeneracy** -- the existing two-level federation is the special case
+* **Degeneracy** -- the paper's two-level federation is the special case
   where every route has exactly one distinct link: a shared inter link is a
   star through one backbone (every spoke *is* the shared ``Link`` object),
-  independent per-pair links are a complete mesh.  Both resolve to the
-  identical ``Link`` objects the two-level construction used, which is what
-  keeps the refactored geometry bit-for-bit with the PR 4/7/8 goldens.
+  independent per-pair links are a complete mesh.  A
+  :class:`~repro.distsys.spec.SystemSpec` without a ``topology`` resolves
+  to one of the two (:func:`degenerate_topology`); for a one-link route
+  the routed cost is exactly the paper's ``alpha + beta * L``.
 
 Edges on a route that share one ``Link`` object are one physical medium and
 are therefore costed once (``Route.links`` deduplicates by identity), which
-is exactly how the degenerate star collapses to the old single-link model.
+is how the star of a shared inter link keeps every pair on one medium.
 """
 
 from __future__ import annotations
@@ -270,12 +271,9 @@ class Route:
     def transfer_time(self, nbytes: float, time: float) -> float:
         """``Tcomm = alpha + beta * L`` over the route for one message.
 
-        A single-link route delegates to
-        :meth:`~repro.distsys.network.Link.transfer_time`, making the
-        degenerate path bit-for-bit identical to the two-level model.
+        On a one-link route every term is the link's own, so this equals
+        :meth:`~repro.distsys.network.Link.transfer_time` exactly.
         """
-        if len(self.links) == 1:
-            return self.links[0].transfer_time(nbytes, time)
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return (self.alpha(time) + self.per_message_overhead
@@ -298,10 +296,6 @@ class NetworkTopology:
     edges:
         The resolved edges.  Multiple edges may share one :class:`Link`
         object (one physical medium with several logical attachments).
-    derived:
-        ``True`` marks a topology auto-derived from a two-level system's
-        ``inter_links`` (the degenerate star/mesh); reports then keep the
-        classic two-level description.
     """
 
     def __init__(
@@ -309,12 +303,10 @@ class NetworkTopology:
         nodes: Sequence[str],
         group_nodes: Sequence[int],
         edges: Sequence[TopologyEdge],
-        derived: bool = False,
     ) -> None:
         self.nodes: Tuple[str, ...] = tuple(nodes)
         self.group_nodes: Tuple[int, ...] = tuple(int(g) for g in group_nodes)
         self.edges: Tuple[TopologyEdge, ...] = tuple(edges)
-        self.derived = bool(derived)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError(f"duplicate node names: {self.nodes}")
         if not self.group_nodes:
@@ -471,8 +463,7 @@ class NetworkTopology:
             replace(e, link=links_by_index.get(ei, e.link))
             for ei, e in enumerate(self.edges)
         ]
-        return NetworkTopology(self.nodes, self.group_nodes, new_edges,
-                               derived=self.derived)
+        return NetworkTopology(self.nodes, self.group_nodes, new_edges)
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -541,8 +532,8 @@ def resolve_topology(
 
     ``traffic`` is the runtime background-traffic model applied to every
     non-``dedicated`` edge (the experiment config pins the weather, so
-    paired runs share it -- same contract as the inter link of the
-    two-level resolver).
+    paired runs share it -- same contract as the inter link of a spec
+    without a topology).
     """
     from .spec import _resolve_link
 
@@ -569,46 +560,46 @@ def resolve_topology(
 
 
 def degenerate_topology(
-    group_names: Sequence[str], inter_links: Dict[Any, Link]
+    group_names: Sequence[str], pair_links: Dict[Any, Link]
 ) -> NetworkTopology:
-    """The two-level federation as a graph (auto-derived, ``derived=True``).
+    """The paper's two-level federation as a graph.
 
-    One shared inter link becomes a star through a ``backbone`` node whose
-    every spoke *is* the shared :class:`Link` object; independent per-pair
-    links become a complete mesh with one edge per pair.  Either way each
-    group pair's route resolves to exactly the ``Link`` object the
-    two-level lookup returned, so the routed geometry reproduces the
-    two-level costs bit for bit.
+    ``pair_links`` maps every unordered group pair (a ``frozenset``) to the
+    :class:`Link` joining it.  One link shared by every pair of three or
+    more groups becomes a star through a ``backbone`` node whose every
+    spoke *is* that :class:`Link` object, so all pairs contend on one
+    medium; otherwise each pair gets its own edge of a complete mesh.
+    Either way every pair's route has exactly one distinct link.
     """
     names = [str(n) for n in group_names]
     n = len(names)
     if len(set(names)) != len(names):  # group names may collide across sites
         names = [f"{name}#{i}" for i, name in enumerate(names)]
     if n <= 1:
-        return NetworkTopology(names, range(n), [], derived=True)
-    distinct = {id(link) for link in inter_links.values()}
+        return NetworkTopology(names, range(n), [])
+    distinct = {id(link) for link in pair_links.values()}
     if len(distinct) == 1 and n > 2:
-        shared = next(iter(inter_links.values()))
+        shared = next(iter(pair_links.values()))
         nodes = names + ["backbone"]
         hub = n
         edges = [
             TopologyEdge(f"{names[g]}--backbone", g, hub, shared)
             for g in range(n)
         ]
-        return NetworkTopology(nodes, range(n), edges, derived=True)
+        return NetworkTopology(nodes, range(n), edges)
     # complete mesh: one edge per pair, named after the link (suffixed on
-    # collision -- a shared link appears under several pair edges)
+    # collision -- independent links may keep one preset name)
     edges = []
     used: Dict[str, int] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            link = inter_links[frozenset((i, j))]
+            link = pair_links[frozenset((i, j))]
             name = link.name
             if name in used:
                 name = f"{link.name}[{i}-{j}]"
             used[name] = 1
             edges.append(TopologyEdge(name, i, j, link))
-    return NetworkTopology(names, range(n), edges, derived=True)
+    return NetworkTopology(names, range(n), edges)
 
 
 # --------------------------------------------------------------------- #

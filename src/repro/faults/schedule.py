@@ -4,7 +4,7 @@ A :class:`FaultSchedule` is a declarative list of perturbations -- external
 CPU load on processors, transient slowdowns, dropout/rejoin windows, link
 degradation/outage windows -- that is *applied* to a
 :class:`~repro.distsys.system.DistributedSystem` before the run starts.
-Applying a schedule returns a new system whose processors and inter-group
+Applying a schedule returns a new system whose processors and network
 links carry composed occupancy models (:mod:`repro.distsys.traffic`, the
 one family for links, processors and service arrivals): a processor's
 external load plus its CPU faults, a link's background traffic plus its
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..distsys.group import Group
+from ..distsys.network import Link
 from ..distsys.processor import Processor
 from ..distsys.system import DistributedSystem
 from ..distsys.traffic import (
@@ -189,9 +190,11 @@ class LinkDegradationFault:
     model a routing detour or a competing bulk transfer.  ``groups`` names
     one group pair, ``edge`` one topology edge by name (see
     :meth:`~repro.distsys.topology.NetworkTopology.edge_names`), or both
-    ``None`` for every inter-group link.  On an explicit topology a
-    ``groups`` fault degrades every edge of the pair's route; an ``edge``
-    fault degrades that one edge -- and thereby every route crossing it.
+    ``None`` for every edge.  A ``groups`` fault degrades every link of the
+    pair's route; an ``edge`` fault degrades that edge's link -- and thereby
+    every route crossing it.  A fault hits ``Link`` objects, not edges: the
+    spokes of a shared backbone carry one ``Link``, so degrading any of
+    them degrades the one medium every pair crosses.
     """
 
     start: float = 0.0
@@ -214,11 +217,6 @@ class LinkDegradationFault:
             if a == b:
                 raise ValueError("groups must name two distinct groups")
             object.__setattr__(self, "groups", (int(a), int(b)))
-
-    def matches_pair(self, pair: FrozenSet[int]) -> bool:
-        if self.edge is not None:
-            return False  # edge faults resolve through the topology
-        return self.groups is None or frozenset(self.groups) == pair
 
     def overlay_model(self) -> TrafficModel:
         return WindowTraffic(self.start, self.end, self.occupancy)
@@ -299,9 +297,16 @@ class FaultSchedule:
 
         Processors targeted by CPU faults get a :class:`ComposedTraffic` of
         every matching model (on top of any load the processor already
-        carried); inter-group links targeted by link faults get their
-        traffic model composed with the fault occupancy.  The input system
-        is not modified.
+        carried).  Each distinct :class:`~repro.distsys.network.Link` that
+        link faults target is replaced once, its traffic model composed
+        with their occupancy overlays in schedule order, and every
+        topology edge that carried it gets that one replacement -- so a
+        shared backbone stays one medium.  Routes are unchanged (Dijkstra
+        weighs static zero-load latency, which overlays never touch).  The
+        input system is not modified.
+
+        Raises :class:`ValueError` for a link fault naming an unknown edge
+        or a group pair the system does not have.
         """
         pfaults = self.processor_faults
         new_groups = []
@@ -316,54 +321,39 @@ class FaultSchedule:
                 procs.append(p)
             new_groups.append(Group(g.group_id, g.name, procs, intra_link=g.intra_link))
 
-        lfaults = self.link_faults
         topo = system.topology
-        edge_links = {e.name: e.link for e in topo.edges}
-        for f in lfaults:
-            if f.edge is not None and f.edge not in edge_links:
-                raise ValueError(
-                    f"link fault targets unknown edge {f.edge!r}; "
-                    f"known edges: {sorted(edge_links)}"
-                )
-
-        new_links = {}
-        for pair, link in system.inter_links.items():
-            overlays = [f.overlay_model() for f in lfaults if f.matches_pair(pair)]
-            # edge-named faults address the derived star/mesh graph: they
-            # hit the pair iff the named edge carries this pair's link
-            overlays += [
-                f.overlay_model()
-                for f in lfaults
-                if f.edge is not None and edge_links[f.edge] is link
-            ]
-            if overlays:
-                link = replace(link, traffic=_overlaid(link.traffic, overlays))
-            new_links[pair] = link
-        if topo.derived:
-            # re-derive the degenerate topology over the replaced links
-            return DistributedSystem(new_groups, new_links)
-
-        # explicit topology: overlay traffic on the targeted edges.  Routes
-        # are unchanged -- Dijkstra weighs static zero-load latency -- so the
-        # degraded system's route table is identical by construction.
-        new_edge_links = {}
-        for ei, e in enumerate(topo.edges):
-            overlays = []
-            for f in lfaults:
-                if f.edge is not None:
-                    if f.edge == e.name:
-                        overlays.append(f.overlay_model())
-                elif f.groups is not None:
-                    a, b = f.groups
-                    if e.name in topo.route(a, b).edge_names():
-                        overlays.append(f.overlay_model())
-                else:
-                    overlays.append(f.overlay_model())
-            if overlays:
-                new_edge_links[ei] = replace(
-                    e.link, traffic=_overlaid(e.link.traffic, overlays))
-        new_topo = topo.with_edge_links(new_edge_links) if new_edge_links else topo
-        return DistributedSystem(new_groups, new_links, topology=new_topo)
+        targeted: Dict[int, Tuple[Link, List[TrafficModel]]] = {}
+        for f in self.link_faults:
+            if f.edge is not None:
+                edge = topo.edge_named(f.edge)
+                if edge is None:
+                    raise ValueError(
+                        f"link fault targets unknown edge {f.edge!r}; "
+                        f"known edges: {sorted(topo.edge_names())}"
+                    )
+                links: Sequence[Link] = (edge.link,)
+            elif f.groups is not None:
+                if not all(0 <= gid < system.ngroups for gid in f.groups):
+                    raise ValueError(
+                        f"link fault targets group pair {f.groups} but the "
+                        f"system has {system.ngroups} group(s)"
+                    )
+                links = topo.route(*f.groups).links
+            else:
+                links = [e.link for e in topo.edges]
+            # one medium under several edges takes the fault once
+            for link in {id(link): link for link in links}.values():
+                targeted.setdefault(id(link), (link, []))[1].append(
+                    f.overlay_model())
+        replaced = {
+            key: replace(link, traffic=_overlaid(link.traffic, overlays))
+            for key, (link, overlays) in targeted.items()
+        }
+        new_topo = topo.with_edge_links({
+            ei: replaced[id(e.link)]
+            for ei, e in enumerate(topo.edges) if id(e.link) in replaced
+        })
+        return DistributedSystem(new_groups, new_topo)
 
     # ------------------------------------------------------------------ #
     # timeline

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distsys import build_system, parallel_spec
-from repro.distsys.network import mren_wan
+from repro.distsys import build_system, multi_site_spec, parallel_spec
 from repro.metrics import (
     RunResult,
     efficiency,
@@ -36,7 +35,7 @@ class TestEfficiency:
         assert relative_power(build_system(parallel_spec(8))) == 8.0
 
     def test_relative_power_weighted(self):
-        s = build_system([2, 2], inter_link=mren_wan(), group_weights=[1.0, 2.0])
+        s = build_system(multi_site_spec([2, 2], group_weights=[1.0, 2.0]))
         assert relative_power(s) == pytest.approx(6.0)
         assert relative_power(s, reference_weight=2.0) == pytest.approx(3.0)
 

@@ -22,8 +22,9 @@ class TestMultiSiteSystem:
         assert s.ngroups == 3
         assert s.nprocs == 6
         # every pair connected with its own link
-        assert len(s.inter_links) == 3
-        assert s.inter_link(0, 2) is not s.inter_link(0, 1)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        assert {len(s.route_between(*p).links) for p in pairs} == {1}
+        assert len({id(s.route_between(*p).links[0]) for p in pairs}) == 3
 
     def test_uneven_sites(self):
         s = build_system(multi_site_spec([1, 2, 4]))

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
-from repro.distsys import ConstantTraffic, build_system, wan_spec
-from repro.distsys.network import mren_wan
+from repro.distsys import ConstantTraffic, build_system, multi_site_spec, wan_spec
 from repro.partition import (
     GridAssignment,
     carve_workload,
@@ -61,13 +60,13 @@ class TestProportionalShares:
 
     def test_group_targets_match_paper_formula(self):
         """W * nA*pA/(nA*pA + nB*pB) from Section 4.4."""
-        s = build_system([2, 4], inter_link=mren_wan(), group_weights=[3.0, 1.0])
+        s = build_system(multi_site_spec([2, 4], group_weights=[3.0, 1.0]))
         targets = group_targets(s, 100.0)
         assert targets[0] == pytest.approx(100.0 * 6 / 10)
         assert targets[1] == pytest.approx(100.0 * 4 / 10)
 
     def test_processor_targets_weighted(self):
-        s = build_system([1, 1], inter_link=mren_wan(), group_weights=[1.0, 3.0])
+        s = build_system(multi_site_spec([1, 1], group_weights=[1.0, 3.0]))
         targets = processor_targets(s, 80.0)
         assert targets[0] == pytest.approx(20.0)
         assert targets[1] == pytest.approx(60.0)

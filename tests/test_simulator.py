@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distsys import build_system, parallel_spec, wan_spec
+from repro.distsys import build_system, multi_site_spec, parallel_spec, wan_spec
 from repro.distsys.comm import Message, MessageKind
 from repro.distsys.events import CommEvent, ComputeEvent, ProbeEvent
 from repro.distsys.simulator import (
@@ -24,10 +24,8 @@ class TestRunCompute:
         assert sim.compute_time == pytest.approx(1.0)
 
     def test_weights_speed_up_processors(self):
-        from repro.distsys.network import mren_wan
-
-        s = build_system([1, 1], inter_link=mren_wan(), group_weights=[1.0, 4.0],
-                         base_speed=1e3)
+        s = build_system(multi_site_spec([1, 1], base_speed=1e3,
+                                         group_weights=[1.0, 4.0]))
         sim = ClusterSimulator(s)
         # same load -> the weight-4 processor finishes 4x sooner
         elapsed = sim.run_compute({0: 1000.0, 1: 1000.0})
@@ -79,7 +77,7 @@ class TestProbe:
         probe measures what a real message experiences end to end."""
         sys_ = build_system(wan_spec(1), traffic=ConstantTraffic(0.3))
         sim = ClusterSimulator(sys_)
-        link = sys_.inter_link(0, 1)
+        link = sys_.route_between(0, 1).links[0]
         alpha_true = link.alpha(0.0) + link.per_message_overhead
         beta_true = link.beta(0.0)
         alpha, beta = sim.probe_inter_link(0, 1)

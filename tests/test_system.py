@@ -6,14 +6,25 @@ import pytest
 
 from repro.distsys import (
     DistributedSystem,
+    GroupSpec,
+    NetworkTopology,
+    SystemSpec,
+    TopologyEdge,
     build_system,
     lan_spec,
     parallel_spec,
     wan_spec,
 )
 from repro.distsys.group import Group
-from repro.distsys.network import gigabit_lan, mren_wan
+from repro.distsys.network import mren_wan
 from repro.distsys.processor import Processor
+
+
+def _two_node_topology(edges=True) -> NetworkTopology:
+    """Group nodes ``a`` and ``b``, joined by one WAN edge unless ``edges``
+    is false."""
+    links = [TopologyEdge("a--b", 0, 1, mren_wan())] if edges else []
+    return NetworkTopology(["a", "b"], [0, 1], links)
 
 
 class TestProcessor:
@@ -78,24 +89,28 @@ class TestDistributedSystem:
         assert s.is_remote(0, 3)
         assert not s.is_remote(0, 1)
 
-    def test_link_between(self):
+    def test_route_between(self):
         s = build_system(wan_spec(2))
-        assert s.link_between(0, 0) is None
-        assert s.link_between(0, 1) is s.groups[0].intra_link
-        assert s.link_between(0, 2) is s.inter_link(0, 1)
+        route = s.route_between(0, 1)
+        assert len(route.links) == 1
+        assert s.route_between(1, 0).links == route.links
+        assert route.links[0] is not s.groups[0].intra_link
 
     def test_inter_link_same_group_raises(self):
         s = build_system(wan_spec(2))
         with pytest.raises(ValueError):
-            s.inter_link(0, 0)
+            s.route_between(0, 0)
 
     def test_capacity_fraction(self):
-        s = build_system([2, 6], inter_link=mren_wan())
+        s = build_system(SystemSpec(groups=(2, 6)))
         assert s.capacity_fraction(0) == pytest.approx(0.25)
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
     def test_heterogeneous_groups(self):
-        s = build_system([2, 2], inter_link=gigabit_lan(), group_weights=[1.0, 3.0])
+        s = build_system(SystemSpec(
+            groups=(GroupSpec(nprocs=2, weight=1.0),
+                    GroupSpec(nprocs=2, weight=3.0)),
+            inter_link="gigabit-lan"))
         assert s.total_capacity == pytest.approx(8.0)
         assert s.capacity_fraction(1) == pytest.approx(0.75)
 
@@ -108,22 +123,29 @@ class TestDistributedSystem:
     def test_missing_inter_link_raises(self):
         g0 = Group(0, "a", [Processor(0, 0)])
         g1 = Group(1, "b", [Processor(1, 1)])
-        with pytest.raises(ValueError):
-            DistributedSystem([g0, g1], {})
+        with pytest.raises(ValueError, match="no path"):
+            DistributedSystem([g0, g1], _two_node_topology(edges=False))
 
     def test_nondense_pids_raise(self):
         g0 = Group(0, "a", [Processor(0, 0)])
         g1 = Group(1, "b", [Processor(5, 1)])
         with pytest.raises(ValueError):
-            DistributedSystem([g0, g1], {frozenset((0, 1)): mren_wan()})
+            DistributedSystem([g0, g1], _two_node_topology())
 
     def test_group_id_mismatch_raises(self):
         g0 = Group(1, "a", [Processor(0, 1)])
         with pytest.raises(ValueError):
-            DistributedSystem([g0])
+            DistributedSystem([g0], NetworkTopology(["a"], [0], []))
 
     def test_multigroup_needs_link(self):
-        with pytest.raises(ValueError):
+        """Every group needs a node in the network graph."""
+        g0 = Group(0, "a", [Processor(0, 0)])
+        g1 = Group(1, "b", [Processor(1, 1)])
+        with pytest.raises(ValueError, match="group node"):
+            DistributedSystem([g0, g1], NetworkTopology(["a"], [0], []))
+
+    def test_build_system_takes_only_a_spec(self):
+        with pytest.raises(TypeError, match="SystemSpec"):
             build_system([1, 1])
 
     def test_describe_mentions_groups(self):

@@ -96,24 +96,25 @@ class TestResolver:
     def test_traffic_lands_on_inter_link(self):
         traffic = ConstantTraffic(0.4)
         system = build_system(wan_spec(2), traffic=traffic)
-        assert system.inter_link(0, 1).traffic is traffic
+        assert system.route_between(0, 1).links[0].traffic is traffic
         # intra links stay dedicated
         assert system.groups[0].intra_link.occupancy(0.0) == 0.0
 
     def test_independent_inter_links(self):
         system = build_system(multi_site_spec([1, 1, 1]))
-        links = {tuple(sorted(pair)): link
-                 for pair, link in system.inter_links.items()}
-        assert [links[k].name for k in sorted(links)] == [
+        links = {pair: system.route_between(*pair).links
+                 for pair in ((0, 1), (0, 2), (1, 2))}
+        assert all(len(route) == 1 for route in links.values())
+        assert [links[k][0].name for k in sorted(links)] == [
             "wan-0-1", "wan-0-2", "wan-1-2"]
-        assert len({id(l) for l in links.values()}) == 3
+        assert len({id(route[0]) for route in links.values()}) == 3
 
     def test_shared_inter_link_is_one_instance(self):
         system = build_system(SystemSpec(groups=(1, 1, 1)))
-        assert len({id(l) for l in system.inter_links.values()}) == 1
+        assert len({id(e.link) for e in system.topology.edges}) == 1
 
     def test_spec_rejects_legacy_keywords(self):
-        with pytest.raises(TypeError, match="spec pins everything else"):
+        with pytest.raises(TypeError, match="group_names"):
             build_system(wan_spec(2), group_names=["a", "b"])
 
     def test_legacy_path_rejects_traffic(self):
@@ -126,7 +127,7 @@ class TestLegacyShims:
     the spec helpers that replace them."""
 
     def test_wan_shim_keeps_link_parameters(self):
-        link = build_system(wan_spec(1)).inter_link(0, 1)
+        link = build_system(wan_spec(1)).route_between(0, 1).links[0]
         assert link.name == "mren-oc3-wan"
         assert link.latency == pytest.approx(5.0e-3)
         assert link.bandwidth == pytest.approx(19.0e6)

@@ -9,8 +9,8 @@ Covers the contract promised by ``docs/TOPOLOGY.md``:
   bottleneck link, per-message overhead paid at the endpoint links only;
 * bytes from every route crossing an edge aggregate into that edge's busy
   time (shared-edge contention);
-* classic two-level systems resolve to a *derived* star/mesh built from the
-  identical ``Link`` objects, keeping the historical fast path bit-for-bit;
+* specs without a topology resolve to a star (one shared backbone ``Link``
+  on every spoke) or a complete mesh of per-pair links;
 * fault schedules can target individual edges by name.
 """
 
@@ -21,7 +21,6 @@ import random
 
 import pytest
 
-from repro.config import FaultParams
 from repro.distsys import (
     EdgeSpec,
     GroupSpec,
@@ -31,7 +30,6 @@ from repro.distsys import (
     build_system,
     fat_tree,
     from_edges,
-    lan_spec,
     multi_site_spec,
     ring,
     star,
@@ -39,13 +37,7 @@ from repro.distsys import (
     wan_mesh,
     wan_spec,
 )
-from repro.distsys.comm import (
-    CommGeometry,
-    Message,
-    MessageBatch,
-    MessageKind,
-    comm_phase_time,
-)
+from repro.distsys.comm import Message, MessageKind, comm_phase_time
 from repro.distsys.topology import degenerate_topology, resolve_topology
 from repro.distsys.traffic import ConstantTraffic
 from repro.faults.schedule import FaultSchedule, LinkDegradationFault
@@ -233,44 +225,24 @@ class TestSharedEdgeContention:
                 + nbytes * spoke1.beta(0.0))
         assert r.elapsed == pytest.approx(busy)
 
-    def test_batch_path_matches_scalar(self):
-        """The vectorized batch path reproduces the scalar loop bit-for-bit
-        on multi-hop geometries."""
-        system = build_system(_spec_for(torus((2, 3)), nprocs=2))
-        rng = random.Random(42)
-        n = 60
-        src = [rng.randrange(12) for _ in range(n)]
-        dst = [rng.randrange(12) for _ in range(n)]
-        nbytes = [float(rng.randrange(1, 100_000)) for _ in range(n)]
-        msgs = [Message(s, d, b, MessageKind.SIBLING)
-                for s, d, b in zip(src, dst, nbytes)]
-        batch = MessageBatch.of_kind(src, dst, nbytes, MessageKind.SIBLING)
-        geo = CommGeometry(system)
-        scalar = comm_phase_time(system, msgs, 0.5, geometry=geo)
-        vector = comm_phase_time(system, batch, 0.5, geometry=geo)
-        assert vector.elapsed == scalar.elapsed  # exact, not approx
-        assert vector.remote_bytes == scalar.remote_bytes
-        assert vector.remote_messages == scalar.remote_messages
-
 
 class TestDegenerateDerivation:
-    """Two-level systems become derived topologies over the same Links."""
+    """Specs without a topology resolve to a star or mesh of one-link
+    routes."""
 
     def test_wan_resolves_to_single_shared_edge(self):
         system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         topo = system.topology
-        assert topo.derived
         assert len(topo.edges) == 1
-        assert system.route_between(0, 1).links[0] is system.inter_link(0, 1)
+        assert system.route_between(0, 1).links == (topo.edges[0].link,)
 
     def test_shared_link_three_groups_becomes_star(self):
-        shared = build_system(wan_spec(1),
-                              traffic=ConstantTraffic(0.0)).inter_link(0, 1)
+        shared = build_system(wan_spec(1), traffic=ConstantTraffic(0.0)
+                              ).route_between(0, 1).links[0]
         topo = degenerate_topology(["a", "b", "c"],
                                    {(i, j): shared
                                     for i in range(3) for j in range(3)
                                     if i != j})
-        assert topo.derived
         assert "backbone" in topo.nodes
         # every spoke IS the one physical medium
         for a in range(3):
@@ -281,24 +253,13 @@ class TestDegenerateDerivation:
     def test_multi_site_keeps_per_pair_identity(self):
         system = build_system(multi_site_spec([1, 1, 1]), traffic=ConstantTraffic(0.0))
         topo = system.topology
-        assert topo.derived
         assert len(topo.edges) == 3  # complete mesh, one edge per pair
         for a in range(3):
             for b in range(3):
                 if a != b:
-                    assert (system.route_between(a, b).links[0]
-                            is system.inter_link(a, b))
-
-    def test_two_level_geometry_keeps_fast_path(self):
-        for system in (build_system(wan_spec(2), traffic=ConstantTraffic(0.0)),
-                       build_system(lan_spec(2), traffic=ConstantTraffic(0.0)),
-                       build_system(multi_site_spec([2, 2]),
-                                    traffic=ConstantTraffic(0.0))):
-            assert not CommGeometry(system).multihop
-
-    def test_explicit_topology_geometry_is_multihop(self):
-        system = build_system(_spec_for(star(3)))
-        assert CommGeometry(system).multihop
+                    assert (system.route_between(a, b).links
+                            == (topo.route(min(a, b), max(a, b)).edges[0].link,))
+        assert len({id(e.link) for e in topo.edges}) == 3
 
     def test_group_neighbors_complete_on_degenerate(self):
         system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))

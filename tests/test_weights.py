@@ -9,8 +9,7 @@ from repro.core.weights import (
     measure_weights,
     relative_weights,
 )
-from repro.distsys import build_system, parallel_spec
-from repro.distsys.network import mren_wan
+from repro.distsys import build_system, multi_site_spec, parallel_spec
 
 
 class TestRelativeWeights:
@@ -39,7 +38,7 @@ class TestMeasureWeights:
         assert w == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_heterogeneous_system(self):
-        s = build_system([1, 1], inter_link=mren_wan(), group_weights=[1.0, 3.0])
+        s = build_system(multi_site_spec([1, 1], group_weights=[1.0, 3.0]))
         w = measure_weights(s)
         assert w[1] / w[0] == pytest.approx(3.0)
         assert sum(w.values()) / 2 == pytest.approx(1.0)
