@@ -15,13 +15,15 @@ This module is that representation: a :class:`BoxArray` wraps an
 the :class:`Box` kernels.  Every kernel is *bit-for-bit equivalent* to the
 scalar method it replaces -- all operations are integer arithmetic, so
 equivalence is exact, and ``tests/test_boxarray.py`` pins it property-style
-over random box pairs.  The scalar :class:`Box` API remains the public value
-type; :class:`BoxArray` is the runtime's batch engine.
+over random box pairs.  Every "which boxes touch?" question of the runtime is
+one query, :meth:`BoxArray.overlap_pairs`.  The scalar :class:`Box` API
+remains the public value type; :class:`BoxArray` is the runtime's batch
+engine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -182,37 +184,8 @@ class BoxArray:
         return BoxArray(np.stack(np.broadcast_arrays(lo, hi), axis=1))
 
     # ------------------------------------------------------------------ #
-    # pairwise (N x M) kernels
+    # pair queries
     # ------------------------------------------------------------------ #
-
-    def _pairwise_corners(self, other: "BoxArray") -> Tuple[np.ndarray, np.ndarray]:
-        """Broadcast corner views for pairwise ops: ``(N,1,ndim)``/``(M,ndim)``."""
-        if other.ndim != self.ndim:
-            raise ValueError(f"rank mismatch: {self.ndim}-d vs {other.ndim}-d")
-        return self.corners[:, None, :, :], other.corners[None, :, :, :]
-
-    def intersection_pairwise(self, other: "BoxArray") -> Tuple[np.ndarray, np.ndarray]:
-        """All ``N x M`` intersections as ``(lo, hi)`` arrays of shape
-        ``(N, M, ndim)``, with :meth:`Box.intersection`'s clamping."""
-        a, b = self._pairwise_corners(other)
-        lo = np.maximum(a[:, :, 0, :], b[:, :, 0, :])
-        hi = np.maximum(lo, np.minimum(a[:, :, 1, :], b[:, :, 1, :]))
-        return lo, hi
-
-    def intersects_pairwise(self, other: "BoxArray") -> np.ndarray:
-        """Boolean ``(N, M)`` adjacency-by-overlap matrix
-        (:meth:`Box.intersects`: at least one shared cell)."""
-        a, b = self._pairwise_corners(other)
-        lo = np.maximum(a[:, :, 0, :], b[:, :, 0, :])
-        hi = np.minimum(a[:, :, 1, :], b[:, :, 1, :])
-        return (lo < hi).all(axis=2)
-
-    def intersection_ncells_pairwise(self, other: "BoxArray") -> np.ndarray:
-        """Cell counts of all ``N x M`` intersections, shape ``(N, M)``."""
-        a, b = self._pairwise_corners(other)
-        lo = np.maximum(a[:, :, 0, :], b[:, :, 0, :])
-        hi = np.minimum(a[:, :, 1, :], b[:, :, 1, :])
-        return np.maximum(hi - lo, 0).prod(axis=2)
 
     def contains_pairwise(self, other: "BoxArray") -> np.ndarray:
         """Boolean ``(N, M)``: does box ``i`` contain box ``j`` entirely?
@@ -220,141 +193,100 @@ class BoxArray:
         Matches :meth:`Box.contains`: an empty ``other`` is contained in
         every box.
         """
-        a, b = self._pairwise_corners(other)
-        inside = (
-            (a[:, :, 0, :] <= b[:, :, 0, :]) & (a[:, :, 1, :] >= b[:, :, 1, :])
-        ).all(axis=2)
+        if other.ndim != self.ndim:
+            raise ValueError(f"rank mismatch: {self.ndim}-d vs {other.ndim}-d")
+        a, b = self.corners[:, None], other.corners[None, :]
+        inside = ((a[:, :, 0] <= b[:, :, 0]) & (a[:, :, 1] >= b[:, :, 1])).all(axis=2)
         return inside | other.is_empty()[None, :]
 
-    def first_overlap_pair(self) -> Optional[Tuple[int, int]]:
-        """Indices ``(i, j)``, ``i < j``, of one pair of boxes sharing at
-        least a cell (:meth:`Box.intersects`), or ``None`` when all boxes
-        are pairwise disjoint.
+    def overlap_pairs(
+        self, other: Optional["BoxArray"] = None, reach: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every index pair ``(i, j)`` whose boxes overlap once both upper
+        corners are extended by ``reach`` cells.
 
-        Sweep along axis 0: with boxes sorted by ``lo[:, 0]``, box ``i``
-        can only overlap followers whose axis-0 interval opens before
-        ``hi[i, 0]``, so a K-deep tiling costs ``O(N * K)`` vectorized
-        comparisons instead of the ``O(N^2)`` Python double loop.  Candidate
-        pairs are materialised in bounded batches, so a degenerate input
-        (every box sharing one axis-0 slab) stays within fixed memory.
+        A pair qualifies when ``max(lo_i, lo_j) < min(hi_i, hi_j) + reach``
+        on every axis; empty and inverted entries pair with nothing.  So
+        ``reach=0`` is :meth:`Box.intersects`, and ``reach=2*ghost`` keeps
+        every pair with a non-zero :meth:`Box.shared_face_area`.  Without
+        ``other`` the pairs are within this array with ``i < j``; with it,
+        ``i`` indexes this array and ``j`` indexes ``other``.  Returns two
+        ``int64`` arrays sorted by ``(i, j)``.
+
+        Sweep and prune: boxes sorted by their lower corner on one axis are
+        paired with the boxes whose lower corner falls inside their extent
+        on that axis, and the other axes filter those candidates.  The
+        sweep runs on the axis with the fewest candidates, so the cost does
+        not depend on how a layout is oriented, and candidates materialise
+        in bounded batches, so memory stays flat even when every box shares
+        one interval.
         """
-        mask = ~self.is_empty()  # empty boxes never intersect anything
-        idx = np.nonzero(mask)[0]
-        m = len(idx)
-        if m < 2:
-            return None
-        order = idx[np.argsort(self.lo[idx, 0], kind="stable")]
-        lo_s = self.lo[order]
-        hi_s = self.hi[order]
-        starts = np.arange(1, m)
-        ends = np.maximum(
-            np.searchsorted(lo_s[:, 0], hi_s[:-1, 0], side="left"), starts
-        )
-        counts = ends - starts
-        batch_cap = 4_000_000
-        row = 0
-        while row < m - 1:
-            stop = row + 1
-            total = int(counts[row])
-            while stop < m - 1 and total + counts[stop] <= batch_cap:
-                total += int(counts[stop])
-                stop += 1
-            if total:
-                c = counts[row:stop]
-                ia = np.repeat(np.arange(row, stop), c)
-                off = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-                ib = ia + 1 + off
-                hit = (
-                    np.maximum(lo_s[ia], lo_s[ib])
-                    < np.minimum(hi_s[ia], hi_s[ib])
-                ).all(axis=1)
-                where = np.nonzero(hit)[0]
-                if len(where):
-                    k = int(where[0])
-                    i0, j0 = int(order[ia[k]]), int(order[ib[k]])
-                    return (i0, j0) if i0 < j0 else (j0, i0)
-            row = stop
-        return None
+        b = self if other is None else other
+        if b.ndim != self.ndim:
+            raise ValueError(f"rank mismatch: {self.ndim}-d vs {b.ndim}-d")
+        if reach < 0:
+            raise ValueError(f"reach must be >= 0, got {reach}")
+        a_idx = np.flatnonzero(~self.is_empty())
+        b_idx = a_idx if other is None else np.flatnonzero(~b.is_empty())
+        # non-empty boxes as (ndim, n) corners, one contiguous row per axis
+        a_lo, a_hi = self.lo[a_idx].T.copy(), (self.hi[a_idx] + reach).T.copy()
+        b_lo, b_hi = b.lo[b_idx].T.copy(), (b.hi[b_idx] + reach).T.copy()
+        sweeps = [_sweep_windows(a_lo[d], a_hi[d], b_lo[d], b_hi[d], other is None)
+                  for d in range(self.ndim)]
+        axis = min(range(self.ndim), key=lambda d: sum(
+            int(np.maximum(stop - start, 0).sum())
+            for _, _, start, stop, _ in sweeps[d]))
+        others = [d for d in range(self.ndim) if d != axis]
+        found_i, found_j = [], []
+        for rows, cols, start, stop, mirrored in sweeps[axis]:
+            sides = [(a_lo, a_hi), (b_lo, b_hi)][::-1 if mirrored else 1]
+            # the other axes' extents in sweep order, so the batches below
+            # read them almost sequentially
+            (r_lo, r_hi), (c_lo, c_hi) = [
+                (lo[others].take(order, axis=1), hi[others].take(order, axis=1))
+                for (lo, hi), order in zip(sides, (rows, cols))]
+            for p, q in _window_batches(start, stop):
+                for rl, rh, cl, ch in zip(r_lo, r_hi, c_lo, c_hi):
+                    hit = np.maximum(rl[p], cl[q]) < np.minimum(rh[p], ch[q])
+                    p, q = p[hit], q[hit]
+                i, j = (cols[q], rows[p]) if mirrored else (rows[p], cols[q])
+                found_i.append(i)
+                found_j.append(j)
+        i = a_idx[np.concatenate(found_i)] if found_i else a_idx[:0]
+        j = b_idx[np.concatenate(found_j)] if found_j else b_idx[:0]
+        if other is None:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        m = max(len(b), 1)
+        return np.divmod(np.sort(i * m + j), m)
 
     def shared_face_area_pairs(
         self, ia: np.ndarray, ib: np.ndarray, ghost: int = 1
     ) -> np.ndarray:
-        """Exchange volumes for explicit index pairs ``(ia[k], ib[k])``.
+        """Two-way ghost-exchange volumes for explicit index pairs
+        ``(ia[k], ib[k])``.
 
-        Same arithmetic as :meth:`shared_face_area_pairwise` but evaluated
-        only on the requested pairs (e.g. the strict upper triangle for
-        symmetric sibling adjacency), avoiding the full ``N x M`` matrix.
-
-        Pairs separated by more than ``2 * ghost`` along any single axis are
-        screened out per axis before the full exchange-volume expression
-        runs: for such pairs every ghost-grown overlap term is clamped to
-        zero, so the screen only removes pairs whose volume is exactly 0.
-        """
-        npairs = len(ia)
-        out = np.zeros(npairs, dtype=np.int64)
-        pos = None  # surviving pair positions in `out` (None = all)
-        ia_w, ib_w = np.asarray(ia), np.asarray(ib)
-        for d in range(self.ndim):
-            lo_d = self.corners[:, 0, d]
-            hi_d = self.corners[:, 1, d]
-            near = (
-                np.minimum(hi_d[ia_w], hi_d[ib_w]) + 2 * ghost
-                > np.maximum(lo_d[ia_w], lo_d[ib_w])
-            )
-            sel = np.nonzero(near)[0]
-            if len(sel) == len(ia_w):
-                continue
-            pos = sel if pos is None else pos[sel]
-            ia_w, ib_w = ia_w[sel], ib_w[sel]
-            if len(ia_w) == 0:
-                return out
-        alo = self.corners[ia_w, 0, :]
-        ahi = self.corners[ia_w, 1, :]
-        blo = self.corners[ib_w, 0, :]
-        bhi = self.corners[ib_w, 1, :]
-        direct = np.maximum(np.minimum(ahi, bhi) - np.maximum(alo, blo), 0).prod(axis=1)
-        recv_a = np.maximum(
-            np.minimum(ahi + ghost, bhi) - np.maximum(alo - ghost, blo), 0
-        ).prod(axis=1) - direct
-        recv_b = np.maximum(
-            np.minimum(bhi + ghost, ahi) - np.maximum(blo - ghost, alo), 0
-        ).prod(axis=1) - direct
-        vals = np.maximum(recv_a, 0) + np.maximum(recv_b, 0)
-        empty = self.is_empty()
-        mask = empty[ia_w] | empty[ib_w]
-        if mask.any():
-            vals = np.where(mask, 0, vals)
-        if pos is None:
-            return vals
-        out[pos] = vals
-        return out
-
-    def shared_face_area_pairwise(
-        self, other: "BoxArray", ghost: int = 1
-    ) -> np.ndarray:
-        """Two-way ghost-exchange volumes for all pairs, shape ``(N, M)``.
-
-        Bit-for-bit the matrix of :meth:`Box.shared_face_area`: each side
+        Bit-for-bit :meth:`Box.shared_face_area` on every pair: each side
         receives ``self.grow(ghost) & other`` minus directly shared cells,
         clamped at zero, and the two directions add.  All arithmetic is on
-        ``int64`` lattice counts, so the equivalence is exact.
+        ``int64`` lattice counts, so the equivalence is exact.  Pairs
+        outside ``overlap_pairs(reach=2 * ghost)`` always come out 0.
         """
-        a, b = self._pairwise_corners(other)
-        alo, ahi = a[:, :, 0, :], a[:, :, 1, :]
-        blo, bhi = b[:, :, 0, :], b[:, :, 1, :]
-        direct = np.maximum(np.minimum(ahi, bhi) - np.maximum(alo, blo), 0).prod(axis=2)
-        recv_a = np.maximum(
-            np.minimum(ahi + ghost, bhi) - np.maximum(alo - ghost, blo), 0
-        ).prod(axis=2) - direct
-        recv_b = np.maximum(
-            np.minimum(bhi + ghost, ahi) - np.maximum(blo - ghost, alo), 0
-        ).prod(axis=2) - direct
-        out = np.maximum(recv_a, 0) + np.maximum(recv_b, 0)
+        direct = recv_a = recv_b = np.ones(len(ia), dtype=np.int64)
+        for d in range(self.ndim):  # 1-D columns: much faster than (N, ndim) rows
+            lo, hi = self.corners[:, 0, d], self.corners[:, 1, d]
+            alo, ahi, blo, bhi = lo[ia], hi[ia], lo[ib], hi[ib]
+            direct = direct * np.maximum(np.minimum(ahi, bhi) - np.maximum(alo, blo), 0)
+            recv_a = recv_a * np.maximum(
+                np.minimum(ahi + ghost, bhi) - np.maximum(alo - ghost, blo), 0)
+            recv_b = recv_b * np.maximum(
+                np.minimum(bhi + ghost, ahi) - np.maximum(blo - ghost, alo), 0)
+        vals = np.maximum(recv_a - direct, 0) + np.maximum(recv_b - direct, 0)
         # Box.shared_face_area returns 0 when either operand is empty.
-        empty = self.is_empty()[:, None] | other.is_empty()[None, :]
-        if empty.any():
-            out = np.where(empty, 0, out)
-        return out
+        empty = self.is_empty()
+        mask = empty[ia] | empty[ib]
+        if mask.any():
+            vals = np.where(mask, 0, vals)
+        return vals
 
     # ------------------------------------------------------------------ #
 
@@ -363,3 +295,57 @@ class BoxArray:
 
 
 BoxLike = Union[Box, BoxArray, Sequence[Box]]
+
+#: candidate pairs materialised per batch by :meth:`BoxArray.overlap_pairs`
+_BATCH_PAIRS = 1 << 15
+
+#: a sweep's windows: ``(rows, cols, start, stop, mirrored)`` pairs every
+#: ``rows[p]`` with ``cols[start[p]:stop[p]]``; rows index the first array
+#: and cols the second, or the other way round when ``mirrored``
+_Windows = List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]]
+
+
+def _sweep_windows(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray,
+                   b_hi: np.ndarray, self_pairs: bool) -> _Windows:
+    """Candidate windows of a sweep along one axis, given every box's
+    extent on it: each pair of non-empty boxes whose (reach-extended)
+    extents overlap on that axis, exactly once.
+
+    With boxes sorted by ``lo``, box ``a`` overlaps the ``b`` boxes whose
+    ``lo`` lies in ``[a.lo, a.hi)`` -- a contiguous window.  A self sweep
+    takes only the boxes after ``a`` in that order; a two-array sweep adds
+    the mirrored window of ``a`` boxes opening strictly after each ``b``.
+    """
+    oa = np.argsort(a_lo, kind="stable")
+    sa = a_lo[oa]
+    if self_pairs:
+        start = np.arange(1, len(oa) + 1)
+        return [(oa, oa, start, np.searchsorted(sa, a_hi[oa], side="left"), False)]
+    ob = np.argsort(b_lo, kind="stable")
+    sb = b_lo[ob]
+    return [
+        (oa, ob, np.searchsorted(sb, sa, side="left"),
+         np.searchsorted(sb, a_hi[oa], side="left"), False),
+        (ob, oa, np.searchsorted(sa, sb, side="right"),
+         np.searchsorted(sa, b_hi[ob], side="left"), True),
+    ]
+
+
+def _window_batches(
+    start: np.ndarray, stop: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Expand windows into ``(p, q)`` index arrays, ``q`` running over
+    ``[start[p], stop[p])``, in batches of about ``_BATCH_PAIRS`` pairs."""
+    count = np.maximum(stop - start, 0)
+    end = np.cumsum(count)
+    row = 0
+    while row < len(count):
+        first = int(end[row] - count[row])
+        last = max(row + 1, int(np.searchsorted(end, first + _BATCH_PAIRS,
+                                                side="right")))
+        c = count[row:last]
+        p = np.repeat(np.arange(row, last), c)
+        q = np.arange(first, int(end[last - 1])) - np.repeat(
+            end[row:last] - c - start[row:last], c)
+        yield p, q
+        row = last

@@ -16,7 +16,7 @@ Invariants enforced here (and property-tested in ``tests/``):
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,10 +75,11 @@ class GridHierarchy:
             if not inside.all():
                 box = boxes[int(np.argmin(inside))]
                 raise ValueError(f"root box {box} is not inside domain {self.domain}")
-            pair = arr.first_overlap_pair()
-            if pair is not None:
-                i, j = pair
-                raise ValueError(f"root boxes overlap: {boxes[j]} and {boxes[i]}")
+            ia, ib = arr.overlap_pairs()
+            if len(ia):
+                raise ValueError(
+                    f"root boxes overlap: {boxes[ib[0]]} and {boxes[ia[0]]}"
+                )
             total = int(arr.ncells().sum())
         if total != self.domain.ncells:
             raise ValueError(
@@ -228,54 +229,26 @@ class GridHierarchy:
     # adjacency (sibling ghost-zone exchange volumes)
     # ------------------------------------------------------------------ #
 
-    def sibling_pairs(self, level: int, ghost: int = 1) -> List[Tuple[int, int, int]]:
+    def sibling_pairs(self, level: int, ghost: int = 1) -> np.ndarray:
         """Adjacent grid pairs at ``level`` and their ghost-exchange volume.
 
-        Returns ``(gid_a, gid_b, cells)`` with ``gid_a < gid_b`` for each pair
-        of grids within ``ghost`` cells of each other.  The volume is the
-        ghost-cell count from :meth:`repro.amr.box.Box.shared_face_area`.
+        Returns an ``(npairs, 3)`` ``int64`` array of rows
+        ``(gid_a, gid_b, cells)``, ``gid_a < gid_b``, sorted by
+        ``(gid_a, gid_b)``, for each pair of grids within ``ghost`` cells of
+        each other.  The volume is the ghost-cell count from
+        :meth:`repro.amr.box.Box.shared_face_area`; a pair further apart
+        than ``2 * ghost`` on any axis exchanges nothing, so only the
+        kernel's ``reach=2*ghost`` pairs are evaluated.
         """
-        # Batched: all pairwise exchange volumes in one BoxArray kernel call
-        # (integer arithmetic, bit-for-bit the scalar shared_face_area), then
-        # keep the upper triangle with a positive volume.  The former Python
-        # sweep paid ~6 Box allocations per candidate pair and dominated the
-        # whole run's wall-clock.
         grids = self.level_grids(level)
-        n = len(grids)
-        if n < 2:
-            return []
-        boxes = BoxArray.from_boxes([g.box for g in grids])
-        gids = np.fromiter((g.gid for g in grids), dtype=np.int64, count=n)
-        # Sweep-and-prune along axis 0 instead of the full upper triangle:
-        # sort by lo, and for each box only pair it with later boxes whose
-        # lo starts before its hi + 2*ghost.  A pair separated further than
-        # that along the axis has exchange volume exactly 0 (the same
-        # per-axis screen shared_face_area_pairs applies), so the surviving
-        # pair set -- and with it the result -- is unchanged.
-        lo0 = boxes.corners[:, 0, 0]
-        hi0 = boxes.corners[:, 1, 0]
-        order = np.argsort(lo0, kind="stable")
-        slo = lo0[order]
-        upper = np.searchsorted(slo, hi0[order] + 2 * ghost, side="left")
-        counts = np.maximum(upper - np.arange(1, n + 1), 0)
-        cum = np.cumsum(counts)
-        total = int(cum[-1]) if n else 0
-        if total == 0:
-            return []
-        idx = np.arange(total)
-        ia_pos = np.searchsorted(cum, idx, side="right")
-        ib_pos = idx - (cum[ia_pos] - counts[ia_pos]) + ia_pos + 1
-        ia, ib = order[ia_pos], order[ib_pos]
+        boxes = BoxArray.from_boxes([g.box for g in grids], ndim=self.domain.ndim)
+        ia, ib = boxes.overlap_pairs(reach=2 * ghost)
         area = boxes.shared_face_area_pairs(ia, ib, ghost)
         keep = area > 0
-        ia, ib = ia[keep], ib[keep]
-        ga, gb = gids[ia], gids[ib]
-        lo = np.minimum(ga, gb)
-        hi = np.maximum(ga, gb)
-        vol = area[keep]
-        out = [(int(a), int(b), int(v)) for a, b, v in zip(lo, hi, vol)]
-        out.sort()
-        return out
+        # a level lists its grids in creation order, and ids are allocated
+        # increasingly, so index order (i < j, sorted) is gid order
+        gids = np.fromiter((g.gid for g in grids), dtype=np.int64, count=len(grids))
+        return np.stack([gids[ia[keep]], gids[ib[keep]], area[keep]], axis=1)
 
     # ------------------------------------------------------------------ #
     # validation
@@ -290,11 +263,12 @@ class GridHierarchy:
             grids = [self._grids[g] for g in level]
             for g in grids:
                 assert g.level == level_idx, f"grid {g.gid} level mismatch"
-            for i, a in enumerate(grids):
-                for b in grids[i + 1 :]:
-                    assert not a.box.intersects(b.box), (
-                        f"grids {a.gid} and {b.gid} overlap on level {level_idx}"
-                    )
+            boxes = BoxArray.from_boxes([g.box for g in grids], ndim=self.domain.ndim)
+            ia, ib = boxes.overlap_pairs()
+            assert not len(ia), (
+                f"grids {grids[ia[0]].gid} and {grids[ib[0]].gid} overlap "
+                f"on level {level_idx}"
+            )
         for g in self._grids.values():
             if g.level > 0:
                 parent = self._grids[g.parent_gid]

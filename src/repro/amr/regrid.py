@@ -10,11 +10,16 @@ adaptation").  The pipeline implemented here:
 3. cluster the flags into efficient boxes (Berger--Rigoutsos);
 4. clip each cluster box against the level-``l`` grids so every resulting
    child has exactly one parent (proper nesting by construction);
-5. refine the clipped pieces by the refinement ratio and install them as the
-   new level ``l+1`` (the old level ``l+1`` subtree is discarded -- the paper
-   relies on exactly this property in §4.4: after a global move of level-0
-   grids "the finer grids would be reconstructed completely from the grids at
-   level 0").
+5. refine the clipped pieces by the refinement ratio, check that they nest
+   and are pairwise disjoint, and install them as the new level ``l+1`` (the
+   old level ``l+1`` subtree is discarded -- the paper relies on exactly this
+   property in §4.4: after a global move of level-0 grids "the finer grids
+   would be reconstructed completely from the grids at level 0").
+
+Steps 4--5 (:func:`apply_cluster_boxes`) run on every regrid, live or
+replayed from a trace, and always validate: both pair searches -- clusters
+against parents, pieces against pieces -- are one
+:meth:`~repro.amr.boxarray.BoxArray.overlap_pairs` query each.
 """
 
 from __future__ import annotations
@@ -112,26 +117,25 @@ def apply_cluster_boxes(
     cluster_boxes: List[Box],
     work_per_cell: float,
     min_piece_cells: int = 1,
-    validate: bool = True,
 ) -> List[Grid]:
     """Steps 4--5 of the pipeline: clip, refine and install the fine level.
 
     Discards the old level ``coarse_level + 1`` subtree, clips every cluster
-    box against the level-``coarse_level`` grids (proper nesting by
-    construction), refines the surviving pieces and installs them.
+    box against the level-``coarse_level`` grids, refines the surviving
+    pieces and installs them.
 
-    The clip is one batched :class:`~repro.amr.boxarray.BoxArray` kernel:
-    all ``(cluster, parent)`` intersections are computed at once and only
-    the surviving pieces materialise as :class:`Box` objects, in the same
-    (cluster-major, parent-minor) order the scalar loop produced -- grid ids
-    and results are bit-for-bit identical.
+    The clip is one :meth:`~repro.amr.boxarray.BoxArray.overlap_pairs`
+    query: only the ``(cluster, parent)`` pairs that overlap are
+    intersected, and they come sorted cluster-major, parent-minor, which
+    is the order new grid ids are allocated in.
 
-    ``validate=False`` skips the nesting/disjointness checks entirely:
-    clipping disjoint cluster boxes against disjoint parents makes both
-    properties hold by construction, so trace replay (where this is the
-    per-regrid hot path) opts out.  ``validate=True`` performs the same
-    checks :meth:`~repro.amr.hierarchy.GridHierarchy.add_grid` would, but
-    batched over the whole level instead of ``O(n)`` per insert.
+    Every call validates the new level before installing it: each piece
+    nests in its parent's refined box, and the pieces are pairwise
+    disjoint.  Clipping makes nesting hold by construction, but
+    disjointness holds only when the cluster boxes are disjoint, which a
+    workload trace cannot promise; overlapping cluster boxes raise
+    :exc:`ValueError` naming both pieces and the level, and leave the fine
+    level empty.
     """
     fine_level = coarse_level + 1
     if fine_level >= hierarchy.max_levels:
@@ -145,20 +149,18 @@ def apply_cluster_boxes(
         return []
     cba = BoxArray.from_boxes(cluster_boxes, ndim=ndim)
     pba = BoxArray.from_boxes([p.box for p in parents], ndim=ndim)
-    lo, hi = cba.intersection_pairwise(pba)
-    piece_cells = np.maximum(hi - lo, 0).prod(axis=2)
-    keep = piece_cells >= max(1, min_piece_cells)
-    # np.nonzero walks the (cluster, parent) matrix row-major: identical
-    # piece order (and therefore gid allocation) to the old nested loop
-    ci, pi = np.nonzero(keep)
-    piece_lo = lo[ci, pi] * ratio
-    piece_hi = hi[ci, pi] * ratio
-    if validate:
-        _validate_pieces(hierarchy, fine_level, parents, pi, piece_lo, piece_hi, ratio)
+    ci, pi = cba.overlap_pairs(pba)
+    lo = np.maximum(cba.lo[ci], pba.lo[pi])
+    hi = np.minimum(cba.hi[ci], pba.hi[pi])
+    keep = (hi - lo).prod(axis=1) >= max(1, min_piece_cells)
+    pi = pi[keep]
+    piece_lo = lo[keep] * ratio
+    piece_hi = hi[keep] * ratio
+    _validate_pieces(fine_level, parents, pba.refine(ratio), pi, piece_lo, piece_hi)
     created: List[Grid] = []
-    for k in range(len(ci)):
-        # corners come from clipped int64 arrays with hi > lo (piece_cells
-        # >= 1), so the validating constructor adds nothing here
+    for k in range(len(pi)):
+        # corners come from clipped int64 arrays with hi > lo (overlapping
+        # pairs only), so the validating constructor adds nothing here
         child_box = Box._unchecked(tuple(int(x) for x in piece_lo[k]),
                                    tuple(int(x) for x in piece_hi[k]))
         created.append(
@@ -169,44 +171,36 @@ def apply_cluster_boxes(
 
 
 def _validate_pieces(
-    hierarchy: GridHierarchy,
     fine_level: int,
     parents: List[Grid],
+    refined: BoxArray,
     parent_idx: np.ndarray,
     piece_lo: np.ndarray,
     piece_hi: np.ndarray,
-    ratio: int,
 ) -> None:
     """Batched equivalent of the per-insert ``add_grid`` checks.
 
-    Verifies every piece nests in its parent's refined box and that the
-    pieces are pairwise disjoint (the fine level was just cleared, so the
-    pieces are the whole level).  Raises :exc:`ValueError` like
+    Verifies every piece nests in its parent's refined box (``refined``
+    holds every parent's, in ``parents`` order) and that the pieces are
+    pairwise disjoint (the fine level was just cleared, so the pieces are
+    the whole level).  Raises :exc:`ValueError` like
     :meth:`~repro.amr.hierarchy.GridHierarchy.add_grid` on violation.
     """
-    n = len(parent_idx)
-    if n == 0:
-        return
     pieces = BoxArray(np.stack([piece_lo, piece_hi], axis=1))
-    refined = BoxArray.from_boxes(
-        [p.box.refine(ratio) for p in parents], ndim=pieces.ndim
-    )
     nested = (
         (refined.lo[parent_idx] <= piece_lo) & (refined.hi[parent_idx] >= piece_hi)
     ).all(axis=1)
     if not bool(nested.all()):
         k = int(np.argmin(nested))
+        p = int(parent_idx[k])
         raise ValueError(
             f"child box {pieces.box(k)} not nested in parent "
-            f"{parents[parent_idx[k]].gid}'s refined box "
-            f"{parents[parent_idx[k]].box.refine(ratio)}"
+            f"{parents[p].gid}'s refined box {refined.box(p)}"
         )
-    overlap = pieces.intersects_pairwise(pieces)
-    np.fill_diagonal(overlap, False)
-    if bool(overlap.any()):
-        a, b = map(int, np.argwhere(overlap)[0])
+    ia, ib = pieces.overlap_pairs()
+    if len(ia):
         raise ValueError(
-            f"box {pieces.box(max(a, b))} overlaps box {pieces.box(min(a, b))} "
+            f"box {pieces.box(ib[0])} overlaps box {pieces.box(ia[0])} "
             f"on level {fine_level}"
         )
 

@@ -78,32 +78,28 @@ def fill_ghosts(
     ratio = hierarchy.refinement_ratio
     grids = hierarchy.level_grids(level)
     level_dom = hierarchy.level_domain(level)
-    # Sibling-overlap discovery for the whole level in one batched kernel:
-    # ghosted outer box of every grid clipped against every interior.  The
-    # former per-grid Python sweep over all siblings was O(n^2) Box
-    # allocations; the copies below walk np.nonzero's row-major pair order,
-    # which is exactly the old (grid, other) nested-loop order.
-    n = len(grids)
-    if n > 1:
-        outer_ba = BoxArray.from_boxes([data[g.gid].outer for g in grids])
-        inner_ba = BoxArray.from_boxes([g.box for g in grids])
-        olo, ohi = outer_ba.intersection_pairwise(inner_ba)
-        nonempty = (ohi > olo).all(axis=2)
-        np.fill_diagonal(nonempty, False)
-        rows, cols = np.nonzero(nonempty)
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
+    # Sibling-overlap discovery for the whole level in one pair query:
+    # ghosted outer box of every grid against every interior.  The pairs
+    # come sorted by (grid, other), so each grid's copies below run in
+    # level order.
+    outer_ba = BoxArray.from_boxes([data[g.gid].outer for g in grids],
+                                   ndim=level_dom.ndim)
+    inner_ba = BoxArray.from_boxes([g.box for g in grids], ndim=level_dom.ndim)
+    rows, cols = outer_ba.overlap_pairs(inner_ba)
+    sibling = rows != cols
+    rows, cols = rows[sibling], cols[sibling]
+    olo = np.maximum(outer_ba.lo[rows], inner_ba.lo[cols])
+    ohi = np.minimum(outer_ba.hi[rows], inner_ba.hi[cols])
     for i, grid in enumerate(grids):
         gd = data[grid.gid]
         gd.invalidate_ghosts()
         # --- 1. siblings ------------------------------------------------ #
         start, stop = np.searchsorted(rows, (i, i + 1))
         for k in range(start, stop):
-            j = int(cols[k])
             overlap = Box._unchecked(
-                tuple(int(x) for x in olo[i, j]), tuple(int(x) for x in ohi[i, j])
+                tuple(int(x) for x in olo[k]), tuple(int(x) for x in ohi[k])
             )
-            gd.view(overlap)[...] = data[grids[j].gid].view(overlap)
+            gd.view(overlap)[...] = data[grids[cols[k]].gid].view(overlap)
             gd.mark_valid(overlap)
         # --- 2. parent -------------------------------------------------- #
         if level > 0 and grid.parent_gid in parent_data:

@@ -183,37 +183,39 @@ class FluxRegister:
         fine_level_grids = self.hierarchy.level_grids(child.level)
         coarse_grids = self.hierarchy.level_grids(self.coarse_level)
         ndim = self.footprint.ndim
-        # Batched overlap discovery: every side slab clipped against every
-        # coarsened fine footprint (covered mask) and every coarse grid
-        # (ownership) in two BoxArray kernels instead of per-pair Box calls.
+        # Overlap discovery in two pair queries sorted by (side, grid): every
+        # side slab against every coarsened fine footprint (covered mask) and
+        # every coarse grid (ownership).
         outside_ba = BoxArray.from_boxes([s.outside for s in self.sides])
         fine_ba = BoxArray.from_boxes(
             [g.box for g in fine_level_grids], ndim
         ).coarsen(self.ratio)
-        cov_lo, cov_hi = outside_ba.intersection_pairwise(fine_ba)
-        cov_ok = (cov_hi > cov_lo).all(axis=2)
         coarse_ba = BoxArray.from_boxes([g.box for g in coarse_grids], ndim)
-        own_lo, own_hi = outside_ba.intersection_pairwise(coarse_ba)
-        own_ok = (own_hi > own_lo).all(axis=2)
+        cov_side, cov_j = outside_ba.overlap_pairs(fine_ba)
+        cov_lo = np.maximum(outside_ba.lo[cov_side], fine_ba.lo[cov_j])
+        cov_hi = np.minimum(outside_ba.hi[cov_side], fine_ba.hi[cov_j])
+        own_side, own_j = outside_ba.overlap_pairs(coarse_ba)
+        own_lo = np.maximum(outside_ba.lo[own_side], coarse_ba.lo[own_j])
+        own_hi = np.minimum(outside_ba.hi[own_side], coarse_ba.hi[own_j])
         for si, side in enumerate(self.sides):
             sign = -1.0 if side.high else 1.0
             # mask out outside-cells covered by other fine grids
             covered = np.zeros(side.outside.shape, dtype=bool)
-            for j in np.nonzero(cov_ok[si])[0]:
+            for k in range(*np.searchsorted(cov_side, (si, si + 1))):
                 overlap = Box._unchecked(
-                    tuple(int(x) for x in cov_lo[si, j]),
-                    tuple(int(x) for x in cov_hi[si, j]),
+                    tuple(int(x) for x in cov_lo[k]),
+                    tuple(int(x) for x in cov_hi[k]),
                 )
                 covered[overlap.slices(origin=side.outside.lo)] = True
             correction = sign * side.delta / dx_coarse
             # distribute the correction to whichever coarse grids own the cells
-            for j in np.nonzero(own_ok[si])[0]:
-                coarse = coarse_grids[j]
+            for k in range(*np.searchsorted(own_side, (si, si + 1))):
+                coarse = coarse_grids[own_j[k]]
                 if coarse.gid not in coarse_data:
                     continue
                 overlap = Box._unchecked(
-                    tuple(int(x) for x in own_lo[si, j]),
-                    tuple(int(x) for x in own_hi[si, j]),
+                    tuple(int(x) for x in own_lo[k]),
+                    tuple(int(x) for x in own_hi[k]),
                 )
                 local = overlap.slices(origin=side.outside.lo)
                 mask = ~covered[local]

@@ -238,12 +238,10 @@ class SAMRRunner(IntegratorHooks):
         self.assignment.validate()
         self.integrator = SAMRIntegrator(self.hierarchy, self, dt0=dt0)
         self._step_start_clock = 0.0
-        #: per-level sibling-adjacency cache keyed by the hierarchy
-        #: version at which it was computed
-        self._sibling_cache: Dict[int, Tuple[int, List[Tuple[int, int, int]]]] = {}
-        #: per-level message-geometry caches (gid lists + volume arrays),
-        #: also keyed by the hierarchy version
-        self._ghost_cache: Dict[int, Tuple[int, Tuple[list, list, np.ndarray]]] = {}
+        #: per-level message geometry keyed by the hierarchy version at
+        #: which it was computed: sibling pairs (the array and its two gid
+        #: columns as lists) and parent/child arrays
+        self._sibling_cache: Dict[int, Tuple[int, Tuple[np.ndarray, list, list]]] = {}
         self._pc_cache: Dict[int, Tuple[int, Tuple[list, list, np.ndarray]]] = {}
 
     def _rebuild_fine_level(self, level: int, time: float) -> List[Grid]:
@@ -360,29 +358,22 @@ class SAMRRunner(IntegratorHooks):
     # message generation
     # ------------------------------------------------------------------ #
 
-    def _sibling_pairs(self, level: int) -> List[Tuple[int, int, int]]:
-        """Sibling adjacency at ``level``, cached on the hierarchy version."""
+    def _sibling_pairs(self, level: int) -> Tuple[np.ndarray, list, list]:
+        """Sibling adjacency at ``level``, cached on the hierarchy version:
+        the ``(gid_a, gid_b, volume)`` rows and their two gid columns as
+        lists, which feed the owner lookups of every solve at this version."""
         cached = self._sibling_cache.get(level)
         if cached is not None and cached[0] == self.hierarchy.version:
             return cached[1]
         pairs = self.hierarchy.sibling_pairs(level, self.sim_params.ghost_width)
-        self._sibling_cache[level] = (self.hierarchy.version, pairs)
-        return pairs
+        entry = (pairs, pairs[:, 0].tolist(), pairs[:, 1].tolist())
+        self._sibling_cache[level] = (self.hierarchy.version, entry)
+        return entry
 
     def _ghost_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
-        """Sibling-pair geometry at ``level`` as (gids_a, gids_b, areas),
-        cached on the hierarchy version like :meth:`_sibling_pairs`."""
-        cached = self._ghost_cache.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
-            return cached[1]
-        pairs = self._sibling_pairs(level)
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            arrays = (arr[:, 0].tolist(), arr[:, 1].tolist(), arr[:, 2])
-        else:
-            arrays = ([], [], np.empty(0, dtype=np.int64))
-        self._ghost_cache[level] = (self.hierarchy.version, arrays)
-        return arrays
+        """Sibling-pair geometry at ``level`` as (gids_a, gids_b, areas)."""
+        pairs, gids_a, gids_b = self._sibling_pairs(level)
+        return gids_a, gids_b, pairs[:, 2]
 
     def _ghost_messages(self, level: int) -> MessageBatch:
         """Sibling ghost-zone exchange for one solve at ``level``."""

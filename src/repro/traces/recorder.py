@@ -95,10 +95,9 @@ class TraceRecorder:
             return
         self._manifest_version[level] = h.version
         # shares the runner's version-keyed cache, so the pairs computed
-        # here are the exact objects the subsequent solve reuses
-        sib: List[List[int]] = [
-            [a, b, area] for a, b, area in self.runner._sibling_pairs(level)
-        ]
+        # here are the exact ones the subsequent solve reuses
+        pairs, _, _ = self.runner._sibling_pairs(level)
+        sib: List[List[int]] = pairs.tolist()
         pc: List[List[int]] = []
         if level > 0:
             pc = [[g.gid, g.parent_gid, g.boundary_cells()]

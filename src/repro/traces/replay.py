@@ -4,7 +4,8 @@
 workload signal comes from a trace instead of an AMR application: the root
 tiling and initial refinement come from the trace header, every regrid
 installs the recorded cluster boxes (clipped against the replay's own
-level-0 grids), and -- whenever the replayed hierarchy still matches the
+level-0 grids and validated like a live regrid, so overlapping boxes raise
+:exc:`ValueError`), and -- whenever the replayed hierarchy still matches the
 recorded one -- ghost/parent-child message volumes come from the recorded
 manifests instead of geometry recomputation.  Everything else (the cluster
 simulator, the scheme, faults, background traffic) is the real machinery,
@@ -163,11 +164,10 @@ class TraceReplayRunner(SAMRRunner):
                 f"at t={rec['t']}"
             )
         boxes = [decode_box(b) for b in rec["b"]]
-        # clipping disjoint cluster boxes against disjoint parents makes
-        # nesting/disjointness hold by construction -> skip validation
+        # validated like a live regrid: overlapping recorded cluster boxes
+        # raise ValueError instead of installing overlapping grids
         return apply_cluster_boxes(self.hierarchy, level, boxes, rec["wpc"],
-                                   min_piece_cells=self.regrid_params.min_piece_cells,
-                                   validate=False)
+                                   min_piece_cells=self.regrid_params.min_piece_cells)
 
     def solve(self, step: SubStep) -> None:
         rec = self._next_record("solve")

@@ -10,7 +10,9 @@ Two layers of protection:
 
 * property-style sweeps over ~1000 seeded random box pairs (including empty
   boxes, touching boxes, and separations right at the ghost width) comparing
-  every kernel against its scalar reference;
+  every kernel against its scalar reference, and a hypothesis test of the
+  :meth:`~repro.amr.boxarray.BoxArray.overlap_pairs` pair query against a
+  brute-force scalar double loop;
 * golden re-runs of the benchmark experiment under all four DLB schemes plus
   the faulted and trace record/replay variants, hashed against
   ``tests/data/golden_bench_solver.json`` (captured before the vectorized
@@ -23,10 +25,14 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.amr import boxarray
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 
@@ -148,100 +154,201 @@ def test_elementwise_intersection_matches_scalar(pairs):
 
 
 # --------------------------------------------------------------------- #
-# pairwise (N x M) kernels
+# pair queries: the overlap_pairs kernel against scalar Box double loops
+# (these replaced the dense N x M kernels; each test keeps its old name)
 # --------------------------------------------------------------------- #
 
 
+def _intersections(ba, bb, i, j):
+    """Corners of the intersections of the pairs ``(ba[i], bb[j])``."""
+    return np.maximum(ba.lo[i], bb.lo[j]), np.minimum(ba.hi[i], bb.hi[j])
+
+
 def test_intersection_pairwise_matches_scalar(pairs):
+    """Pair query plus per-pair corners is the scalar intersection of every
+    overlapping pair; every other pair has an empty scalar intersection."""
     boxes, others = pairs
-    lo, hi = BoxArray.from_boxes(boxes).intersection_pairwise(
-        BoxArray.from_boxes(others)
-    )
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(others):
-            ref = a.intersection(b)
-            assert tuple(lo[i, j]) == ref.lo, (a, b)
-            assert tuple(hi[i, j]) == ref.hi, (a, b)
+    ba, bb = BoxArray.from_boxes(boxes), BoxArray.from_boxes(others)
+    i, j = ba.overlap_pairs(bb)
+    lo, hi = _intersections(ba, bb, i, j)
+    found = set(zip(i.tolist(), j.tolist()))
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        ref = boxes[a].intersection(others[b])
+        assert tuple(lo[k]) == ref.lo and tuple(hi[k]) == ref.hi
+    for a, box_a in enumerate(boxes):
+        for b, box_b in enumerate(others):
+            if (a, b) not in found:
+                assert box_a.intersection(box_b).is_empty, (box_a, box_b)
 
 
 def test_intersects_and_ncells_pairwise_match_scalar(pairs):
     boxes, others = pairs
     ba, bb = BoxArray.from_boxes(boxes), BoxArray.from_boxes(others)
-    hits = ba.intersects_pairwise(bb)
-    cells = ba.intersection_ncells_pairwise(bb)
+    i, j = ba.overlap_pairs(bb)
+    want = [(a, b) for a, x in enumerate(boxes) for b, y in enumerate(others)
+            if x.intersects(y)]
+    assert list(zip(i.tolist(), j.tolist())) == want
+    lo, hi = _intersections(ba, bb, i, j)
+    cells = (hi - lo).prod(axis=1)
+    assert cells.tolist() == [boxes[a].intersection(others[b]).ncells
+                              for a, b in want]
     contains = ba.contains_pairwise(bb)
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(others):
-            assert bool(hits[i, j]) == a.intersects(b), (a, b)
-            assert int(cells[i, j]) == a.intersection(b).ncells, (a, b)
-            assert bool(contains[i, j]) == a.contains(b), (a, b)
+    for a, x in enumerate(boxes):
+        for b, y in enumerate(others):
+            assert bool(contains[a, b]) == x.contains(y), (x, y)
 
 
 @pytest.mark.parametrize("ghost", [1, 2, 3])
 def test_shared_face_area_pairwise_matches_scalar(pairs, ghost):
+    """``shared_face_area_pairs`` over every ordered pair of two arrays."""
     boxes, others = pairs
-    area = BoxArray.from_boxes(boxes).shared_face_area_pairwise(
-        BoxArray.from_boxes(others), ghost
-    )
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(others):
-            assert int(area[i, j]) == a.shared_face_area(b, ghost), (a, b, ghost)
+    ba = BoxArray.from_boxes(boxes + others)
+    ia, ib = np.meshgrid(np.arange(len(boxes)),
+                         len(boxes) + np.arange(len(others)), indexing="ij")
+    area = ba.shared_face_area_pairs(ia.ravel(), ib.ravel(), ghost)
+    want = [a.shared_face_area(b, ghost) for a in boxes for b in others]
+    assert area.tolist() == want
 
 
 @pytest.mark.parametrize("ghost", [1, 2, 3])
 def test_shared_face_area_pairs_matches_pairwise(pairs, ghost):
-    """The screened pair-list kernel equals the full matrix on every pair --
-    including the pairs its separation screen rejects without computing."""
+    """The ``reach=2*ghost`` pair query keeps every pair with a non-zero
+    scalar exchange volume, and the pair kernel's volumes match it."""
     boxes, _ = pairs
     ba = BoxArray.from_boxes(boxes)
-    n = len(ba)
-    full = ba.shared_face_area_pairwise(ba, ghost)
-    ia, ib = np.triu_indices(n, k=1)
+    ia, ib = ba.overlap_pairs(reach=2 * ghost)
     vals = ba.shared_face_area_pairs(ia, ib, ghost)
-    np.testing.assert_array_equal(vals, full[ia, ib])
-    # and against the scalar reference directly
-    for k in range(0, len(ia), 97):
-        a, b = boxes[int(ia[k])], boxes[int(ib[k])]
-        assert int(vals[k]) == a.shared_face_area(b, ghost)
+    got = {(a, b): v for a, b, v in zip(ia.tolist(), ib.tolist(), vals.tolist())}
+    for a in range(len(boxes)):
+        for b in range(a + 1, len(boxes)):
+            want = boxes[a].shared_face_area(boxes[b], ghost)
+            assert got.get((a, b), 0) == want, (boxes[a], boxes[b], ghost)
 
 
 def test_first_overlap_pair_matches_scalar(pairs):
-    """The axis-0 sweep finds an overlap exactly when the O(N^2) scalar
-    double loop does, and the reported pair really intersects."""
+    """The self query lists exactly the pairs the O(N^2) scalar double
+    loop finds, in its order, so its first pair is the loop's first."""
     boxes, _ = pairs
-    ba = BoxArray.from_boxes(boxes)
-    scalar_any = any(
-        boxes[i].intersects(boxes[j])
-        for i in range(len(boxes)) for j in range(i + 1, len(boxes))
-    )
-    pair = ba.first_overlap_pair()
-    assert (pair is not None) == scalar_any
-    if pair is not None:
-        i, j = pair
-        assert i < j
-        assert boxes[i].intersects(boxes[j])
+    ia, ib = BoxArray.from_boxes(boxes).overlap_pairs()
+    want = [(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
+            if boxes[i].intersects(boxes[j])]
+    assert list(zip(ia.tolist(), ib.tolist())) == want
 
 
 def test_first_overlap_pair_disjoint_tiling():
     tiles = [Box((i * 4, j * 4), (i * 4 + 4, j * 4 + 4))
              for i in range(8) for j in range(8)]
-    assert BoxArray.from_boxes(tiles).first_overlap_pair() is None
+    ba = BoxArray.from_boxes(tiles)
+    assert len(ba.overlap_pairs()[0]) == 0
+    # one cell of reach joins face and corner neighbours: 2*8*7 + 2*7*7
+    assert len(ba.overlap_pairs(reach=1)[0]) == 210
 
 
 def test_first_overlap_pair_ignores_empty_boxes():
     boxes = [Box((0, 0), (4, 4)), Box((2, 2), (2, 6)), Box((2, 2), (2, 2))]
-    assert BoxArray.from_boxes(boxes).first_overlap_pair() is None
+    ba = BoxArray.from_boxes(boxes)
+    assert len(ba.overlap_pairs()[0]) == 0
+    assert len(ba.overlap_pairs(reach=4)[0]) == 0
     boxes.append(Box((3, 3), (6, 6)))
-    assert BoxArray.from_boxes(boxes).first_overlap_pair() == (0, 3)
+    ia, ib = BoxArray.from_boxes(boxes).overlap_pairs()
+    assert list(zip(ia.tolist(), ib.tolist())) == [(0, 3)]
 
 
 def test_first_overlap_pair_shared_slab():
-    # every box shares one axis-0 interval: the sweep window is the whole
-    # suffix, exercising the batched candidate path
+    # every box shares one axis-0 interval: the sweep must pick axis 1
     cols = [Box((0, k), (8, k + 1)) for k in range(64)]
-    assert BoxArray.from_boxes(cols).first_overlap_pair() is None
+    assert len(BoxArray.from_boxes(cols).overlap_pairs()[0]) == 0
     cols[40] = Box((0, 39), (8, 41))
-    assert BoxArray.from_boxes(cols).first_overlap_pair() == (39, 40)
+    ia, ib = BoxArray.from_boxes(cols).overlap_pairs()
+    assert list(zip(ia.tolist(), ib.tolist())) == [(39, 40)]
+
+
+def _pairs_reference(a, b, reach):
+    """Brute-force scalar double loop: extend both upper corners by
+    ``reach`` and ask :meth:`Box.intersects`; empty entries (inverted ones
+    clamp to empty) never pair, and a self query keeps ``i < j``."""
+    def extended(ba):
+        boxes = [ba.box(i) for i in range(len(ba))]
+        return [None if x.is_empty else Box(x.lo, tuple(h + reach for h in x.hi))
+                for x in boxes]
+
+    xa = extended(a)
+    xb = xa if b is None else extended(b)
+    return [(i, j) for i, x in enumerate(xa) for j, y in enumerate(xb)
+            if (b is not None or i < j) and x is not None and y is not None
+            and x.intersects(y)]
+
+
+@st.composite
+def corner_arrays(draw, ndim):
+    """Raw ``(N, 2, ndim)`` corners on a small lattice, so overlaps, faces,
+    edges and corners touch often; extents of 0 are empty and negative
+    extents are inverted entries."""
+    n = draw(st.integers(min_value=0, max_value=24))
+    coord = st.lists(st.integers(min_value=-4, max_value=8),
+                     min_size=ndim, max_size=ndim)
+    extent = st.lists(st.integers(min_value=-2, max_value=5),
+                      min_size=ndim, max_size=ndim)
+    lo = np.array(draw(st.lists(coord, min_size=n, max_size=n)),
+                  dtype=np.int64).reshape(n, ndim)
+    ext = np.array(draw(st.lists(extent, min_size=n, max_size=n)),
+                   dtype=np.int64).reshape(n, ndim)
+    return BoxArray(np.stack([lo, lo + ext], axis=1))
+
+
+@st.composite
+def pair_queries(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    a = draw(corner_arrays(ndim))
+    b = draw(st.none() | corner_arrays(ndim))
+    reach = draw(st.sampled_from([0, 2, 4, 6]))  # 0 and 2 * ghost, ghost 1-3
+    return a, b, reach
+
+
+class TestOverlapPairsMatchesReference:
+    """``overlap_pairs`` lists exactly the scalar double loop's pairs, in
+    its order, whatever the sweep axis and batch size."""
+
+    @staticmethod
+    def assert_same(a, b, reach):
+        ia, ib = a.overlap_pairs(b, reach)
+        assert ia.dtype == ib.dtype == np.int64
+        assert list(zip(ia.tolist(), ib.tolist())) == _pairs_reference(a, b, reach)
+
+    @given(case=pair_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_reference(self, case):
+        self.assert_same(*case)
+
+    @given(case=pair_queries(), batch=st.integers(min_value=1, max_value=7))
+    @settings(max_examples=100, deadline=None)
+    def test_property_small_batches(self, case, batch):
+        with mock.patch.object(boxarray, "_BATCH_PAIRS", batch):
+            self.assert_same(*case)
+
+    @pytest.mark.parametrize("offset", [(2, 0, 0), (2, 2, 0), (2, 2, 2)],
+                             ids=["face", "edge", "corner"])
+    def test_touching_pairs_need_reach(self, offset):
+        cube = Box((0, 0, 0), (2, 2, 2))
+        other = Box(offset, tuple(o + 2 for o in offset))
+        ba = BoxArray.from_boxes([cube, other])
+        assert len(ba.overlap_pairs()[0]) == 0
+        for reach in (1, 2):
+            ia, ib = ba.overlap_pairs(reach=reach)
+            assert list(zip(ia.tolist(), ib.tolist())) == [(0, 1)]
+        self.assert_same(ba, None, 1)
+
+    def test_bipartite_keeps_self_index_pairs(self):
+        ba = BoxArray.from_boxes([Box((0, 0), (2, 2)), Box((4, 0), (6, 2))])
+        ia, ib = ba.overlap_pairs(ba)
+        assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 1)]
+
+    def test_bad_arguments_raise(self):
+        ba = BoxArray.from_boxes([Box((0, 0), (2, 2))])
+        with pytest.raises(ValueError, match="rank"):
+            ba.overlap_pairs(BoxArray.from_boxes([Box((0, 0, 0), (1, 1, 1))]))
+        with pytest.raises(ValueError, match="reach"):
+            ba.overlap_pairs(reach=-1)
 
 
 def test_roundtrip_and_box_accessor():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,17 +180,108 @@ class TestSiblingPairs:
 
     def test_no_pairs_single_grid(self):
         h = make_hierarchy(n=16, blocks=(1, 1, 1))
-        assert h.sibling_pairs(0) == []
+        pairs = h.sibling_pairs(0)
+        assert pairs.shape == (0, 3) and pairs.dtype == np.int64
 
     def test_pairs_sorted_and_deterministic(self):
         h = make_hierarchy(n=16, blocks=(4, 2, 1))
-        assert h.sibling_pairs(0) == sorted(h.sibling_pairs(0))
+        rows = h.sibling_pairs(0).tolist()
+        assert rows == sorted(rows) == h.sibling_pairs(0).tolist()
+
+    def test_slab_layout_stays_small(self):
+        """4096 slabs sharing one axis-0 interval: the pair search sweeps
+        axis 1, so neither the root check nor the adjacency materialises
+        the 8-million candidate pairs of an axis-0 sweep."""
+        n = 4096
+        slabs = [Box((0, k, 0), (8, k + 1, 8)) for k in range(n)]
+        tracemalloc.start()
+        try:
+            h = GridHierarchy(Box((0, 0, 0), (8, n, 8)), max_levels=1)
+            h.create_root_grids(slabs)
+            pairs = h.sibling_pairs(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == n - 1
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def _sibling_pairs_reference(h, level, ghost):
+    """The former ``sibling_pairs``: an axis-0 sweep, kept as the reference,
+    with each volume from the scalar :meth:`Box.shared_face_area`."""
+    grids = h.level_grids(level)
+    n = len(grids)
+    if n < 2:
+        return []
+    lo0 = np.array([g.box.lo[0] for g in grids])
+    hi0 = np.array([g.box.hi[0] for g in grids])
+    order = np.argsort(lo0, kind="stable")
+    upper = np.searchsorted(lo0[order], hi0[order] + 2 * ghost, side="left")
+    out = []
+    for pos in range(n):
+        for other in range(pos + 1, max(pos + 1, upper[pos])):
+            a, b = grids[order[pos]], grids[order[other]]
+            area = a.box.shared_face_area(b.box, ghost)
+            if area > 0:
+                out.append([min(a.gid, b.gid), max(a.gid, b.gid), area])
+    return sorted(out)
+
+
+@st.composite
+def sibling_levels(draw):
+    """A level-1 layout: a random bisection tiling of the refined domain
+    (mixed box sizes; faces, edges and corners touch), some tiles dropped
+    so gaps of every width appear, added in shuffled order."""
+    ndim = draw(st.sampled_from([2, 3]))
+    domain = Box.cube(0, draw(st.sampled_from([4, 6, 8])), ndim)
+    tiles = [domain.refine(2)]
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        k = draw(st.integers(min_value=0, max_value=len(tiles) - 1))
+        box, axis = tiles[k], draw(st.integers(min_value=0, max_value=ndim - 1))
+        if box.shape[axis] < 2:
+            continue
+        cut = draw(st.integers(min_value=box.lo[axis] + 1,
+                               max_value=box.hi[axis] - 1))
+        tiles[k:k + 1] = [
+            Box(box.lo, box.hi[:axis] + (cut,) + box.hi[axis + 1:]),
+            Box(box.lo[:axis] + (cut,) + box.lo[axis + 1:], box.hi),
+        ]
+    keep = draw(st.lists(st.booleans(), min_size=len(tiles), max_size=len(tiles)))
+    order = draw(st.permutations([t for t, k in zip(tiles, keep) if k]))
+    h = GridHierarchy(domain, refinement_ratio=2, max_levels=2)
+    (root,) = h.create_root_grids([domain])
+    for box in order:
+        h.add_grid(1, box, root.gid)
+    return h
+
+
+class TestSiblingPairsMatchesReference:
+    @given(h=sibling_levels(), ghost=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_reference(self, h, ghost):
+        assert h.sibling_pairs(1, ghost).tolist() == _sibling_pairs_reference(h, 1, ghost)
+
+    def test_blocks_match_reference(self):
+        h = make_hierarchy(n=16, blocks=(4, 4, 2))
+        for ghost in (1, 2, 3):
+            assert h.sibling_pairs(0, ghost).tolist() == _sibling_pairs_reference(h, 0, ghost)
 
 
 class TestValidateCatchesCorruption:
     def test_validate_ok(self):
         h = make_hierarchy()
         h.validate()
+
+    def test_validate_names_first_overlapping_pair(self):
+        h = make_hierarchy(blocks=(2, 2, 1))
+        root = h.level_grids(0)[0]
+        a = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        h.add_grid(1, Box((4, 0, 0), (8, 4, 4)), root.gid)
+        # overlaps both siblings; bypasses add_grid's checks on purpose
+        c = h._insert(1, Box((3, 3, 3), (5, 5, 5)), root.gid, 1.0)
+        with pytest.raises(AssertionError,
+                           match=f"grids {a.gid} and {c.gid} overlap on level 1"):
+            h.validate()
 
     def test_validate_catches_bad_parent_link(self):
         h = make_hierarchy()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.amr.solver import (
     prolong_piecewise_constant,
     restrict_conservative,
 )
+from repro.runtime import root_blocks
 
 
 class TestGridData:
@@ -155,3 +158,55 @@ class TestFillGhosts:
         fill_ghosts(h, 0, data, {})
         assert data[left.gid].valid.all()
         assert data[right.gid].valid.all()
+
+
+def _sibling_copies_reference(grids, data):
+    """The former sibling discovery of ``fill_ghosts``: every ghosted outer
+    box clipped against every interior as a dense matrix, walked in
+    row-major order, as ``(gid, overlap)`` copies."""
+    if len(grids) < 2:
+        return []
+    outer = np.array([[data[g.gid].outer.lo, data[g.gid].outer.hi] for g in grids])
+    inner = np.array([[g.box.lo, g.box.hi] for g in grids])
+    lo = np.maximum(outer[:, None, 0], inner[None, :, 0])
+    hi = np.maximum(lo, np.minimum(outer[:, None, 1], inner[None, :, 1]))
+    hit = (hi > lo).all(axis=2)
+    np.fill_diagonal(hit, False)
+    return [(grids[i].gid, Box(tuple(lo[i, j].tolist()), tuple(hi[i, j].tolist())))
+            for i, j in zip(*np.nonzero(hit))]
+
+
+@st.composite
+def ghost_levels(draw):
+    """A level-1 layout with gaps: a random subset of a block tiling of
+    the refined domain, added in shuffled order."""
+    ndim = draw(st.sampled_from([2, 3]))
+    domain = Box.cube(0, 8, ndim)
+    h = GridHierarchy(domain, 2, 2)
+    (root,) = h.create_root_grids([domain])
+    blocks = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=ndim, max_size=ndim))
+    tiles = root_blocks(domain.refine(2), blocks)
+    keep = draw(st.lists(st.booleans(), min_size=len(tiles), max_size=len(tiles)))
+    for tile in draw(st.permutations([t for t, k in zip(tiles, keep) if k])):
+        h.add_grid(1, tile, root.gid)
+    return h
+
+
+class TestFillGhostsMatchesReference:
+    @given(h=ghost_levels(), nghost=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_property_sibling_copy_order(self, h, nghost):
+        """Sibling copies run in the former (grid, other) order; with no
+        parent data every ``mark_valid`` call is a sibling copy."""
+        grids = h.level_grids(1)
+        data = {g.gid: GridData(g, nghost=nghost) for g in grids}
+        calls = []
+        mark_valid = GridData.mark_valid
+
+        def spy(gd, box):
+            calls.append((gd.grid.gid, box))
+            mark_valid(gd, box)
+
+        with mock.patch.object(GridData, "mark_valid", spy):
+            fill_ghosts(h, 1, data, {})
+        assert calls == _sibling_copies_reference(grids, data)

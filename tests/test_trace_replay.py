@@ -180,6 +180,47 @@ class TestDesyncDetection:
             replay_trace(trace, SMALL, "static", strict=True)
 
 
+def _duplicated_box_trace(path):
+    """``synth:hotspot`` with the first regrid record's first cluster box
+    appended to that record again, written to ``path``."""
+    from repro.traces.synth import generate_trace, make_synth_workload
+
+    workload = make_synth_workload("hotspot", domain_cells=16, max_levels=3,
+                                   ndim=3, seed=0)
+    trace = generate_trace(workload, steps=2, nprocs=4)
+    rec = next(r for r in trace.records if r["op"] == "regrid")
+    rec["b"].append(rec["b"][0])
+    write_trace(trace, path)
+    return path
+
+
+DUPLICATE_BOX_ERROR = ("box Box(lo=(2, 6, 4), hi=(8, 16, 16)) overlaps box "
+                       "Box(lo=(2, 6, 4), hi=(8, 16, 16)) on level 1")
+
+
+class TestReplayValidatesRegrids:
+    """Replay validates every regrid like a live run: a trace whose cluster
+    boxes overlap is refused instead of installing overlapping grids."""
+
+    def test_overlapping_cluster_boxes_raise(self, tmp_path):
+        from repro.core.registry import make_scheme
+        from repro.distsys import build_system, multi_site_spec
+
+        path = _duplicated_box_trace(tmp_path / "dup.trace.jsonl.gz")
+        with pytest.raises(ValueError) as err:
+            TraceReplayRunner(path, build_system(multi_site_spec([2, 2])),
+                              make_scheme("distributed"))
+        assert str(err.value) == DUPLICATE_BOX_ERROR
+
+    def test_cli_reports_error_and_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = _duplicated_box_trace(tmp_path / "dup.trace.jsonl.gz")
+        rc = main(["replay", str(path), "--procs", "2", "--no-cache"])
+        assert rc == 2
+        assert f"error: {DUPLICATE_BOX_ERROR}" in capsys.readouterr().out
+
+
 class TestExecutorIntegration:
     def test_replay_results_cache_by_trace_content(self, tmp_path):
         out = tmp_path / "t.trace.jsonl.gz"
