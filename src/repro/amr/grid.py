@@ -111,17 +111,8 @@ class Grid:
         self._children.clear()
 
     # ------------------------------------------------------------------ #
-    # communication-volume proxies
+    # communication-volume proxy
     # ------------------------------------------------------------------ #
-
-    def boundary_cells(self) -> int:
-        """Cells on the grid surface -- the parent-child coupling volume.
-
-        Each fine step a child grid receives boundary conditions from (and
-        is later restricted onto) its parent; the traffic is proportional to
-        the child's surface shell.
-        """
-        return self.box.surface_cells()
 
     def migration_cells(self) -> int:
         """Cells that must move over the network when the grid migrates."""

@@ -146,8 +146,7 @@ class GridHierarchy:
         Batch equivalent of calling :meth:`remove_grid` on each grid of
         ``level``: every level >= ``level`` is dropped wholesale, parents one
         level coarser forget their children, and :attr:`version` advances by
-        the number of removed grids (identical to the per-grid path, which
-        trace manifests record and replay verifies).
+        the number of removed grids, as on the per-grid path.
         """
         if level == 0:
             raise ValueError("cannot clear level 0")

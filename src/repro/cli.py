@@ -690,7 +690,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .config import TraceParams
-    from .traces import TraceFormatError, default_replay_steps
+    from .traces import TraceFormatError, TraceReplayError, default_replay_steps
 
     if args.steps is None:
         try:
@@ -713,9 +713,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     use_cache=not (args.timeline or trace), trace=trace)
     try:
         result = get_default_executor().run_tasks([task])[0]
-    except (TraceFormatError, ValueError) as err:
-        # TraceFormatError: corrupt / stale trace file; ValueError: an
-        # unknown synthetic workload name surfacing from the generator
+    except (TraceFormatError, TraceReplayError, ValueError) as err:
+        # TraceFormatError: corrupt / stale trace file; TraceReplayError:
+        # desync or a --strict divergence; ValueError: an unknown synthetic
+        # workload name or overlapping recorded cluster boxes
         print(f"error: {err}")
         return 2
     if trace and result.spans:

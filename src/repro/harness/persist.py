@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..config import (
     FaultParams,
@@ -108,78 +108,31 @@ def load_run(path: Union[str, Path]) -> RunResult:
 
 
 def save_sweep(sweep: SweepResult, path: Union[str, Path]) -> None:
-    """Write a sweep (configs + all three runs per pair) to JSON."""
-    pairs = []
-    for p in sweep.pairs:
-        pairs.append(
-            {
-                "config": {
-                    "app_name": p.config.app_name,
-                    "network": p.config.network,
-                    "procs_per_group": p.config.procs_per_group,
-                    "steps": p.config.steps,
-                    "domain_cells": p.config.domain_cells,
-                    "max_levels": p.config.max_levels,
-                    "traffic_kind": p.config.traffic_kind,
-                    "traffic_level": p.config.traffic_level,
-                    "gamma": p.config.gamma,
-                    "fault": (
-                        asdict(p.config.fault)
-                        if p.config.fault is not None
-                        else None
-                    ),
-                },
-                "scheme_names": list(p.scheme_names),
-                "parallel": run_result_to_dict(p.parallel),
-                "distributed": run_result_to_dict(p.distributed),
-                "sequential": (
-                    run_result_to_dict(p.sequential)
-                    if p.sequential is not None
-                    else None
-                ),
-            }
-        )
-    payload = {"format": _FORMAT_VERSION, "kind": "sweep", "pairs": pairs}
+    """Write a sweep (full configs + all three runs per pair) to JSON."""
+    payload = {"format": _FORMAT_VERSION, "kind": "sweep",
+               "pairs": [_paired_to_dict(p) for p in sweep.pairs]}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_sweep(path: Union[str, Path]) -> SweepResult:
-    """Reload a sweep; improvements/efficiencies recompute transparently."""
-    from .experiment import ExperimentConfig
+    """Reload a sweep; improvements/efficiencies recompute transparently.
 
+    Older files that kept only each config's headline fields still load;
+    the fields they lack take their defaults.
+    """
     payload = json.loads(Path(path).read_text())
     _check(payload, "sweep")
-    pairs: List[PairedResult] = []
-    for p in payload["pairs"]:
-        cfg_fields = dict(p["config"])
-        fault = cfg_fields.pop("fault", None)  # absent in pre-fault files
-        if fault is not None:
-            cfg_fields["fault"] = FaultParams(**fault)
-        cfg = ExperimentConfig(**cfg_fields)
-        pairs.append(
-            PairedResult(
-                config=cfg,
-                parallel=run_result_from_dict(p["parallel"]),
-                distributed=run_result_from_dict(p["distributed"]),
-                sequential=(
-                    run_result_from_dict(p["sequential"])
-                    if p["sequential"] is not None
-                    else None
-                ),
-                scheme_names=_scheme_names(p),
-            )
-        )
-    return SweepResult(pairs=pairs)
+    return SweepResult(pairs=[_paired_from_dict(p) for p in payload["pairs"]])
 
 
 def _config_to_dict(cfg) -> Dict:
     """Full JSON form of an :class:`ExperimentConfig`, nested params included.
 
-    Unlike the (format-1) sweep entry, which keeps only the headline fields,
-    this captures everything -- ``traffic_seed``, ``base_speed``,
-    ``sim_params``, ``scheme_params``, ``fault`` and ``trace`` -- so
-    reloaded configs compare equal to the originals.  This is also the
-    wire form ``repro.serve`` jobs carry their configs in.
+    Captures everything -- ``traffic_seed``, ``base_speed``, ``sim_params``,
+    ``scheme_params``, ``fault``, ``trace``, ``service`` and ``system`` --
+    so reloaded configs compare equal to the originals.  Every persisted
+    result uses it, and it is the wire form ``repro.serve`` jobs carry
+    their configs in.
     """
     out = {
         "app_name": cfg.app_name,

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..amr.box import Box
+from ..amr.boxarray import BoxArray
 from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import IntegratorHooks, SAMRIntegrator, SubStep
 from ..amr.grid import Grid
@@ -238,11 +239,9 @@ class SAMRRunner(IntegratorHooks):
         self.assignment.validate()
         self.integrator = SAMRIntegrator(self.hierarchy, self, dt0=dt0)
         self._step_start_clock = 0.0
-        #: per-level message geometry keyed by the hierarchy version at
-        #: which it was computed: sibling pairs (the array and its two gid
-        #: columns as lists) and parent/child arrays
-        self._sibling_cache: Dict[int, Tuple[int, Tuple[np.ndarray, list, list]]] = {}
-        self._pc_cache: Dict[int, Tuple[int, Tuple[list, list, np.ndarray]]] = {}
+        #: per-level message geometry, keyed by the hierarchy version at
+        #: which it was computed (see :meth:`_level_geometry`)
+        self._geometry: Dict[int, Tuple[int, Tuple[tuple, tuple]]] = {}
 
     def _rebuild_fine_level(self, level: int, time: float) -> List[Grid]:
         """Rebuild level ``level + 1``: plan from application flags, then
@@ -268,9 +267,15 @@ class SAMRRunner(IntegratorHooks):
             loads = self.assignment.level_loads(level)
             self.sim.run_compute(loads, level=level, seq=step.seq)
             self.history.record_solve(level, loads)
-            batch = MessageBatch.concatenate(
-                [self._ghost_messages(level), self._parent_child_messages(level)]
-            )
+            sibling, parent_child = self._level_geometry(level)
+            bpc = self.sim_params.bytes_per_cell
+            batch = MessageBatch.concatenate([
+                # a sibling volume counts both directions: half each way
+                self._exchange(*sibling, bpc / 2.0, MessageKind.SIBLING),
+                self._exchange(*parent_child,
+                               bpc * self.sim_params.parent_child_factor,
+                               MessageKind.PARENT_CHILD),
+            ])
             if len(batch):
                 self.sim.run_comm(batch, level=level, purpose="ghost")
             if self.metrics is not None:
@@ -358,70 +363,44 @@ class SAMRRunner(IntegratorHooks):
     # message generation
     # ------------------------------------------------------------------ #
 
-    def _sibling_pairs(self, level: int) -> Tuple[np.ndarray, list, list]:
-        """Sibling adjacency at ``level``, cached on the hierarchy version:
-        the ``(gid_a, gid_b, volume)`` rows and their two gid columns as
-        lists, which feed the owner lookups of every solve at this version."""
-        cached = self._sibling_cache.get(level)
+    def _level_geometry(self, level: int) -> Tuple[tuple, tuple]:
+        """Message geometry at ``level``, cached on the hierarchy version.
+
+        Returns ``(sibling, parent_child)``: the sibling pairs of
+        :meth:`~repro.amr.hierarchy.GridHierarchy.sibling_pairs` as
+        ``(gids_a, gids_b, cells)``, and each grid's link to its parent as
+        ``(parent_gids, gids, cells)`` with the grid's surface shell as the
+        prolongation/restriction volume (empty on level 0, which has no
+        parents).  The gid columns are lists: they feed the owner lookups
+        of every solve at this version.
+        """
+        cached = self._geometry.get(level)
         if cached is not None and cached[0] == self.hierarchy.version:
             return cached[1]
-        pairs = self.hierarchy.sibling_pairs(level, self.sim_params.ghost_width)
-        entry = (pairs, pairs[:, 0].tolist(), pairs[:, 1].tolist())
-        self._sibling_cache[level] = (self.hierarchy.version, entry)
-        return entry
-
-    def _ghost_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
-        """Sibling-pair geometry at ``level`` as (gids_a, gids_b, areas)."""
-        pairs, gids_a, gids_b = self._sibling_pairs(level)
-        return gids_a, gids_b, pairs[:, 2]
-
-    def _ghost_messages(self, level: int) -> MessageBatch:
-        """Sibling ghost-zone exchange for one solve at ``level``."""
-        gids_a, gids_b, area = self._ghost_arrays(level)
-        if not gids_a:
-            return MessageBatch.empty()
-        pa = self.assignment.pids_of(gids_a)
-        pb = self.assignment.pids_of(gids_b)
-        cross = pa != pb  # co-located pairs exchange in memory: no messages
-        if not cross.any():
-            return MessageBatch.empty()
-        # `area` is the two-way exchange volume; split across directions
-        half = area[cross] * self.sim_params.bytes_per_cell / 2.0
-        return _paired_batch(pa[cross], pb[cross], half, MessageKind.SIBLING)
-
-    def _pc_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
-        """Parent/child geometry at ``level``: (gids, parent_gids,
-        boundary-cell counts), cached on the hierarchy version."""
-        cached = self._pc_cache.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
-            return cached[1]
-        grids = self.hierarchy.level_grids(level)
-        arrays = (
-            [g.gid for g in grids],
-            [g.parent_gid for g in grids],
-            np.fromiter((g.boundary_cells() for g in grids),
-                        dtype=np.int64, count=len(grids)),
+        h = self.hierarchy
+        pairs = h.sibling_pairs(level, self.sim_params.ghost_width)
+        grids = h.level_grids(level) if level > 0 else []
+        geometry = (
+            (pairs[:, 0].tolist(), pairs[:, 1].tolist(), pairs[:, 2]),
+            ([g.parent_gid for g in grids], [g.gid for g in grids],
+             BoxArray.from_boxes([g.box for g in grids],
+                                 ndim=h.domain.ndim).surface_cells()),
         )
-        self._pc_cache[level] = (self.hierarchy.version, arrays)
-        return arrays
+        self._geometry[level] = (h.version, geometry)
+        return geometry
 
-    def _parent_child_messages(self, level: int) -> MessageBatch:
-        """Boundary prolongation + restriction between ``level`` and its
-        parent level, for one solve at ``level``."""
-        if level == 0:
-            return MessageBatch.empty()
-        gids, parent_gids, bcells = self._pc_arrays(level)
-        if not gids:
-            return MessageBatch.empty()
-        child = self.assignment.pids_of(gids)
-        parent = self.assignment.pids_of(parent_gids)
-        cross = child != parent
+    def _exchange(self, src_gids: list, dst_gids: list, cells: np.ndarray,
+                  bytes_per_cell: float, kind: MessageKind) -> MessageBatch:
+        """Two-way messages of ``cells * bytes_per_cell`` bytes between the
+        owners of each ``(src, dst)`` grid pair; co-located pairs exchange
+        in memory and send nothing."""
+        src = self.assignment.pids_of(src_gids)
+        dst = self.assignment.pids_of(dst_gids)
+        cross = src != dst
         if not cross.any():
             return MessageBatch.empty()
-        bpc = self.sim_params.bytes_per_cell * self.sim_params.parent_child_factor
-        nbytes = bcells[cross] * bpc
-        return _paired_batch(parent[cross], child[cross], nbytes,
-                             MessageKind.PARENT_CHILD)
+        return _paired_batch(src[cross], dst[cross],
+                             cells[cross] * bytes_per_cell, kind)
 
     # ------------------------------------------------------------------ #
     # driving

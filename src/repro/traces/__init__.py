@@ -4,14 +4,15 @@ The subsystem decouples the expensive part of an experiment (the AMR
 solver + clustering) from the part under study (the DLB schemes):
 
 * :func:`record_run` runs one real experiment while capturing its
-  workload signal -- per-substep grid workloads, regrid cluster boxes,
-  ghost/parent-child message manifests -- into a :class:`Trace`
-  (optionally written as deterministic gzipped JSONL).
+  workload signal -- per-substep grid workloads and regrid cluster boxes
+  -- into a :class:`Trace` (optionally written as deterministic gzipped
+  JSONL).
 * :class:`TraceReplayRunner` / :func:`replay_trace` feed a trace back
   through the cluster simulator under *any* scheme / system / gamma /
-  fault schedule, without the solver -- an order of magnitude faster
-  (see ``BENCH_replay.json``), and bit-for-bit identical to the recorded
-  run when replayed under the recorded scheme + system.
+  fault schedule, without the solver -- several times faster (see
+  ``BENCH_replay.json``), deriving ghost and parent/child messages from
+  the replayed hierarchy, and bit-for-bit identical to the recorded run
+  when replayed under the recorded scheme + system.
 * :mod:`repro.traces.synth` generates traces from parameterised
   synthetic workloads (``synth:hotspot``, ``synth:bursty``,
   ``synth:adversarial``) for stress cases the paper's applications

@@ -2,9 +2,10 @@
 
 :class:`TraceRecorder` is a pure observer the runner notifies from its
 integrator hooks (``SAMRRunner(recorder=...)``): it copies out per-substep
-per-grid workloads, regrid cluster boxes and ghost/parent-child message
-manifests, and never feeds anything back -- a recorded run is bit-identical
-to an unrecorded one.
+per-grid workloads and regrid cluster boxes, and never feeds anything back
+-- a recorded run is bit-identical to an unrecorded one.  Message volumes
+are not recorded: they are geometry, which the replayer derives from its
+own hierarchy.
 
 Design note: regrids are recorded as *cluster boxes* in coarse coordinates
 (the pre-clipping output of Berger--Rigoutsos), not as the realized fine
@@ -39,25 +40,16 @@ class TraceRecorder:
         the trace header for provenance.
     scheme_name:
         Registry name of the scheme driving the recorded run.
-    manifests:
-        Record ghost/parent-child message manifests (default).  They are
-        what lets same-scheme replay skip sibling-adjacency geometry -- the
-        dominant cost after the solver -- so leave them on unless trace
-        size matters more than replay speed.
     """
 
-    def __init__(self, config=None, scheme_name: str = "",
-                 manifests: bool = True) -> None:
+    def __init__(self, config=None, scheme_name: str = "") -> None:
         self.config = config
         self.scheme_name = scheme_name
-        self.manifests = manifests
         self.records: List[Dict[str, Any]] = []
         self.runner = None
         self._root_boxes: List[Box] = []
         self._root_wpc = 1.0
         self._nglobals = 0
-        #: per-level hierarchy version of the last emitted manifest
-        self._manifest_version: Dict[int, int] = {}
 
     # -- runner hooks (called by SAMRRunner) -------------------------------
 
@@ -73,11 +65,9 @@ class TraceRecorder:
         self._nglobals += 1
 
     def on_solve(self, step: SubStep) -> None:
-        level = step.level
-        if self.manifests:
-            self._maybe_emit_manifest(level)
-        w = [g.workload for g in self.runner.hierarchy.level_grids(level)]
-        self.records.append({"op": "solve", "l": level, "q": step.seq, "w": w})
+        w = [g.workload for g in self.runner.hierarchy.level_grids(step.level)]
+        self.records.append({"op": "solve", "l": step.level, "q": step.seq,
+                             "w": w})
 
     def on_regrid(self, level: int, time: float, boxes: List[Box],
                   wpc: float) -> None:
@@ -88,22 +78,6 @@ class TraceRecorder:
 
     def on_local(self, level: int, time: float) -> None:
         self.records.append({"op": "local", "l": level, "t": time})
-
-    def _maybe_emit_manifest(self, level: int) -> None:
-        h = self.runner.hierarchy
-        if self._manifest_version.get(level) == h.version:
-            return
-        self._manifest_version[level] = h.version
-        # shares the runner's version-keyed cache, so the pairs computed
-        # here are the exact ones the subsequent solve reuses
-        pairs, _, _ = self.runner._sibling_pairs(level)
-        sib: List[List[int]] = pairs.tolist()
-        pc: List[List[int]] = []
-        if level > 0:
-            pc = [[g.gid, g.parent_gid, g.boundary_cells()]
-                  for g in h.level_grids(level)]
-        self.records.append({"op": "manifest", "l": level, "v": h.version,
-                             "sib": sib, "pc": pc})
 
     # -- finishing ---------------------------------------------------------
 
@@ -147,7 +121,6 @@ def record_run(
     out=None,
     tracer=None,
     seed: Optional[int] = None,
-    manifests: bool = True,
 ):
     """Run one experiment while recording its workload trace.
 
@@ -158,8 +131,6 @@ def record_run(
     ``out``
         Optional path; when given the trace is also written there as
         deterministic gzipped JSONL (conventionally ``*.trace.jsonl.gz``).
-    ``manifests``
-        Forwarded to :class:`TraceRecorder`.
 
     Returns ``(RunResult, Trace)``.  The result is bit-identical to
     ``run_experiment(config, scheme)`` -- recording is observation only.
@@ -181,8 +152,7 @@ def record_run(
         raise ValueError(
             "cannot record a replayed run: config.trace must be None"
         )
-    recorder = TraceRecorder(config=cfg, scheme_name=scheme,
-                             manifests=manifests)
+    recorder = TraceRecorder(config=cfg, scheme_name=scheme)
     result = _traced_run(tracer, lambda metrics: SAMRRunner(
         make_app(cfg),
         make_system(cfg),

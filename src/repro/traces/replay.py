@@ -2,33 +2,29 @@
 
 :class:`TraceReplayRunner` is an :class:`~repro.runtime.SAMRRunner` whose
 workload signal comes from a trace instead of an AMR application: the root
-tiling and initial refinement come from the trace header, every regrid
+tiling and initial refinement come from the trace header, and every regrid
 installs the recorded cluster boxes (clipped against the replay's own
 level-0 grids and validated like a live regrid, so overlapping boxes raise
-:exc:`ValueError`), and -- whenever the replayed hierarchy still matches the
-recorded one -- ghost/parent-child message volumes come from the recorded
-manifests instead of geometry recomputation.  Everything else (the cluster
-simulator, the scheme, faults, background traffic) is the real machinery,
-so the same trace can be re-balanced under different systems, schemes, γ
-values and fault schedules at a ≥10x speedup over the full solve.
+:exc:`ValueError`).  Everything else -- the ghost and parent/child message
+geometry of the replayed hierarchy, the cluster simulator, the scheme,
+faults, background traffic -- is the real machinery, so the same trace can
+be re-balanced under different systems, schemes, γ values and fault
+schedules at a ≥2x speedup over the full solve.
 
 Fidelity contract: under the *same* system and scheme the trace was
 recorded with, replay reproduces the recorded run's DLB decisions and
 ``RunResult`` bit-for-bit (pinned by ``tests/test_trace_replay.py``).
 Under a different scheme or system the hierarchy may evolve differently
-(global redistribution splits level-0 grids), so replay degrades
-gracefully: recorded cluster boxes are re-clipped against the actual
-grids, and stale manifests fall back to geometric recomputation (counted
-in the ``trace.manifest_fallbacks`` metric).  This is the standard
-trace-driven approximation of the DLB literature.
+(global redistribution splits level-0 grids), so recorded cluster boxes
+are re-clipped against the actual grids and messages follow the replayed
+layout.  This is the standard trace-driven approximation of the DLB
+literature.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Union
 
 from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
@@ -108,11 +104,6 @@ class TraceReplayRunner(SAMRRunner):
         self.strict = strict
         self._records = trace.records
         self._cursor = 0
-        #: per-level installed message manifests (version-keyed)
-        self._manifests: Dict[int, Tuple[int, list, list]] = {}
-        #: solves that had to recompute geometry because the replayed
-        #: hierarchy diverged from the recorded one (cross-scheme replay)
-        self.manifest_fallbacks = 0
 
         self.hierarchy = GridHierarchy(
             self.app.domain, self.app.refinement_ratio, self.app.max_levels
@@ -125,27 +116,14 @@ class TraceReplayRunner(SAMRRunner):
     # -- record stream ----------------------------------------------------- #
 
     def _next_record(self, op: str) -> dict:
-        """Advance to the next non-manifest record, which must be ``op``."""
-        while True:
-            if self._cursor >= len(self._records):
-                raise TraceReplayError(
-                    f"trace exhausted while expecting a {op!r} record "
-                    f"(the trace holds {self.trace.nsteps} coarse steps)"
-                )
-            rec = self._records[self._cursor]
-            self._cursor += 1
-            if rec["op"] == "manifest":
-                # unpack once into gid lists + volume arrays so every solve
-                # at this hierarchy version batches without re-parsing
-                sib = np.asarray(rec["sib"], dtype=np.int64).reshape(-1, 3)
-                pc = np.asarray(rec["pc"], dtype=np.int64).reshape(-1, 3)
-                self._manifests[rec["l"]] = (
-                    rec["v"],
-                    (sib[:, 0].tolist(), sib[:, 1].tolist(), sib[:, 2]),
-                    (pc[:, 0].tolist(), pc[:, 1].tolist(), pc[:, 2]),
-                )
-                continue
-            break
+        """Advance to the next record, which must be ``op``."""
+        if self._cursor >= len(self._records):
+            raise TraceReplayError(
+                f"trace exhausted while expecting a {op!r} record "
+                f"(the trace holds {self.trace.nsteps} coarse steps)"
+            )
+        rec = self._records[self._cursor]
+        self._cursor += 1
         if rec["op"] != op:
             raise TraceReplayError(
                 f"replay desynchronised at record {self._cursor - 1}: "
@@ -206,25 +184,6 @@ class TraceReplayRunner(SAMRRunner):
             )
         super().global_balance(time)
 
-    # -- manifest fast path -------------------------------------------------- #
-    # The runner builds its ghost and parent/child messages from these
-    # geometry arrays; a manifest recorded at the current hierarchy version
-    # stands in for the geometric recomputation.
-
-    def _ghost_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
-        manifest = self._manifests.get(level)
-        if manifest is not None and manifest[0] == self.hierarchy.version:
-            return manifest[1]
-        if manifest is not None:
-            self.manifest_fallbacks += 1
-        return super()._ghost_arrays(level)
-
-    def _pc_arrays(self, level: int) -> Tuple[list, list, np.ndarray]:
-        manifest = self._manifests.get(level)
-        if manifest is not None and manifest[0] == self.hierarchy.version:
-            return manifest[2]
-        return super()._pc_arrays(level)
-
     # -- driving ------------------------------------------------------------ #
 
     def run(self, ncoarse_steps: int) -> RunResult:
@@ -238,8 +197,6 @@ class TraceReplayRunner(SAMRRunner):
         m = get_default_metrics()
         m.counter("trace.replayed_runs").inc()
         m.counter("trace.replayed_records").inc(self._cursor)
-        if self.manifest_fallbacks:
-            m.counter("trace.manifest_fallbacks").inc(self.manifest_fallbacks)
         return result
 
 

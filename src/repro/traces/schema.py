@@ -10,12 +10,6 @@ Record vocabulary (all coordinates are lattice integers, all floats are
 JSON ``repr`` round-trips, i.e. bit-exact):
 
 ``global``    ``{"op", "t", "s"}`` -- one per coarse step, before its solve.
-``manifest``  ``{"op", "l", "v", "sib", "pc"}`` -- ghost/parent-child message
-              manifest for level ``l``, emitted whenever the hierarchy
-              changed since the level's last manifest; ``v`` is the
-              hierarchy version it was computed at, ``sib`` is
-              ``[gid_a, gid_b, cells]`` triples, ``pc`` is
-              ``[gid, parent_gid, boundary_cells]`` triples.
 ``solve``     ``{"op", "l", "q", "w"}`` -- one per solver sub-step:
               level, Fig. 2 sequence number, per-grid workloads in grid
               creation order.
@@ -25,6 +19,14 @@ JSON ``repr`` round-trips, i.e. bit-exact):
               level's work per cell.
 ``local``     ``{"op", "l", "t"}`` -- local balance point (Fig. 5).
 ``end``       ``{"op", "n"}`` -- footer; ``n`` counts the preceding records.
+
+Every field is type-checked on read and write (:func:`validate_record`), so
+a hand-edited or corrupt value raises :class:`TraceFormatError` naming the
+record, op and field instead of surfacing later as a bare ``TypeError`` or
+a NaN.  Older version-1 files may also hold ``manifest`` records
+(``{"op", "l", "v", "sib", "pc"}``, per-level copies of the message
+volumes); :func:`read_trace` validates and drops them, because replay
+derives message volumes from its own hierarchy.
 
 Determinism: files are written with a zeroed gzip mtime and no filename
 field, so identical traces are identical bytes -- which is what lets the
@@ -36,9 +38,11 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from ..amr.box import Box
 
@@ -60,14 +64,56 @@ __all__ = [
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
 
-#: record ops and their required keys (beyond ``op``)
-_RECORD_KEYS: Dict[str, tuple] = {
-    "global": ("t", "s"),
-    "manifest": ("l", "v", "sib", "pc"),
-    "solve": ("l", "q", "w"),
-    "regrid": ("l", "t", "b", "wpc"),
-    "local": ("l", "t"),
-    "end": ("n",),
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_box(value: Any) -> bool:
+    """``[[lo...], [hi...]]``: equal-rank integer corners, ``hi >= lo``."""
+    return (isinstance(value, list) and len(value) == 2
+            and all(isinstance(c, list) and all(map(_is_int, c)) for c in value)
+            and len(value[0]) == len(value[1])
+            and all(lo <= hi for lo, hi in zip(*value)))
+
+
+#: the per-level message-volume copies older recorders wrote; replay
+#: derives message volumes from its own hierarchy instead
+_DROPPED_OP = "manifest"
+
+#: a field check and what it expects, for the error message
+_Check = Tuple[Callable[[Any], bool], str]
+_INT: _Check = (_is_int, "an integer")
+_TIME: _Check = (_is_finite, "a finite number")
+_LIST: _Check = (lambda v: isinstance(v, list), "a list")
+_WPC: _Check = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
+
+#: record ops -> their required fields (beyond ``op``) -> check
+_RECORD_FIELDS: Dict[str, Dict[str, _Check]] = {
+    "global": {"t": _TIME, "s": _INT},
+    "solve": {"l": _INT, "q": _INT,
+              "w": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                    "a list of finite numbers")},
+    "regrid": {"l": _INT, "t": _TIME,
+               "b": (lambda v: isinstance(v, list) and all(map(_is_box, v)),
+                     "a list of boxes [[lo...], [hi...]] with hi >= lo"),
+               "wpc": _WPC},
+    "local": {"l": _INT, "t": _TIME},
+    "end": {"n": _INT},
+    # written by older recorders only: read and dropped, never written
+    _DROPPED_OP: {"l": _INT, "v": _INT, "sib": _LIST, "pc": _LIST},
+}
+
+#: header fields whose values are range-checked once their types are
+_HEADER_RANGES: Dict[str, _Check] = {
+    "nsteps": (lambda v: v >= 0, ">= 0"),
+    "dt0": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "root_wpc": _WPC,
 }
 
 
@@ -89,11 +135,9 @@ def encode_box(box: Box) -> List[List[int]]:
 
 def decode_box(data: Any) -> Box:
     """Inverse of :func:`encode_box`; raises :class:`TraceFormatError`."""
-    try:
-        lo, hi = data
-        return Box(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
-    except (TypeError, ValueError) as err:
-        raise TraceFormatError(f"malformed box {data!r}: {err}") from None
+    if not _is_box(data):
+        raise TraceFormatError(f"malformed box {data!r}")
+    return Box(tuple(data[0]), tuple(data[1]))
 
 
 @dataclass
@@ -186,8 +230,11 @@ def validate_header(header: Any) -> Dict[str, Any]:
                 f"trace header field {key!r} has wrong type "
                 f"{type(header[key]).__name__}"
             )
-    if header["nsteps"] < 0 or header["dt0"] <= 0:
-        raise TraceFormatError("trace header has nonsensical nsteps/dt0")
+    for key, (check, expected) in _HEADER_RANGES.items():
+        if not check(header[key]):
+            raise TraceFormatError(
+                f"trace header field {key!r} must be {expected}, "
+                f"got {header[key]!r}")
     decode_box(header["domain"])
     for b in header["root"]:
         decode_box(b)
@@ -195,21 +242,24 @@ def validate_header(header: Any) -> Dict[str, Any]:
 
 
 def validate_record(record: Any, index: int) -> Dict[str, Any]:
-    """Check one record line; returns it or raises :class:`TraceFormatError`."""
+    """Check one record line; returns it or raises :class:`TraceFormatError`
+    naming the record index, op and offending field."""
     if not isinstance(record, dict):
         raise TraceFormatError(f"record {index} is not an object")
     op = record.get("op")
-    if op not in _RECORD_KEYS:
+    if op not in _RECORD_FIELDS:
         raise TraceFormatError(
             f"record {index} has unknown op {op!r}; "
-            f"expected one of {sorted(_RECORD_KEYS)}"
+            f"expected one of {sorted(_RECORD_FIELDS)}"
         )
-    for key in _RECORD_KEYS[op]:
+    for key, (check, expected) in _RECORD_FIELDS[op].items():
         if key not in record:
             raise TraceFormatError(f"record {index} ({op!r}) missing field {key!r}")
-    if op == "regrid":
-        for b in record["b"]:
-            decode_box(b)
+        if not check(record[key]):
+            raise TraceFormatError(
+                f"record {index} ({op!r}) field {key!r} must be {expected}, "
+                f"got {reprlib.repr(record[key])}"
+            )
     return record
 
 
@@ -235,7 +285,11 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> int:
         with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0, filename="") as gz:
             gz.write(dump(trace.header))
             for i, record in enumerate(trace.records):
-                gz.write(dump(validate_record(record, i)))
+                if validate_record(record, i)["op"] == _DROPPED_OP:
+                    raise TraceFormatError(
+                        f"record {i}: {_DROPPED_OP!r} records are read and "
+                        f"dropped, never written")
+                gz.write(dump(record))
             gz.write(dump({"op": "end", "n": len(trace.records)}))
     return path.stat().st_size
 
@@ -243,7 +297,9 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> int:
 def read_trace(path: Union[str, Path]) -> Trace:
     """Read and validate a trace file; raises :class:`TraceFormatError` on
     anything short of a complete, schema-valid trace (including a missing or
-    miscounting ``end`` footer -- the truncation detector)."""
+    miscounting ``end`` footer -- the truncation detector).  ``manifest``
+    records of older files are validated, counted against the footer and
+    dropped."""
     path = Path(path)
     lines: List[Any] = []
     try:
@@ -274,7 +330,8 @@ def read_trace(path: Union[str, Path]) -> Trace:
             f"{path}: truncated trace (footer counts {footer.get('n')} "
             f"records, file holds {len(records)})"
         )
-    return Trace(header=header, records=records)
+    return Trace(header=header,
+                 records=[r for r in records if r["op"] != _DROPPED_OP])
 
 
 def trace_file_hash(path: Union[str, Path]) -> str:

@@ -293,10 +293,8 @@ class _SynthBuilder(IntegratorHooks):
 
     Owns a bare hierarchy so the record stream has exactly the hook order a
     live run produces (Fig. 4/5 control flow) -- the replayer consumes it
-    with the same alignment checks as a recorded trace.  No manifests are
-    emitted: the replayed hierarchy depends on the replay scheme, so the
-    replayer computes adjacency geometrically (its version-keyed cache
-    keeps that cheap).
+    with the same alignment checks as a recorded trace, and derives message
+    volumes from its own hierarchy exactly as it does for a recorded one.
     """
 
     def __init__(self, workload: SyntheticWorkload, hierarchy: GridHierarchy,

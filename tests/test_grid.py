@@ -68,10 +68,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             g._add_child(5)
 
-    def test_boundary_cells_is_surface(self):
-        g = Grid(gid=1, level=0, box=Box.cube(0, 4, 3))
-        assert g.boundary_cells() == g.box.surface_cells()
-
     def test_migration_cells_is_volume(self):
         g = Grid(gid=1, level=0, box=Box.cube(0, 4, 3))
         assert g.migration_cells() == 64

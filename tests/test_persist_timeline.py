@@ -24,6 +24,8 @@ from repro.harness import (
     save_sweep,
     step_timeline,
 )
+from repro.config import ServiceConfig, TraceParams
+from repro.distsys import multi_site_spec
 from repro.harness.persist import run_result_from_dict, run_result_to_dict
 
 
@@ -96,6 +98,39 @@ class TestSweepPersistence:
         assert back.pairs[0].config.gamma == sweep.pairs[0].config.gamma
 
 
+    @pytest.mark.parametrize("extra", [
+        {"system": multi_site_spec([2, 2, 2])},
+        {"trace": TraceParams(source="synth:hotspot", seed=3, intensity=2.0)},
+        {"service": ServiceConfig(nshards=4, duration_seconds=20.0,
+                                  router="ewma")},
+    ], ids=["spec", "trace", "service"])
+    def test_full_config_round_trips(self, extra, tmp_path):
+        """Every field survives, not just the headline ones."""
+        cfg = ExperimentConfig(steps=1, domain_cells=8, max_levels=2,
+                               traffic_seed=3, base_speed=3e4, **extra)
+        sweep = run_sweep(cfg, procs_per_group=[1])
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        assert load_sweep(path).pairs[0].config == sweep.pairs[0].config
+
+    def test_headline_only_layout_still_loads(self, sweep, tmp_path):
+        """Files whose configs kept only the headline fields load, with the
+        missing fields at their defaults."""
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        payload = json.loads(path.read_text())
+        headline = ("app_name", "network", "procs_per_group", "steps",
+                    "domain_cells", "max_levels", "traffic_kind",
+                    "traffic_level", "gamma", "fault")
+        for pair in payload["pairs"]:
+            pair["config"] = {k: pair["config"][k] for k in headline}
+        path.write_text(json.dumps(payload))
+        back = load_sweep(path)
+        assert back.pairs[0].config == sweep.pairs[0].config
+        assert back.pairs[0].improvement == pytest.approx(
+            sweep.pairs[0].improvement)
+
+
 class TestReplicatedPersistence:
     @pytest.fixture(scope="class")
     def replicated(self):
@@ -118,8 +153,7 @@ class TestReplicatedPersistence:
         path = tmp_path / "replicated.json"
         save_replicated(replicated, path)
         back = load_replicated(path)
-        # per-seed configs keep their traffic seed (format-1 sweep files
-        # drop it; the replicated format must not)
+        # per-seed configs keep their traffic seed
         assert [p.config.traffic_seed for p in back.pairs] == [1, 2]
         assert back.pairs[0].config == replicated.pairs[0].config
 

@@ -183,9 +183,18 @@ class TestRunnerCommAttribution:
         assert runner.result().system == "1+2+1procs"
 
     def test_ghost_cache_consistent_after_redistribution(self):
-        """A carve changes level-0 grids; the sibling cache must follow."""
+        """A carve changes level-0 grids; the geometry cache must follow:
+        served at the current version, it equals a fresh computation."""
         runner = small_runner(make_scheme("distributed"), steps=4)
-        # simply completing 4 steps without KeyError proves cache hygiene;
-        # assert the cache is keyed at the current version
-        for level, (version, _pairs) in runner._sibling_cache.items():
-            assert version <= runner.hierarchy.version
+        h = runner.hierarchy
+        assert runner._geometry
+        for level, (version, _geometry) in runner._geometry.items():
+            assert version <= h.version
+            (gids_a, gids_b, cells), (parents, gids, pc_cells) = (
+                runner._level_geometry(level))
+            pairs = h.sibling_pairs(level, runner.sim_params.ghost_width)
+            assert [gids_a, gids_b, cells.tolist()] == pairs.T.tolist()
+            grids = h.level_grids(level) if level > 0 else []
+            assert gids == [g.gid for g in grids]
+            assert parents == [g.parent_gid for g in grids]
+            assert pc_cells.tolist() == [g.box.surface_cells() for g in grids]

@@ -7,7 +7,11 @@ and :class:`RunResult` *bit-for-bit* -- including the full event log --
 without running the AMR solver.
 """
 
+import gzip
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +29,13 @@ from repro.traces import (
     TraceFormatError,
     TraceReplayError,
     TraceReplayRunner,
+    read_trace,
     record_run,
     replay_trace,
     write_trace,
 )
+
+DATA = Path(__file__).parent / "data"
 
 SMALL = ExperimentConfig(procs_per_group=2, steps=3, domain_cells=16,
                          max_levels=3)
@@ -66,22 +73,8 @@ class TestGoldenEquivalence:
         replayed = replay_trace(trace, faulted, "distributed", strict=True)
         assert run_result_to_dict(replayed) == run_result_to_dict(recorded)
 
-    def test_manifest_fast_path_is_used(self):
-        _, trace = record_run(SMALL, "distributed")
-        from repro.core.registry import make_scheme
-        from repro.harness.experiment import make_system
-
-        runner = TraceReplayRunner(trace, make_system(SMALL),
-                                   make_scheme("distributed"),
-                                   sim_params=SMALL.sim_params,
-                                   scheme_params=SMALL.effective_scheme_params(),
-                                   strict=True)
-        runner.run(SMALL.steps)
-        assert runner.manifest_fallbacks == 0
-
     def test_stale_manifests_fall_back_to_geometry(self):
-        """Once the replayed hierarchy diverges from the recorded one, the
-        stale manifests are counted and the geometry is recomputed: a
+        """Messages follow the replayed hierarchy, not the recorded one: a
         parallel-DLB recording replayed under the distributed scheme
         matches the distributed scheme's own recording."""
         from repro.core.registry import make_scheme
@@ -97,16 +90,67 @@ class TestGoldenEquivalence:
                                    scheme_params=cfg.effective_scheme_params(),
                                    fault_schedule=make_faults(cfg))
         replayed = runner.run(cfg.steps)
-        assert runner.manifest_fallbacks > 0
         assert run_result_to_dict(replayed) == run_result_to_dict(recorded)
 
     def test_manifest_free_replay_still_matches(self):
-        """Manifests are an optimisation: without them the replayer
-        recomputes adjacency geometrically to identical results."""
-        recorded, trace = record_run(SMALL, "distributed", manifests=False)
+        """A recording holds no message manifests: the replayer derives
+        every message from its own hierarchy, to identical results."""
+        recorded, trace = record_run(SMALL, "distributed")
         assert not any(r["op"] == "manifest" for r in trace.records)
         replayed = replay_trace(trace, SMALL, "distributed", strict=True)
         assert run_result_to_dict(replayed) == run_result_to_dict(recorded)
+
+
+class TestTracesWithManifests:
+    """Version-1 traces recorded before replay derived every message from
+    its own hierarchy carry per-level ``manifest`` records; they still read
+    (manifests validated and dropped) and replay strictly to the recorded
+    run's hash.  The fixture was recorded by such a build."""
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        meta = json.loads((DATA / "with_manifests.json").read_text())
+        return meta, DATA / meta["trace"]
+
+    def test_read_drops_manifests(self, fixture):
+        meta, path = fixture
+        with gzip.open(path, "rt", encoding="ascii") as fh:
+            ops = [json.loads(line).get("op") for line in fh]
+        assert ops.count("manifest") == meta["manifest_records"] > 0
+        trace = read_trace(path)
+        assert "manifest" not in {r["op"] for r in trace.records}
+        assert len(trace.records) == (meta["records"]
+                                      - meta["manifest_records"])
+
+    def test_manifest_fields_are_validated(self, fixture, tmp_path):
+        _, path = fixture
+        with gzip.open(path, "rt", encoding="ascii") as fh:
+            lines = [json.loads(line) for line in fh]
+        index, record = next((i, r) for i, r in enumerate(lines[1:])
+                             if r["op"] == "manifest")
+        record["sib"] = "x"
+        bad = tmp_path / "bad.trace.jsonl.gz"
+        with gzip.open(bad, "wt", encoding="ascii") as fh:
+            fh.writelines(json.dumps(line) + "\n" for line in lines)
+        with pytest.raises(TraceFormatError,
+                           match=rf"record {index} \('manifest'\) field 'sib'"):
+            read_trace(bad)
+
+    def test_write_refuses_manifests(self, fixture, tmp_path):
+        trace = read_trace(fixture[1])
+        trace.records.insert(0, {"op": "manifest", "l": 0, "v": 1,
+                                 "sib": [], "pc": []})
+        with pytest.raises(TraceFormatError, match="never written"):
+            write_trace(trace, tmp_path / "t.trace.jsonl.gz")
+
+    def test_strict_replay_matches_recorded_hash(self, fixture):
+        meta, path = fixture
+        cfg = replace(ExperimentConfig(**meta["config"]),
+                      trace=TraceParams(source=str(path), strict=True))
+        result = run_experiment(cfg, meta["scheme"])
+        payload = json.dumps(run_result_to_dict(result), sort_keys=True)
+        assert (hashlib.sha256(payload.encode()).hexdigest()
+                == meta["result_sha256"])
 
 
 class TestCrossReplay:
@@ -178,6 +222,17 @@ class TestDesyncDetection:
         _, trace = record_run(SMALL, "distributed")
         with pytest.raises(TraceReplayError, match="divergence"):
             replay_trace(trace, SMALL, "static", strict=True)
+
+    def test_cli_reports_strict_divergence_and_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "t.trace.jsonl.gz"
+        record_run(SMALL, "distributed", out=out)
+        rc = main(["replay", str(out), "--procs", "2", "--scheme", "static",
+                   "--strict", "--no-cache"])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(
+            "error: strict replay divergence at level 0 seq 1")
 
 
 def _duplicated_box_trace(path):

@@ -180,6 +180,79 @@ class TestCorruptInputs:
             write_trace(broken, tmp_path / "x.trace.jsonl.gz")
 
 
+def _hotspot_trace():
+    """``synth:hotspot`` at 16^3, 3 levels, seed 0, 2 steps, 4 procs."""
+    workload = make_synth_workload("hotspot", domain_cells=16, max_levels=3,
+                                   ndim=3, seed=0)
+    return generate_trace(workload, steps=2, nprocs=4)
+
+
+#: (where, field, value, message): one mutated field each; ``where`` is
+#: "header" or the op whose first record is mutated
+FIELD_MUTATIONS = [
+    ("header", "root_wpc", float("nan"), "'root_wpc' must be a finite number >= 0"),
+    ("header", "root_wpc", -1.0, "'root_wpc' must be a finite number >= 0"),
+    ("header", "dt0", float("inf"), "'dt0' must be a finite number > 0"),
+    ("regrid", "wpc", "abc", "field 'wpc' must be a finite number >= 0"),
+    ("regrid", "wpc", float("nan"), "field 'wpc' must be a finite number >= 0"),
+    ("regrid", "wpc", -0.5, "field 'wpc' must be a finite number >= 0"),
+    ("regrid", "l", "x", "field 'l' must be an integer"),
+    ("regrid", "t", float("inf"), "field 't' must be a finite number"),
+    ("regrid", "b", 5, "field 'b' must be a list of boxes"),
+    ("regrid", "b", [[[0, 0, 0], [4, 4]]], "field 'b' must be a list of boxes"),
+    ("regrid", "b", [[[0, 0, 0], [4.5, 4, 4]]], "field 'b' must be a list of boxes"),
+    ("regrid", "b", [[[4, 0, 0], [0, 4, 4]]], "field 'b' must be a list of boxes"),
+    ("solve", "w", "abc", "field 'w' must be a list of finite numbers"),
+    ("solve", "w", [1.0, float("nan")], "field 'w' must be a list of finite numbers"),
+    ("solve", "q", True, "field 'q' must be an integer"),
+    ("global", "s", 1.5, "field 's' must be an integer"),
+    ("local", "l", None, "field 'l' must be an integer"),
+]
+
+
+class TestFieldTypes:
+    """Every trace field is type-checked: a mutated value is a
+    TraceFormatError naming the record index, op and field, never a bare
+    TypeError or a NaN that runs to completion."""
+
+    @staticmethod
+    def _mutated(where, key, value):
+        trace = _hotspot_trace()
+        if where == "header":
+            trace.header[key] = value
+            return trace, "trace header"
+        index, record = next((i, r) for i, r in enumerate(trace.records)
+                             if r["op"] == where)
+        record[key] = value
+        return trace, f"record {index} ({where!r})"
+
+    @pytest.mark.parametrize("where,key,value,message", FIELD_MUTATIONS)
+    def test_write_refuses(self, tmp_path, where, key, value, message):
+        trace, prefix = self._mutated(where, key, value)
+        with pytest.raises(TraceFormatError) as err:
+            write_trace(trace, tmp_path / "bad.trace.jsonl.gz")
+        assert str(err.value).startswith(prefix)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("where,key,value,message", FIELD_MUTATIONS)
+    def test_read_and_replay_refuse(self, tmp_path, capsys, where, key,
+                                    value, message):
+        from repro.cli import main
+
+        trace, prefix = self._mutated(where, key, value)
+        path = tmp_path / "bad.trace.jsonl.gz"
+        with gzip.open(path, "wt", encoding="ascii") as fh:
+            for line in [trace.header, *trace.records,
+                         {"op": "end", "n": len(trace.records)}]:
+                fh.write(json.dumps(line) + "\n")
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(path)
+        rc = main(["replay", str(path), "--procs", "2", "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.startswith("error: ") and prefix in out and message in out
+
+
 class TestTraceParams:
     def test_requires_source(self):
         with pytest.raises(ValueError, match="source"):
