@@ -742,20 +742,24 @@ def _cmd_route(args: argparse.Namespace) -> int:
     from .config import ServiceConfig
     from .service import ServiceReport, format_service_report
 
-    svc = ServiceConfig(
-        nshards=args.shards,
-        replication=args.replication,
-        requests_per_second=args.rps,
-        service_rate=args.service_rate,
-        duration_seconds=args.duration,
-        arrivals=args.arrivals,
-        arrival_seed=args.arrival_seed,
-        zipf_exponent=args.zipf,
-        router=args.router,
-        router_seed=args.router_seed,
-        balance_every_seconds=args.balance_every,
-        slo_ms=args.slo_ms,
-    )
+    try:
+        svc = ServiceConfig(
+            nshards=args.shards,
+            replication=args.replication,
+            requests_per_second=args.rps,
+            service_rate=args.service_rate,
+            duration_seconds=args.duration,
+            arrivals=args.arrivals,
+            arrival_seed=args.arrival_seed,
+            zipf_exponent=args.zipf,
+            router=args.router,
+            router_seed=args.router_seed,
+            balance_every_seconds=args.balance_every,
+            slo_ms=args.slo_ms,
+        )
+    except ValueError as err:  # a non-positive or non-finite service value
+        print(f"error: {err}")
+        return 2
     cfg = replace(_config_from(args), service=svc)
     tracer = _tracer_from(args)
     trace = tracer is not None

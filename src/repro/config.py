@@ -11,7 +11,8 @@ composition runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Final, Tuple
 
 __all__ = ["SimParams", "SchemeParams", "FaultParams", "ExecParams",
@@ -256,6 +257,9 @@ class ServiceConfig:
     migration_stall_ms:
         Extra latency added to a shard's requests while its state transfer
         is in flight.
+
+    Every float field must be finite: NaN or an infinity raises a
+    ``ValueError`` that names the field.
     """
 
     nshards: int = 32
@@ -280,6 +284,12 @@ class ServiceConfig:
     migration_stall_ms: float = 50.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, so reject it (and the
+        # infinities) by name first
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.nshards < 1:
             raise ValueError("nshards must be >= 1")
         if self.replication < 1:

@@ -36,7 +36,7 @@ workers, and under the serving daemon.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -156,17 +156,13 @@ def simulate_service(
 
     # shard-order caches, refreshed after every balance point (placement,
     # and under splits the shard set itself, change only there)
-    def _refresh_shard_caches():
-        gids = [int(g) for g in shard_map.gids]
-        shares = popularity.shard_shares(shard_map.boxes())
-        rep_pids, rep_mask = shard_map.replica_matrix()
-        return gids, shares, rep_pids, rep_mask
-
-    gids, shares, rep_pids, rep_mask = _refresh_shard_caches()
+    gids = shard_map.gids
+    shares = popularity.shard_shares(shard_map.boxes())
+    rep_pids, rep_mask = shard_map.replica_matrix()
     interval_shard_requests = np.zeros(len(gids), dtype=np.int64)
     interval_pid_requests = np.zeros(nprocs, dtype=np.float64)
     stall_until = -1.0
-    stalled_gids: set = set()
+    stalled = np.zeros(len(gids), dtype=bool)
 
     with trc.span("service", scheme=scheme_obj.name, router=svc.router,
                   arrivals=svc.arrivals):
@@ -175,6 +171,8 @@ def simulate_service(
 
             # ---------------------------------------------------- balance
             if tick > 0 and tick % svc.balance_every_ticks == 0:
+                _add_shard_requests(requests_by_gid, gids,
+                                    interval_shard_requests)
                 work_by_shard = interval_shard_requests * work_per_request
                 per_pid_work = {
                     int(p): float(interval_pid_requests[p] * work_per_request)
@@ -192,20 +190,20 @@ def simulate_service(
                 migration_bytes += outcome.bytes_moved
                 migration_stall_total += outcome.duration
                 stall_until = t + outcome.duration
-                stalled_gids = set(outcome.moves)
-                gids, shares, rep_pids, rep_mask = _refresh_shard_caches()
+                if not np.array_equal(shard_map.gids, gids):
+                    # a gid's box is fixed at creation and gids are never
+                    # reused, so the shares move only when a split does
+                    gids = shard_map.gids
+                    shares = popularity.shard_shares(shard_map.boxes())
+                rep_pids, rep_mask = shard_map.replica_matrix()
+                stalled = np.isin(gids, list(outcome.moves))
                 interval_shard_requests = np.zeros(len(gids), dtype=np.int64)
                 interval_pid_requests = np.zeros(nprocs, dtype=np.float64)
 
             # ---------------------------------------------------- arrivals
             counts = arrivals.counts_for_tick(tick, shares)
-            n_tick = int(counts.sum())
-            total_requests += n_tick
+            total_requests += int(counts.sum())
             interval_shard_requests += counts
-            for i, gid in enumerate(gids):
-                c = int(counts[i])
-                if c:
-                    requests_by_gid[gid] = requests_by_gid.get(gid, 0) + c
 
             # ---------------------------------------------------- routing
             state.tick = tick
@@ -218,55 +216,26 @@ def simulate_service(
                     route = system.route_between(svc.gateway_group, g)
                     net_by_group[g] = route.transfer_time(svc.request_bytes, t)
 
-            # group this tick's requests by serving pid, preserving the
-            # row-major (shard, replica) order as the FIFO arrival order
-            in_flight = t < stall_until
-            batches: Dict[int, List] = {}
-            for s, r in zip(*np.nonzero(alloc)):
-                k = int(alloc[s, r])
-                pid = int(rep_pids[s, r])
-                extra = float(net_by_group[pid_group[pid]])
-                if in_flight and gids[s] in stalled_gids:
-                    extra += stall_seconds
-                    stalled_requests += k
-                batches.setdefault(pid, []).append((k, extra))
-
             # ---------------------------------------------------- serving
             avail = np.fromiter(
                 (system.processor(p).availability(t) for p in range(nprocs)),
                 dtype=np.float64, count=nprocs,
             )
             mu = np.maximum(speeds * avail * rate_scale, _MIN_RATE)
-            arrived = np.zeros(nprocs, dtype=np.float64)
-            for pid, parts in sorted(batches.items()):
-                n = sum(k for k, _ in parts)
-                arrived[pid] = n
-                interval_pid_requests[pid] += n
-                b0 = backlog[pid]
-                m = mu[pid]
-                j = np.arange(n, dtype=np.float64)
-                # fluid FIFO: request j arrives j/n into the tick, departs
-                # once the b0 + j requests ahead of it have drained
-                queue_lat = np.maximum((b0 + j + 1.0) / m - (j / n) * dt, 1.0 / m)
-                extras = np.repeat(
-                    np.fromiter((e for _, e in parts), dtype=np.float64,
-                                count=len(parts)),
-                    np.fromiter((k for k, _ in parts), dtype=np.int64,
-                                count=len(parts)),
-                )
-                lat = queue_lat + extras
-                hist.observe_array(lat)
-                slo_violations += int((lat > slo_seconds).sum())
-                mean_lat = float(lat.mean())
-                prev = state.ewma_latency[pid]
-                state.ewma_latency[pid] = (
-                    mean_lat if prev == 0.0
-                    else (1.0 - svc.ewma_alpha) * prev + svc.ewma_alpha * mean_lat
-                )
-            # every queue drains for the tick, served-into or not
-            backlog = np.maximum(backlog + arrived - mu * dt, 0.0)
+            served = serve_tick(
+                alloc, rep_pids, net_by_group[pid_group],
+                stalled if t < stall_until else None, stall_seconds,
+                backlog, mu, dt, hist=hist, ewma_latency=state.ewma_latency,
+                ewma_alpha=svc.ewma_alpha, slo_seconds=slo_seconds,
+            )
+            slo_violations += served.slo_violations
+            stalled_requests += served.stalled_requests
+            interval_pid_requests += served.arrived
+            backlog = served.backlog
             state.queue_depth = backlog.copy()
             queue_depth_max = max(queue_depth_max, float(backlog.max()))
+
+    _add_shard_requests(requests_by_gid, gids, interval_shard_requests)
 
     # -------------------------------------------------------------- report
     duration = nticks * dt
@@ -280,7 +249,7 @@ def simulate_service(
             "state_cells": int(state_cells[i]),
             "share": float(shares[i]),
         }
-        for i, gid in enumerate(gids)
+        for i, gid in enumerate(gids.tolist())
     ]
     report = ServiceReport(
         router=svc.router,
@@ -336,6 +305,98 @@ def simulate_service(
         service=report.to_dict(),
     )
     return result
+
+
+class TickServed(NamedTuple):
+    """What one tick's serving step did (see :func:`serve_tick`)."""
+
+    #: requests served into each processor's queue this tick
+    arrived: np.ndarray
+    #: each processor's backlog (requests) at the end of the tick
+    backlog: np.ndarray
+    slo_violations: int
+    stalled_requests: int
+
+
+def serve_tick(
+    alloc: np.ndarray,
+    rep_pids: np.ndarray,
+    net_by_pid: np.ndarray,
+    stalled: Optional[np.ndarray],
+    stall_seconds: float,
+    backlog: np.ndarray,
+    mu: np.ndarray,
+    dt: float,
+    *,
+    hist: LatencyHistogram,
+    ewma_latency: np.ndarray,
+    ewma_alpha: float,
+    slo_seconds: float,
+) -> TickServed:
+    """Serve one tick's routed requests through per-processor FIFO queues.
+
+    ``alloc[s, r]`` requests of shard ``s`` go to processor
+    ``rep_pids[s, r]``.  Each pays the route time ``net_by_pid`` of its
+    processor, plus ``stall_seconds`` when ``stalled[s]`` is set
+    (``stalled`` is ``None`` outside a migration's in-flight window).  A
+    processor's requests queue in row-major (shard, replica) order, and
+    request ``j`` of ``n`` arrives ``j/n`` into the tick, behind its
+    queue's ``backlog`` plus the ``j`` requests ahead of it, drained at
+    rate ``mu``.  Latencies go to ``hist`` in one call, segmented by
+    processor in ascending pid order; ``ewma_latency`` is updated in place
+    with each served processor's mean latency.
+    """
+    shard, replica = np.nonzero(alloc)  # row-major: the FIFO order
+    # group by serving pid; the stable sort keeps each pid's FIFO order
+    order = np.argsort(rep_pids[shard, replica], kind="stable")
+    shard, replica = shard[order], replica[order]
+    pids = rep_pids[shard, replica]
+    k = alloc[shard, replica]
+    extra = net_by_pid[pids]
+    stalled_requests = 0
+    if stalled is not None:
+        hit = stalled[shard]
+        extra[hit] += stall_seconds
+        stalled_requests = int(k[hit].sum())
+
+    per_pid = np.bincount(np.repeat(pids, k), minlength=len(backlog))
+    active = np.flatnonzero(per_pid)
+    n = per_pid[active]
+    ends = np.cumsum(n)
+    # request j of its pid's n, with that pid's backlog and rate
+    starts = np.repeat(ends - n, n)
+    j = (np.arange(len(starts)) - starts).astype(np.float64)
+    n_req = np.repeat(n.astype(np.float64), n)
+    b0 = np.repeat(backlog[active], n)
+    m = np.repeat(mu[active], n)
+    # fluid FIFO: request j arrives j/n into the tick, departs once the
+    # b0 + j requests ahead of it have drained
+    queue_lat = np.maximum((b0 + j + 1.0) / m - (j / n_req) * dt, 1.0 / m)
+    lat = queue_lat + np.repeat(extra, k)
+
+    sums = hist.observe_array(lat, ends)
+    mean_lat = sums / n  # what ndarray.mean computes for each segment
+    prev = ewma_latency[active]
+    ewma_latency[active] = np.where(
+        prev == 0.0, mean_lat,
+        (1.0 - ewma_alpha) * prev + ewma_alpha * mean_lat,
+    )
+    arrived = per_pid.astype(np.float64)
+    # every queue drains for the tick, served-into or not
+    return TickServed(
+        arrived=arrived,
+        backlog=np.maximum(backlog + arrived - mu * dt, 0.0),
+        slo_violations=int((lat > slo_seconds).sum()),
+        stalled_requests=stalled_requests,
+    )
+
+
+def _add_shard_requests(requests_by_gid: Dict[int, int], gids: np.ndarray,
+                        counts: np.ndarray) -> None:
+    """Add per-shard request counts (shard order) into the gid totals."""
+    for i in np.flatnonzero(counts):
+        gid = int(gids[i])
+        requests_by_gid[gid] = requests_by_gid.get(gid, 0) + int(counts[i])
 
 
 def _emit_metrics(registry: MetricsRegistry, report: ServiceReport) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,19 +70,43 @@ class LatencyHistogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
-    def observe_array(self, latencies: np.ndarray) -> None:
-        """Accumulate a batch of latency samples (seconds)."""
+    def observe_array(self, latencies: np.ndarray,
+                      ends: Optional[Sequence[int]] = None) -> np.ndarray:
+        """Accumulate a batch of latency samples (seconds).
+
+        ``ends`` splits the batch into consecutive segments
+        ``latencies[ends[i-1]:ends[i]]`` (the first starts at 0, and
+        ``ends[-1]`` must be the batch length); ``None`` is one segment.
+        Returns each segment's sum.  ``sum`` adds those sums in segment
+        order, one pairwise ``.sum()`` per segment, so it is the float a
+        separate call per segment would give: numpy's pairwise summation
+        depends on where an array is split, and ``np.add.reduceat`` is
+        not bit-identical to per-segment sums.  Counts, ``total``, ``min``
+        and ``max`` do not depend on order.
+        """
         lat = np.asarray(latencies, dtype=np.float64)
+        bounds = [lat.size] if ends is None else [int(e) for e in ends]
+        sums = np.zeros(len(bounds), dtype=np.float64)
         if lat.size == 0:
-            return
+            return sums
+        if not bounds or bounds[-1] != lat.size:
+            raise ValueError(
+                f"segment ends {bounds[-1:]} do not end at the batch's "
+                f"{lat.size} samples")
         idx = np.searchsorted(self.edges, lat, side="left")
         self.counts += np.bincount(idx, minlength=len(self.counts))
         self.total += int(lat.size)
-        self.sum += float(lat.sum())
+        start = 0
+        for i, end in enumerate(bounds):
+            if end > start:  # an empty segment is a call that adds nothing
+                sums[i] = lat[start:end].sum()
+                self.sum += float(sums[i])
+            start = end
         lo = float(lat.min())
         hi = float(lat.max())
         self.min = lo if self.min is None else min(self.min, lo)
         self.max = hi if self.max is None else max(self.max, hi)
+        return sums
 
     @property
     def mean(self) -> float:

@@ -136,14 +136,15 @@ class ShardMap:
         S, R = self.nshards, self.replication
         pids = np.zeros((S, R), dtype=np.int64)
         mask = np.zeros((S, R), dtype=bool)
-        for s, gid in enumerate(self.gids):
-            primary = self.assignment.pid_of(int(gid))
-            members = self.group_pids[int(self.system.pid_groups[primary])]
-            start = int(np.searchsorted(members, primary))
+        primary = self.assignment.pids_of(self.gids.tolist())
+        primary_group = self.system.pid_groups[primary]
+        for g, members in enumerate(self.group_pids):
+            rows = np.flatnonzero(primary_group == g)
+            start = np.searchsorted(members, primary[rows])
             n = min(R, len(members))
-            idx = (start + np.arange(n)) % len(members)
-            pids[s, :n] = members[idx]
-            mask[s, :n] = True
+            idx = (start[:, None] + np.arange(n)) % len(members)
+            pids[rows, :n] = members[idx]
+            mask[rows, :n] = True
         return pids, mask
 
     # ------------------------------------------------------------------ #

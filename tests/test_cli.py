@@ -145,6 +145,20 @@ class TestCommands:
         assert rc == 2
         assert "intensity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--slo-ms", "0"],
+        ["--slo-ms", "nan"],
+        ["--duration", "inf"],
+        ["--rps", "-5"],
+    ])
+    def test_route_bad_service_value_exits_2(self, capsys, flags):
+        rc = main(["route", "--procs", "2", "--duration", "10", "--no-cache",
+                   *flags])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert "Traceback" not in out
+
     def test_module_entry_point(self):
         import subprocess
         import sys

@@ -43,6 +43,18 @@ CONFIGS = {
     # floor of the dropped group
     "service": ExperimentConfig(service=ServiceConfig(arrivals="composite"),
                                 fault=FaultParams(scenario="dropout"), **_BASE),
+    # the feedback routers, entering at a middle site of three: requests
+    # route to two remote groups, replica sets clip to the groups' two
+    # members, dropout fills the overflow bucket, both schemes stall moved
+    # shards' requests, and distributed splits 32 shards into 36
+    **{
+        f"service-{router}": ExperimentConfig(
+            service=ServiceConfig(router=router, replication=3,
+                                  gateway_group=1),
+            fault=FaultParams(scenario="dropout"),
+            system=multi_site_spec([2, 2, 2]), **_BASE)
+        for router in ("ewma", "inverse-priority")
+    },
     # a real neighbour graph: on the two-group configs every group pair is
     # adjacent, so only this one exercises the diffusion neighbour sets
     "ring": ExperimentConfig(

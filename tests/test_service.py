@@ -1,10 +1,13 @@
 """Tests for :mod:`repro.service`: the shard/replica serving simulator.
 
-Four contracts pinned here:
+Five contracts pinned here:
 
 * **router goldens** -- each built-in replica-selection policy allocates a
   known tick exactly as specified (rotation, inverse-priority sampling,
   EWMA warm-up then inverse-response-time apportionment);
+* **the vectorised tick** -- :func:`~repro.service.loop.serve_tick` and
+  the array-built replica matrix give bit-for-bit what the per-processor
+  and per-shard loops they replaced gave, kept here as references;
 * **schemes run unmodified** -- every registered DLB scheme works as the
   shard migration policy through its ordinary hooks;
 * **paired determinism** -- same config + seed gives the bit-identical
@@ -20,11 +23,14 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import dataclasses
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.config import FaultParams, ServiceConfig
@@ -59,6 +65,7 @@ from repro.service import (
     simulate_service,
 )
 from repro.service.arrivals import RequestArrivals, ZipfPopularity
+from repro.service.loop import _MIN_RATE, serve_tick
 from repro.service.shards import ShardMap, build_shard_hierarchy
 
 #: small but non-trivial: 8 shards on 2x2 procs, ~7k requests over 30 ticks
@@ -94,10 +101,32 @@ class TestServiceConfig:
         dict(gateway_group=-1),
         dict(slo_ms=0.0),
         dict(migration_stall_ms=-1.0),
+        # NaN passes every `x <= 0` check, and inf overflows the tick count
+        dict(slo_ms=float("nan")),
+        dict(slo_ms=float("inf")),
+        dict(migration_stall_ms=float("nan")),
+        dict(migration_stall_ms=float("inf")),
+        dict(request_bytes=float("nan")),
+        dict(zipf_exponent=float("nan")),
+        dict(requests_per_second=float("nan")),
+        dict(service_rate=float("inf")),
+        dict(tick_seconds=float("nan")),
+        dict(balance_every_seconds=float("nan")),
+        dict(duration_seconds=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_floats_rejected_by_name(self, value):
+        floats = [f.name for f in dataclasses.fields(ServiceConfig)
+                  if f.type == "float"]
+        assert "slo_ms" in floats and "ewma_alpha" in floats
+        for name in floats:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ServiceConfig(**{name: value})
 
     def test_tick_properties(self):
         svc = ServiceConfig(duration_seconds=45.0, tick_seconds=2.0,
@@ -457,6 +486,244 @@ class TestLatencyHistogram:
             LatencyHistogram().quantile(1.5)
         with pytest.raises(ValueError):
             LatencyHistogram(edges=np.array([1.0, 1.0]))
+
+    @given(
+        lat=st.lists(st.floats(min_value=0.0, max_value=1e4), max_size=300),
+        cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=12),
+        before=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segment_ends_equal_one_call_per_segment(self, lat, cuts, before):
+        lat = np.asarray(lat, dtype=np.float64)
+        ends = sorted(min(c, len(lat)) for c in cuts) + [len(lat)]
+        segmented, sequential = LatencyHistogram(), LatencyHistogram()
+        for h in (segmented, sequential):
+            h.observe_array(np.asarray(before, dtype=np.float64))
+        sums = segmented.observe_array(lat, ends)
+        start = 0
+        for i, end in enumerate(ends):
+            sequential.observe_array(lat[start:end])
+            assert sums[i] == (lat[start:end].sum() if end > start else 0.0)
+            start = end
+        _assert_same_histogram(segmented, sequential)
+
+    def test_segment_ends_must_cover_the_batch(self):
+        with pytest.raises(ValueError, match="segment ends"):
+            LatencyHistogram().observe_array(np.ones(4), [1, 3])
+
+
+def _assert_same_histogram(a: LatencyHistogram, b: LatencyHistogram) -> None:
+    assert a.counts.tolist() == b.counts.tolist()
+    assert a.total == b.total
+    assert a.sum.hex() == b.sum.hex()
+    assert (a.min, a.max) == (b.min, b.max)
+
+
+def _serve_tick_reference(alloc, rep_pids, net_by_pid, stalled, stall_seconds,
+                          backlog, mu, dt, *, hist, ewma_latency, ewma_alpha,
+                          slo_seconds, interval_pid_requests):
+    """The per-processor loop :func:`serve_tick` replaced, kept as its
+    reference: group the tick's allocations by pid in row-major (shard,
+    replica) order, then serve each pid's batch with its own histogram
+    call and ``lat.mean()``."""
+    stalled_requests = 0
+    batches: dict = {}
+    for s, r in zip(*np.nonzero(alloc)):
+        k = int(alloc[s, r])
+        pid = int(rep_pids[s, r])
+        extra = float(net_by_pid[pid])
+        if stalled is not None and stalled[s]:
+            extra += stall_seconds
+            stalled_requests += k
+        batches.setdefault(pid, []).append((k, extra))
+    arrived = np.zeros(len(backlog), dtype=np.float64)
+    slo_violations = 0
+    for pid, parts in sorted(batches.items()):
+        n = sum(k for k, _ in parts)
+        arrived[pid] = n
+        interval_pid_requests[pid] += n
+        b0 = backlog[pid]
+        m = mu[pid]
+        j = np.arange(n, dtype=np.float64)
+        queue_lat = np.maximum((b0 + j + 1.0) / m - (j / n) * dt, 1.0 / m)
+        extras = np.repeat(
+            np.fromiter((e for _, e in parts), dtype=np.float64,
+                        count=len(parts)),
+            np.fromiter((k for k, _ in parts), dtype=np.int64,
+                        count=len(parts)),
+        )
+        lat = queue_lat + extras
+        hist.observe_array(lat)
+        slo_violations += int((lat > slo_seconds).sum())
+        mean_lat = float(lat.mean())
+        prev = ewma_latency[pid]
+        ewma_latency[pid] = (
+            mean_lat if prev == 0.0
+            else (1.0 - ewma_alpha) * prev + ewma_alpha * mean_lat
+        )
+    backlog = np.maximum(backlog + arrived - mu * dt, 0.0)
+    return backlog, slo_violations, stalled_requests
+
+
+@st.composite
+def tick_cases(draw):
+    """A run of ticks' routed allocations on a small system."""
+    nprocs = draw(st.integers(min_value=1, max_value=6))
+    ngroups = draw(st.integers(min_value=1, max_value=min(3, nprocs)))
+    pid_group = np.asarray(
+        [g % ngroups for g in range(nprocs)], dtype=np.int64)
+    # the gateway group's route time is 0; the others pay a nonzero one
+    net_by_group = np.asarray(
+        [0.0] + draw(st.lists(st.floats(min_value=1e-6, max_value=2.0),
+                              min_size=ngroups - 1, max_size=ngroups - 1)))
+    S = draw(st.integers(min_value=1, max_value=24))
+    R = draw(st.integers(min_value=1, max_value=4))
+    one_pid = draw(st.booleans())  # every request on one processor
+    pid_values = st.integers(min_value=0, max_value=nprocs - 1)
+    if one_pid:
+        pid = draw(pid_values)
+        rep_pids = np.full((S, R), pid, dtype=np.int64)
+    else:
+        rep_pids = np.asarray(
+            draw(st.lists(st.lists(pid_values, min_size=R, max_size=R),
+                          min_size=S, max_size=S)), dtype=np.int64)
+    # replica masks shorter than R: each row keeps a prefix of its slots
+    nvalid = np.asarray(draw(st.lists(st.integers(min_value=1, max_value=R),
+                                      min_size=S, max_size=S)))
+    mask = np.arange(R)[None, :] < nvalid[:, None]
+    ticks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        counts = st.one_of(st.just(0), st.integers(min_value=0, max_value=40))
+        alloc = np.asarray(
+            draw(st.lists(st.lists(counts, min_size=R, max_size=R),
+                          min_size=S, max_size=S)), dtype=np.int64)
+        alloc[draw(st.sampled_from([[], [0], list(range(S))[::2]]))] = 0
+        alloc[:, draw(st.sampled_from([[], [R - 1]]))] = 0
+        stalled = draw(st.one_of(
+            st.none(),
+            st.lists(st.booleans(), min_size=S, max_size=S).map(np.asarray)))
+        # dropout drives a processor's rate to the floor
+        mu = np.asarray(draw(st.lists(
+            st.one_of(st.just(_MIN_RATE), st.floats(min_value=0.5,
+                                                     max_value=5000.0)),
+            min_size=nprocs, max_size=nprocs)))
+        ticks.append((np.where(mask, alloc, 0), stalled, mu))
+    backlog = np.asarray(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+        min_size=nprocs, max_size=nprocs)))
+    ewma = np.asarray(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=50.0)),
+        min_size=nprocs, max_size=nprocs)))
+    return dict(
+        ticks=ticks, rep_pids=rep_pids, net_by_pid=net_by_group[pid_group],
+        backlog=backlog, ewma=ewma,
+        stall_seconds=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        dt=draw(st.sampled_from([1.0, 0.5, 0.1])),
+        alpha=draw(st.sampled_from([0.3, 1.0, 0.01])),
+        slo=draw(st.sampled_from([0.25, 1e-3, 10.0])),
+    )
+
+
+class TestServeTickMatchesReference:
+    """The vectorised tick serves every request exactly as the loop did."""
+
+    @given(case=tick_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_per_processor_loop(self, case):
+        nprocs = len(case["backlog"])
+        sides = []
+        for vectorised in (True, False):
+            hist = LatencyHistogram()
+            ewma = case["ewma"].copy()
+            backlog = case["backlog"].copy()
+            interval = np.zeros(nprocs, dtype=np.float64)
+            slo = stalled_total = 0
+            for alloc, stalled, mu in case["ticks"]:
+                args = (alloc, case["rep_pids"], case["net_by_pid"], stalled,
+                        case["stall_seconds"], backlog, mu, case["dt"])
+                kw = dict(hist=hist, ewma_latency=ewma,
+                          ewma_alpha=case["alpha"], slo_seconds=case["slo"])
+                if vectorised:
+                    served = serve_tick(*args, **kw)
+                    interval += served.arrived
+                    backlog = served.backlog
+                    slo += served.slo_violations
+                    stalled_total += served.stalled_requests
+                else:
+                    backlog, v, s = _serve_tick_reference(
+                        *args, **kw, interval_pid_requests=interval)
+                    slo += v
+                    stalled_total += s
+            sides.append((hist, ewma, backlog, interval, slo, stalled_total))
+        (h1, e1, b1, i1, v1, s1), (h2, e2, b2, i2, v2, s2) = sides
+        _assert_same_histogram(h1, h2)
+        assert e1.tobytes() == e2.tobytes()
+        assert b1.tobytes() == b2.tobytes()
+        assert i1.tobytes() == i2.tobytes()
+        assert (v1, s1) == (v2, s2)
+
+    def test_grouping_keeps_fifo_order_within_a_processor(self):
+        # 64 allocations interleaved over two processors, every third shard
+        # stalled: only an order-keeping grouping pairs each request's
+        # stall with its own place in the queue
+        S, R = 32, 2
+        alloc = 1 + (np.arange(S * R).reshape(S, R) * 7) % 5
+        rep_pids = np.add.outer(np.arange(S), np.arange(R)) % 2
+        stalled = np.arange(S) % 3 == 0
+        sides = []
+        for fn in (serve_tick, _serve_tick_reference):
+            hist, ewma = LatencyHistogram(), np.zeros(2)
+            extra = {} if fn is serve_tick else {
+                "interval_pid_requests": np.zeros(2)}
+            fn(alloc, rep_pids, np.zeros(2), stalled, 0.05,
+               np.array([3.0, 0.0]), np.array([20.0, 50.0]), 1.0, hist=hist,
+               ewma_latency=ewma, ewma_alpha=0.3, slo_seconds=0.25, **extra)
+            sides.append((hist, ewma))
+        _assert_same_histogram(sides[0][0], sides[1][0])
+        assert sides[0][1].tobytes() == sides[1][1].tobytes()
+
+    def test_idle_tick_observes_nothing(self):
+        hist = LatencyHistogram()
+        ewma = np.zeros(2)
+        served = serve_tick(
+            np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64),
+            np.zeros(2), None, 0.05, np.array([0.0, 4.0]), np.array([2.0, 2.0]),
+            1.0, hist=hist, ewma_latency=ewma, ewma_alpha=0.3, slo_seconds=0.25)
+        assert hist.total == 0 and not ewma.any()
+        assert served.backlog.tolist() == [0.0, 2.0]
+        assert (served.slo_violations, served.stalled_requests) == (0, 0)
+
+
+def _replica_matrix_reference(smap):
+    """The per-shard loop :meth:`ShardMap.replica_matrix` replaced."""
+    S, R = smap.nshards, smap.replication
+    pids = np.zeros((S, R), dtype=np.int64)
+    mask = np.zeros((S, R), dtype=bool)
+    for s, gid in enumerate(smap.gids):
+        primary = smap.assignment.pid_of(int(gid))
+        members = smap.group_pids[int(smap.system.pid_groups[primary])]
+        start = int(np.searchsorted(members, primary))
+        n = min(R, len(members))
+        idx = (start + np.arange(n)) % len(members)
+        pids[s, :n] = members[idx]
+        mask[s, :n] = True
+    return pids, mask
+
+
+@pytest.mark.parametrize("sizes", [[1], [2, 2], [1, 3, 2], [4]])
+@pytest.mark.parametrize("replication", [1, 3])
+def test_replica_matrix_matches_per_shard_loop(sizes, replication):
+    from repro.distsys import SystemSpec, build_system
+
+    system = build_system(SystemSpec(groups=tuple(sizes)))
+    smap = ShardMap(build_shard_hierarchy(9, 4), system, replication)
+    # scattered owners; with two or more groups the last one owns nothing
+    for s, gid in enumerate(smap.gids):
+        smap.assignment.assign(int(gid), 3 * s % max(1, system.nprocs - 2))
+    pids, mask = smap.replica_matrix()
+    ref_pids, ref_mask = _replica_matrix_reference(smap)
+    assert pids.tolist() == ref_pids.tolist()
+    assert mask.tolist() == ref_mask.tolist()
 
 
 class TestReportHash:
