@@ -66,23 +66,17 @@ def quick_run(
     the WAN system, AMR64 on the LAN system (as in the paper); BlastWave
     uses the WAN system.
     """
-    from .amr.applications import AMR64, BlastWave, ShockPool3D
-    from .distsys import ConstantTraffic, build_system, lan_spec, wan_spec
+    from .distsys.system import DEFAULT_BASE_SPEED
+    from .harness.experiment import ExperimentConfig, run_experiment
 
-    apps = {
-        "shockpool3d": ShockPool3D,
-        "amr64": AMR64,
-        "blastwave": BlastWave,
-    }
-    if app_name not in apps:
-        raise ValueError(f"unknown app {app_name!r}; pick one of {sorted(apps)}")
-    app = apps[app_name](domain_cells=domain_cells, max_levels=max_levels)
-    traffic = ConstantTraffic(0.3)
-    spec = (
-        lan_spec(procs_per_group)
-        if app_name == "amr64"
-        else wan_spec(procs_per_group)
-    )
-    system = build_system(spec, traffic=traffic)
-    runner = SAMRRunner(app, system, make_scheme(scheme_name))
-    return runner.run(steps)
+    # the canned systems run at build_system's default processor speed,
+    # not ExperimentConfig's calibrated one
+    return run_experiment(ExperimentConfig(
+        app_name=app_name,
+        network="lan" if app_name == "amr64" else "wan",
+        procs_per_group=procs_per_group,
+        steps=steps,
+        domain_cells=domain_cells,
+        max_levels=max_levels,
+        base_speed=DEFAULT_BASE_SPEED,
+    ), scheme_name)

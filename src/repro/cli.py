@@ -222,6 +222,42 @@ def _finish_trace(tracer: Optional[Tracer], args: argparse.Namespace) -> None:
               "(chrome trace-event format)")
 
 
+def _run_one(cfg: ExperimentConfig, args: argparse.Namespace):
+    """Run ``args.scheme`` on ``cfg`` as one task of the default executor.
+
+    Returns ``(result, tracer)``; the tracer (``None`` unless tracing was
+    requested) holds the run's spans.  ``--timeline`` needs the event log
+    and ``--trace`` the spans, neither of which a cache hit can provide, so
+    either makes the task execute; the fresh result is still written back
+    to the cache for other commands.
+    """
+    tracer = _tracer_from(args)
+    trace = tracer is not None
+    task = ExecTask(cfg, args.scheme, trace=trace,
+                    use_cache=not (getattr(args, "timeline", False) or trace))
+    result = get_default_executor().run_tasks([task])[0]
+    if trace and result.spans:
+        tracer.extend(result.spans)
+    return result, tracer
+
+
+def _finish_run(result, tracer: Optional[Tracer], args: argparse.Namespace) -> int:
+    """Print ``--timeline``, write ``--json`` and export the trace, as
+    requested."""
+    if getattr(args, "timeline", False):
+        from .harness import render_step_timeline
+
+        print()
+        print(render_step_timeline(result.events))
+    if args.json:
+        from .harness import save_run
+
+        save_run(result, args.json)
+        print(f"result written to {args.json}")
+    _finish_trace(tracer, args)
+    return 0
+
+
 def _exec_params_from(args: argparse.Namespace) -> ExecParams:
     return ExecParams(
         jobs=getattr(args, "jobs", 1),
@@ -519,29 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # --timeline needs the event log and --trace the spans, neither of
-    # which cache hits can provide; the fresh result is still written back
-    # to the cache for other commands
-    tracer = _tracer_from(args)
-    trace = tracer is not None
-    task = ExecTask(_config_from(args), args.scheme,
-                    use_cache=not (args.timeline or trace), trace=trace)
-    result = get_default_executor().run_tasks([task])[0]
-    if trace and result.spans:
-        tracer.extend(result.spans)
+    result, tracer = _run_one(_config_from(args), args)
     print(result.summary())
-    if args.timeline:
-        from .harness import render_step_timeline
-
-        print()
-        print(render_step_timeline(result.events))
-    if args.json:
-        from .harness import save_run
-
-        save_run(result, args.json)
-        print(f"result written to {args.json}")
-    _finish_trace(tracer, args)
-    return 0
+    return _finish_run(result, tracer, args)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -562,8 +578,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     tracer = _tracer_from(args)
-    sweep = run_sweep(_config_from(args), procs_per_group=tuple(args.configs),
-                      with_sequential=args.efficiency, tracer=tracer)
+    try:
+        sweep = run_sweep(_config_from(args), procs_per_group=tuple(args.configs),
+                          with_sequential=args.efficiency, tracer=tracer)
+    except ValueError as err:  # a --system spec: the sweep varies --configs
+        print(f"error: {err}")
+        return 2
     rows = []
     for p in sweep.pairs:
         row: List[object] = [
@@ -707,33 +727,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as err:  # bad --intensity, malformed synth: source
         print(f"error: {err}")
         return 2
-    tracer = _tracer_from(args)
-    trace = tracer is not None
-    task = ExecTask(cfg, args.scheme,
-                    use_cache=not (args.timeline or trace), trace=trace)
     try:
-        result = get_default_executor().run_tasks([task])[0]
+        result, tracer = _run_one(cfg, args)
     except (TraceFormatError, TraceReplayError, ValueError) as err:
         # TraceFormatError: corrupt / stale trace file; TraceReplayError:
         # desync or a --strict divergence; ValueError: an unknown synthetic
         # workload name or overlapping recorded cluster boxes
         print(f"error: {err}")
         return 2
-    if trace and result.spans:
-        tracer.extend(result.spans)
     print(result.summary())
-    if args.timeline:
-        from .harness import render_step_timeline
-
-        print()
-        print(render_step_timeline(result.events))
-    if args.json:
-        from .harness import save_run
-
-        save_run(result, args.json)
-        print(f"result written to {args.json}")
-    _finish_trace(tracer, args)
-    return 0
+    return _finish_run(result, tracer, args)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
@@ -760,23 +763,11 @@ def _cmd_route(args: argparse.Namespace) -> int:
     except ValueError as err:  # a non-positive or non-finite service value
         print(f"error: {err}")
         return 2
-    cfg = replace(_config_from(args), service=svc)
-    tracer = _tracer_from(args)
-    trace = tracer is not None
-    task = ExecTask(cfg, args.scheme, use_cache=not trace, trace=trace)
-    result = get_default_executor().run_tasks([task])[0]
-    if trace and result.spans:
-        tracer.extend(result.spans)
+    result, tracer = _run_one(replace(_config_from(args), service=svc), args)
     report = ServiceReport.from_run(result)
     print(format_service_report(report))
     print(f"  report hash {report.hash}")
-    if args.json:
-        from .harness import save_run
-
-        save_run(result, args.json)
-        print(f"result written to {args.json}")
-    _finish_trace(tracer, args)
-    return 0
+    return _finish_run(result, tracer, args)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:

@@ -262,9 +262,10 @@ def comm_phase_time(
     per-bundle software overhead is paid at the route's two endpoint links
     only, propagation latency once per traversed link.  Each link then
     costs ``alpha(t) + nendpoint * overhead + total_bytes * beta(t)`` --
-    on a one-link route exactly :meth:`~repro.distsys.network.Link.
-    phase_time`.  Link conditions are sampled once at the phase start
-    (phases are short relative to traffic time scales).
+    on a one-link route, ``alpha`` once plus one overhead per bundle plus
+    the bytes at the link's rate (the reference formula in
+    ``tests/test_network.py``).  Link conditions are sampled once at the
+    phase start (phases are short relative to traffic time scales).
 
     ``messages`` is a :class:`MessageBatch` or any iterable of
     :class:`Message` (converted with :meth:`MessageBatch.from_messages`).

@@ -111,24 +111,6 @@ class Link:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         return self.alpha(time) + self.per_message_overhead + nbytes * self.beta(time)
 
-    def phase_time(self, nbundles: int, nbytes: float, time: float) -> float:
-        """Duration of a bulk-synchronous phase with ``nbundles``
-        simultaneous pairwise transfers totalling ``nbytes`` on this link.
-
-        Propagation latency is paid once (transfers overlap in flight); the
-        hosts' per-message software overhead and the shared medium's bytes
-        serialize.
-        """
-        if nbundles < 0 or nbytes < 0:
-            raise ValueError("nbundles and nbytes must be >= 0")
-        if nbundles == 0:
-            return 0.0
-        return (
-            self.alpha(time)
-            + nbundles * self.per_message_overhead
-            + nbytes * self.beta(time)
-        )
-
 
 # --------------------------------------------------------------------- #
 # presets approximating the paper's testbed

@@ -18,8 +18,8 @@ Cost semantics (see ``docs/TOPOLOGY.md``):
   route's distinct links, per-message software overhead at the two endpoint
   links only, and ``nbytes * beta`` of the *bottleneck* (max-beta) link.
 * **Contention** -- within a bulk-synchronous phase, the bytes of every
-  bundle whose route traverses an edge aggregate into that edge's
-  ``phase_time``, so two site pairs sharing a backbone edge serialize on it.
+  bundle whose route traverses an edge aggregate into that edge's phase
+  cost, so two site pairs sharing a backbone edge serialize on it.
 * **Degeneracy** -- the paper's two-level federation is the special case
   where every route has exactly one distinct link: a shared inter link is a
   star through one backbone (every spoke *is* the shared ``Link`` object),

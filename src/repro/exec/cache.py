@@ -61,7 +61,9 @@ __all__ = [
 #: into the key like any nested dataclass)
 #: v5: configs gained the service field (serving-simulator runs; cached
 #: run dicts can carry a ``service`` report)
-CACHE_SCHEMA_VERSION = 5
+#: v6: a ``sequential`` task runs ``sequential_config`` of its config, so
+#: an un-normalised config's entry may now hold a different ``E(1)``
+CACHE_SCHEMA_VERSION = 6
 
 #: the code-version salt: results are only reused within the same package
 #: version and cache schema

@@ -11,7 +11,7 @@ the two executions would have the similar network environments."
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from ..amr.applications import AMR64, AMRApplication, BlastWave, ShockPool3D
 from ..config import (
@@ -61,7 +61,13 @@ class ExperimentConfig:
 
     ``procs_per_group`` follows the paper's "n + n" notation: the
     distributed systems have two groups of that size; the parallel-machine
-    reference uses ``2 * procs_per_group`` processors in one group.
+    reference uses ``2 * procs_per_group`` processors in one group.  A
+    ``system`` spec replaces that shape, label included.
+
+    ``gamma`` is the gain/cost gate's γ.  When ``scheme_params`` is set it
+    carries its own γ, which must equal ``gamma`` -- a config that sets the
+    two differently raises :class:`ValueError` rather than silently running
+    with one of them.
     """
 
     app_name: str = "shockpool3d"
@@ -115,10 +121,19 @@ class ExperimentConfig:
             raise ValueError("procs_per_group must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if (self.scheme_params is not None
+                and self.scheme_params.gamma != self.gamma):
+            raise ValueError(
+                f"scheme_params.gamma ({self.scheme_params.gamma!r}) != gamma "
+                f"({self.gamma!r}): set both to the same gate threshold"
+            )
 
     @property
     def label(self) -> str:
-        """The paper's configuration label, e.g. ``"4+4"``."""
+        """The paper's configuration label, e.g. ``"4+4"`` (the spec's own
+        label, e.g. ``"2+2+2"``, when ``system`` is set)."""
+        if self.system is not None:
+            return self.system.label
         return f"{self.procs_per_group}+{self.procs_per_group}"
 
     def effective_scheme_params(self) -> SchemeParams:
@@ -284,44 +299,74 @@ def resolve_trace_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, trace=replace(tp, content_hash=trace_file_hash(tp.source)))
 
 
-def _traced_run(
+def _run(
+    cfg: ExperimentConfig,
+    scheme: str,
     tracer: Optional[Tracer],
-    run: Callable[[Optional[MetricsRegistry]], RunResult],
+    *,
+    system: Optional[DistributedSystem] = None,
+    trace=None,
+    strict: Optional[bool] = None,
+    recorder=None,
 ) -> RunResult:
-    """Call ``run(metrics)``, traced when ``tracer`` is given.
+    """Run ``cfg`` under ``scheme`` in-process: the one place a config
+    becomes a runner, whichever entry point asked.
 
-    Untraced, ``metrics`` is ``None``.  Traced, ``run`` gets a fresh
-    :class:`~repro.obs.MetricsRegistry` and the result carries the spans
-    ``tracer`` recorded while it ran.
+    A replay when ``trace`` (an in-memory :class:`~repro.traces.Trace`) or
+    ``cfg.trace`` is set, else a serving-simulator run when ``cfg.service``
+    is set, else an AMR solver run.  Every kind runs on ``system`` (default
+    :func:`make_system`) under :func:`make_faults`; a replay covers
+    ``min(cfg.steps, trace.nsteps)`` coarse steps and is strict when
+    ``strict`` says so (default ``cfg.trace.strict``); ``recorder`` observes
+    a solver run (see :func:`repro.traces.record_run`).
+
+    Untraced (``tracer=None``) is the zero-cost path.  Traced, the run gets
+    a fresh :class:`~repro.obs.MetricsRegistry` and the result carries the
+    spans ``tracer`` recorded while it ran.
     """
-    if tracer is None:
-        return run(None)
-    start_count = tracer.record_count
-    result = run(MetricsRegistry())
-    result.spans = tracer.records()[start_count:]
+    if system is None:
+        system = make_system(cfg)
+    if trace is None and cfg.trace is not None:
+        from ..traces.replay import load_trace_source
+
+        trace = load_trace_source(cfg)
+    metrics = MetricsRegistry() if tracer is not None else None
+    start_count = tracer.record_count if tracer is not None else 0
+    if trace is not None:
+        from ..traces.replay import TraceReplayRunner
+
+        result = TraceReplayRunner(
+            trace,
+            system,
+            make_scheme(scheme),
+            sim_params=cfg.sim_params,
+            scheme_params=cfg.effective_scheme_params(),
+            fault_schedule=make_faults(cfg),
+            tracer=tracer,
+            metrics=metrics,
+            strict=cfg.trace.strict if strict is None else strict,
+        ).run(min(cfg.steps, trace.nsteps))
+    elif cfg.service is not None:
+        # looked up at call time: the serving simulator imports the harness
+        from .. import service
+
+        result = service.simulate_service(cfg, scheme, tracer=tracer,
+                                          metrics=metrics, system=system)
+    else:
+        result = SAMRRunner(
+            make_app(cfg),
+            system,
+            make_scheme(scheme),
+            sim_params=cfg.sim_params,
+            scheme_params=cfg.effective_scheme_params(),
+            fault_schedule=make_faults(cfg),
+            tracer=tracer,
+            metrics=metrics,
+            recorder=recorder,
+        ).run(cfg.steps)
+    if tracer is not None:
+        result.spans = tracer.records()[start_count:]
     return result
-
-
-def _run_replay(cfg: ExperimentConfig, scheme: str, system,
-                tracer: Optional[Tracer], seq: bool = False) -> RunResult:
-    """In-process replay of ``cfg.trace`` under ``scheme`` on ``system``."""
-    from ..traces.replay import TraceReplayRunner, load_trace_source
-
-    trace = load_trace_source(cfg)
-    return _traced_run(tracer, lambda metrics: TraceReplayRunner(
-        trace,
-        system,
-        make_scheme(scheme),
-        sim_params=cfg.sim_params,
-        scheme_params=cfg.effective_scheme_params(),
-        fault_schedule=None if seq else make_faults(cfg),
-        tracer=tracer,
-        metrics=metrics,
-        # the sequential reference replays under a different scheme and
-        # system than recorded, where strict cross-checks legitimately
-        # diverge
-        strict=cfg.trace.strict and not seq,
-    ).run(min(cfg.steps, trace.nsteps)))
 
 
 def run_experiment(
@@ -353,7 +398,7 @@ def run_experiment(
     seed:
         Optional traffic-seed override (see :func:`ExperimentConfig`).
     """
-    cfg =resolve_trace_config(_apply_seed(config, seed))
+    cfg = resolve_trace_config(_apply_seed(config, seed))
     if executor is not None:
         from ..exec import ExecTask
 
@@ -363,33 +408,19 @@ def run_experiment(
         if tracer is not None and result.spans:
             tracer.extend(result.spans)
         return result
-    if cfg.trace is not None:
-        return _run_replay(cfg, scheme, make_system(cfg), tracer)
-    if cfg.service is not None:
-        from ..service import simulate_service
-
-        return _traced_run(tracer, lambda metrics: simulate_service(
-            cfg, scheme, tracer=tracer, metrics=metrics))
-    return _traced_run(tracer, lambda metrics: SAMRRunner(
-        make_app(cfg),
-        make_system(cfg),
-        make_scheme(scheme),
-        sim_params=cfg.sim_params,
-        scheme_params=cfg.effective_scheme_params(),
-        fault_schedule=make_faults(cfg),
-        tracer=tracer,
-        metrics=metrics,
-    ).run(cfg.steps))
+    return _run(cfg, scheme, tracer)
 
 
 def sequential_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Normalise ``cfg`` to the fields the sequential reference depends on.
 
-    :func:`run_sequential` ignores the system shape, group size, traffic
-    weather and fault scenario (one dedicated processor, no network), so two
+    The sequential reference runs on one dedicated processor with no
+    network, so the system shape, group size, traffic weather and fault
+    scenario (the spec's fault hook included) do not apply to it: two
     configs differing only in those fields have the *same* sequential run.
-    Normalising before building the execution task makes the content-address
-    of the sequential reference stable across a whole sweep.
+    :func:`run_sequential` runs the normalised config, and normalising
+    before building an execution task makes the content address of the
+    sequential reference stable across a whole sweep.
     """
     return replace(cfg, network="parallel", procs_per_group=1,
                    traffic_kind="none", traffic_level=0.0, traffic_seed=0,
@@ -422,28 +453,13 @@ def run_sequential(
 
     One processor, no network: every grid lives on pid 0, so communication
     and balancing vanish and the total time is pure compute -- the paper's
-    "sequential execution time on one processor".
+    "sequential execution time on one processor".  The run is that of
+    :func:`sequential_config`, so ``E(1)`` is one function of the config
+    however it is requested: directly, through an executor, or as the
+    reference of a paired run or sweep.
     """
-    cfg = resolve_trace_config(_apply_seed(config, seed))
-    if cfg.trace is not None:
-        return _run_replay(cfg, "parallel",
-                           build_system(parallel_spec(1, base_speed=cfg.base_speed)),
-                           tracer, seq=True)
-    if cfg.service is not None:
-        from ..service import simulate_service
-
-        seq_cfg = replace(cfg, fault=None)
-        return _traced_run(tracer, lambda metrics: simulate_service(
-            seq_cfg, "parallel", tracer=tracer, metrics=metrics,
-            system=build_system(parallel_spec(1, base_speed=cfg.base_speed)),
-        ))
-    seq_cfg = replace(cfg, network="parallel")
-    return _traced_run(tracer, lambda metrics: SAMRRunner(
-        make_app(seq_cfg),
-        build_system(parallel_spec(1, base_speed=cfg.base_speed)),
-        make_scheme("parallel"),
-        sim_params=cfg.sim_params,
-        scheme_params=cfg.effective_scheme_params(),
-        tracer=tracer,
-        metrics=metrics,
-    ).run(cfg.steps))
+    cfg = sequential_config(resolve_trace_config(_apply_seed(config, seed)))
+    # the sequential reference replays under a different scheme and system
+    # than recorded, where strict cross-checks legitimately diverge
+    return _run(cfg, "parallel", tracer, strict=False,
+                system=build_system(parallel_spec(1, base_speed=cfg.base_speed)))

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from ..exec import ExecStats, ExecTask, Executor, get_default_executor
+from ..exec import ExecStats, Executor
 from ..obs import Tracer
 from .experiment import ExperimentConfig
-from .sweep import DEFAULT_SCHEMES, PairedResult, _collect_spans, _scheme_pair
+from .sweep import DEFAULT_SCHEMES, PairedResult, _run_pairs
 
 __all__ = ["ReplicatedResult", "replicate"]
 
@@ -101,25 +101,11 @@ def replicate(
         seeds = (seed, seed + 1, seed + 2) if seed is not None else (1, 2, 3)
     elif not seeds:
         raise ValueError("seeds must be non-empty")
-    pair = _scheme_pair(schemes)
-    cfg = config
-    ex = executor if executor is not None else get_default_executor()
-    trace = tracer is not None
     configs = [
-        replace(cfg, traffic_kind=traffic_kind, traffic_seed=int(s))
+        replace(config, traffic_kind=traffic_kind, traffic_seed=int(s))
         for s in seeds
     ]
-    tasks: List[ExecTask] = []
-    for run_cfg in configs:
-        for name in pair:
-            tasks.append(ExecTask(run_cfg, name, use_cache=not trace,
-                                  trace=trace))
-    results = ex.run_tasks(tasks)
-    _collect_spans(tracer, results)
-    pairs = [
-        PairedResult(config=run_cfg, parallel=results[2 * i],
-                     distributed=results[2 * i + 1], scheme_names=pair)
-        for i, run_cfg in enumerate(configs)
-    ]
-    return ReplicatedResult(config=cfg, seeds=list(seeds), pairs=pairs,
-                            exec_stats=ex.last_stats)
+    pairs, stats = _run_pairs(configs, schemes, executor=executor,
+                              tracer=tracer)
+    return ReplicatedResult(config=config, seeds=list(seeds), pairs=pairs,
+                            exec_stats=stats)

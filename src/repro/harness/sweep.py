@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import FaultParams
+from ..core.registry import SEQUENTIAL
 from ..exec import ExecStats, ExecTask, Executor, get_default_executor
 from ..metrics.efficiency import efficiency
 from ..metrics.timing import RunResult
@@ -31,14 +32,6 @@ from .experiment import (
     sequential_config,
 )
 
-
-def _collect_spans(tracer: Optional[Tracer], results: Sequence[RunResult]) -> None:
-    """Merge the spans traced task results carry into the caller's tracer."""
-    if tracer is None:
-        return
-    for r in results:
-        if r is not None and getattr(r, "spans", None):
-            tracer.extend(r.spans)
 
 __all__ = ["PairedResult", "SweepResult", "run_paired", "run_sweep",
            "run_fault_scenarios", "PAPER_CONFIGS", "DEFAULT_SCHEMES",
@@ -96,6 +89,8 @@ class PairedResult:
 
     @property
     def nprocs(self) -> int:
+        if self.config.system is not None:
+            return self.config.system.nprocs
         return 2 * self.config.procs_per_group
 
     def efficiency_of(self, result: RunResult) -> float:
@@ -139,6 +134,51 @@ class SweepResult:
         return self.exec_stats.summary() if self.exec_stats is not None else ""
 
 
+def _run_pairs(
+    configs: Sequence[ExperimentConfig],
+    schemes: Sequence[str],
+    *,
+    executor: Optional[Executor],
+    tracer: Optional[Tracer],
+    sequential: Optional[ExperimentConfig] = None,
+    need_events: bool = False,
+) -> Tuple[List[PairedResult], ExecStats]:
+    """Run the (baseline, treatment) pair ``schemes`` on every config as
+    one executor batch.
+
+    The batch holds the baseline and treatment task of each config in
+    order, then the ``E(1)`` task of ``sequential`` when given, shared by
+    every pair.  ``need_events`` keeps the treatment runs off the cache's
+    read path.  Traced runs never read the cache; their spans are merged
+    into ``tracer`` in submission order.  Returns the pairs and the batch's
+    :class:`ExecStats`.
+    """
+    pair = _scheme_pair(schemes)
+    ex = executor if executor is not None else get_default_executor()
+    trace = tracer is not None
+    tasks: List[ExecTask] = []
+    for cfg in configs:
+        tasks.append(ExecTask(cfg, pair[0], use_cache=not trace, trace=trace))
+        tasks.append(ExecTask(cfg, pair[1],
+                              use_cache=not (need_events or trace), trace=trace))
+    if sequential is not None:
+        tasks.append(ExecTask(sequential_config(sequential), SEQUENTIAL,
+                              use_cache=not trace, trace=trace))
+    results = ex.run_tasks(tasks)
+    if tracer is not None:
+        for r in results:
+            if r.spans:
+                tracer.extend(r.spans)
+    seq = results[-1] if sequential is not None else None
+    pairs = [
+        PairedResult(config=cfg, parallel=results[2 * i],
+                     distributed=results[2 * i + 1], sequential=seq,
+                     scheme_names=pair)
+        for i, cfg in enumerate(configs)
+    ]
+    return pairs, ex.last_stats
+
+
 def run_paired(
     config: ExperimentConfig,
     *,
@@ -157,24 +197,10 @@ def run_paired(
     engine, ``tracer`` traces every run (spans merged into it, one track
     per run), and ``seed`` overrides the config's traffic seed.
     """
-    pair = _scheme_pair(schemes)
     cfg = resolve_trace_config(_apply_seed(config, seed))
-    ex = executor if executor is not None else get_default_executor()
-    trace = tracer is not None
-    tasks = [ExecTask(cfg, name, use_cache=not trace, trace=trace)
-             for name in pair]
-    if with_sequential:
-        tasks.append(ExecTask(sequential_config(cfg), "sequential",
-                              use_cache=not trace, trace=trace))
-    results = ex.run_tasks(tasks)
-    _collect_spans(tracer, results)
-    return PairedResult(
-        config=cfg,
-        parallel=results[0],
-        distributed=results[1],
-        sequential=results[2] if with_sequential else None,
-        scheme_names=pair,
-    )
+    pairs, _ = _run_pairs([cfg], schemes, executor=executor, tracer=tracer,
+                          sequential=cfg if with_sequential else None)
+    return pairs[0]
 
 
 def run_sweep(
@@ -189,40 +215,28 @@ def run_sweep(
 ) -> SweepResult:
     """Run the paired experiment over a series of configurations.
 
-    ``schemes`` names the (baseline, treatment) pair run on every
-    configuration; any registered scheme names work.  The sequential
-    reference (needed for Fig. 8) is workload-identical across
-    configurations, so it is run once and shared.  The whole series
-    -- sequential reference plus both schemes of every configuration -- is
-    submitted as one batch, so a parallel executor overlaps everything.
+    The sweep varies ``procs_per_group`` of the two-level system, so a
+    config with a ``system`` spec raises :class:`ValueError` (run one
+    :func:`run_paired` per spec instead).  ``schemes`` names the
+    (baseline, treatment) pair run on every configuration; any registered
+    scheme names work.  The sequential reference (needed for Fig. 8) is
+    workload-identical across configurations, so it is run once and
+    shared.  The whole series -- both schemes of every configuration plus
+    the sequential reference -- is submitted as one batch, so a parallel
+    executor overlaps everything.
     """
-    pair = _scheme_pair(schemes)
-    base = resolve_trace_config(_apply_seed(config, seed))
-    ex = executor if executor is not None else get_default_executor()
-    trace = tracer is not None
-    tasks: List[ExecTask] = []
-    if with_sequential:
-        tasks.append(ExecTask(sequential_config(base), "sequential",
-                              use_cache=not trace, trace=trace))
-    configs = [replace(base, procs_per_group=n) for n in procs_per_group]
-    for cfg in configs:
-        for name in pair:
-            tasks.append(ExecTask(cfg, name, use_cache=not trace, trace=trace))
-    results = ex.run_tasks(tasks)
-    _collect_spans(tracer, results)
-    seq = results[0] if with_sequential else None
-    offset = 1 if with_sequential else 0
-    pairs = [
-        PairedResult(
-            config=cfg,
-            parallel=results[offset + 2 * i],
-            distributed=results[offset + 2 * i + 1],
-            sequential=seq,
-            scheme_names=pair,
+    if config.system is not None:
+        raise ValueError(
+            f"run_sweep varies procs_per_group, which a system spec "
+            f"({config.system.label}) ignores; run one run_paired per spec "
+            f"instead"
         )
-        for i, cfg in enumerate(configs)
-    ]
-    return SweepResult(pairs=pairs, exec_stats=ex.last_stats)
+    base = resolve_trace_config(_apply_seed(config, seed))
+    pairs, stats = _run_pairs(
+        [replace(base, procs_per_group=n) for n in procs_per_group], schemes,
+        executor=executor, tracer=tracer,
+        sequential=base if with_sequential else None)
+    return SweepResult(pairs=pairs, exec_stats=stats)
 
 
 def run_fault_scenarios(
@@ -248,28 +262,13 @@ def run_fault_scenarios(
     metrics are computed from events); pass ``False`` when only the timing
     totals matter and cache hits are welcome.
     """
-    pair = _scheme_pair(schemes)
     base = resolve_trace_config(_apply_seed(config, seed))
     template = base.fault if base.fault is not None else FaultParams()
-    ex = executor if executor is not None else get_default_executor()
-    trace = tracer is not None
-    configs: List[ExperimentConfig] = []
-    tasks: List[ExecTask] = []
-    for scenario in scenarios:
-        fault = None if scenario == "none" else replace(template, scenario=scenario)
-        cfg = replace(base, fault=fault)
-        configs.append(cfg)
-        tasks.append(ExecTask(cfg, pair[0], use_cache=not trace, trace=trace))
-        tasks.append(ExecTask(cfg, pair[1],
-                              use_cache=not (need_events or trace), trace=trace))
-    results = ex.run_tasks(tasks)
-    _collect_spans(tracer, results)
-    out: Dict[str, PairedResult] = {}
-    for i, scenario in enumerate(scenarios):
-        out[scenario] = PairedResult(
-            config=configs[i],
-            parallel=results[2 * i],
-            distributed=results[2 * i + 1],
-            scheme_names=pair,
-        )
-    return out
+    configs = [
+        replace(base, fault=None if scenario == "none"
+                else replace(template, scenario=scenario))
+        for scenario in scenarios
+    ]
+    pairs, _ = _run_pairs(configs, schemes, executor=executor, tracer=tracer,
+                          need_events=need_events)
+    return dict(zip(scenarios, pairs))

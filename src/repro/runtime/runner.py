@@ -199,21 +199,9 @@ class SAMRRunner(IntegratorHooks):
         self.hierarchy = GridHierarchy(
             app.domain, app.refinement_ratio, app.max_levels
         )
-        if blocks_per_axis is None:
-            blocks_per_axis = default_blocks_per_axis(app.domain, system.nprocs)
-        self.hierarchy.create_root_grids(
-            root_blocks(app.domain, blocks_per_axis),
-            work_per_cell=app.work_per_cell(0),
-        )
+        self._create_root_grids(blocks_per_axis)
         if self.recorder is not None:
             self.recorder.attach(self)
-        self._finish_setup(log, dt0)
-
-    def _finish_setup(self, log: Optional[EventLog], dt0: float) -> None:
-        """Wire the simulator, assignment and integrator around the root
-        grids.  Shared with :class:`~repro.traces.TraceReplayRunner`, which
-        builds its hierarchy from a trace header instead of an application
-        but is otherwise the same machine."""
         self.sim = ClusterSimulator(self.system, log, fault_schedule=self.fault_schedule,
                                     tracer=self.tracer)
         self.tracer.bind_clock(lambda: self.sim.clock)
@@ -242,6 +230,18 @@ class SAMRRunner(IntegratorHooks):
         #: per-level message geometry, keyed by the hierarchy version at
         #: which it was computed (see :meth:`_level_geometry`)
         self._geometry: Dict[int, Tuple[int, Tuple[tuple, tuple]]] = {}
+
+    def _create_root_grids(self, blocks_per_axis: Optional[Sequence[int]]) -> None:
+        """Tile the domain into the level-0 grids.
+        :class:`~repro.traces.TraceReplayRunner` overrides this to install
+        the recorded root boxes instead."""
+        if blocks_per_axis is None:
+            blocks_per_axis = default_blocks_per_axis(self.app.domain,
+                                                      self.system.nprocs)
+        self.hierarchy.create_root_grids(
+            root_blocks(self.app.domain, blocks_per_axis),
+            work_per_cell=self.app.work_per_cell(0),
+        )
 
     def _rebuild_fine_level(self, level: int, time: float) -> List[Grid]:
         """Rebuild level ``level + 1``: plan from application flags, then

@@ -85,6 +85,12 @@ def spec_from_payload(payload: Any) -> JobSpec:
         trace_spans=bool(payload.get("trace_spans", False)),
     )
     if kind == "sweep":
+        if config.system is not None:
+            raise MalformedRequestError(
+                "sweep jobs vary procs_per_group of the two-level system; "
+                "a config with a system spec cannot sweep (submit one run "
+                "per spec instead)"
+            )
         procs = payload.get("procs") or []
         if (not isinstance(procs, list) or not procs
                 or not all(isinstance(p, int) and p >= 1 for p in procs)):

@@ -134,36 +134,24 @@ def record_run(
 
     Returns ``(RunResult, Trace)``.  The result is bit-identical to
     ``run_experiment(config, scheme)`` -- recording is observation only.
+    Only solver runs record: a ``trace`` or ``service`` config raises
+    :class:`ValueError`.
     """
-    from ..harness.experiment import (
-        _apply_seed,
-        _traced_run,
-        make_app,
-        make_faults,
-        make_scheme,
-        make_system,
-    )
-    from ..runtime import SAMRRunner
+    from ..harness.experiment import _apply_seed, _run
 
     if scheme is None:
         scheme = "distributed"
     cfg = _apply_seed(config, seed)
-    if getattr(cfg, "trace", None) is not None:
+    if cfg.trace is not None:
         raise ValueError(
             "cannot record a replayed run: config.trace must be None"
         )
+    if cfg.service is not None:
+        raise ValueError(
+            "cannot record a service run: config.service must be None"
+        )
     recorder = TraceRecorder(config=cfg, scheme_name=scheme)
-    result = _traced_run(tracer, lambda metrics: SAMRRunner(
-        make_app(cfg),
-        make_system(cfg),
-        make_scheme(scheme),
-        sim_params=cfg.sim_params,
-        scheme_params=cfg.effective_scheme_params(),
-        fault_schedule=make_faults(cfg),
-        tracer=tracer,
-        metrics=metrics,
-        recorder=recorder,
-    ).run(cfg.steps))
+    result = _run(cfg, scheme, tracer, recorder=recorder)
     trace = recorder.finish()
     m = get_default_metrics()
     m.counter("trace.recorded_runs").inc()

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from ..amr.grid import Grid
-from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import SubStep
 from ..amr.regrid import RegridParams, apply_cluster_boxes
 from ..config import SchemeParams, SimParams
@@ -36,7 +35,7 @@ from ..distsys.events import EventLog
 from ..distsys.system import DistributedSystem
 from ..faults.schedule import FaultSchedule
 from ..metrics.timing import RunResult
-from ..obs import NULL_TRACER, MetricsRegistry, Tracer, get_default_metrics
+from ..obs import MetricsRegistry, Tracer, get_default_metrics
 from ..runtime.runner import SAMRRunner
 from .schema import Trace, TraceReplayError, decode_box, read_trace
 
@@ -87,31 +86,25 @@ class TraceReplayRunner(SAMRRunner):
     ) -> None:
         if not isinstance(trace, Trace):
             trace = read_trace(trace)
-        if fault_schedule is not None:
-            system = fault_schedule.apply(system)
+        # the record stream must exist before the base class's initial
+        # adaptation reads it
         self.trace = trace
-        self.app = _TraceApp(trace)
-        self.system = system
-        self.scheme = scheme
-        self.fault_schedule = fault_schedule
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.sim_params = sim_params or SimParams()
-        self.scheme_params = scheme_params or SchemeParams()
-        self.regrid_params = RegridParams(
-            min_piece_cells=trace.min_piece_cells)
-        self.recorder = None
         self.strict = strict
         self._records = trace.records
         self._cursor = 0
-
-        self.hierarchy = GridHierarchy(
-            self.app.domain, self.app.refinement_ratio, self.app.max_levels
+        super().__init__(
+            _TraceApp(trace),
+            system,
+            scheme,
+            dt0=trace.dt0,
+            sim_params=sim_params,
+            scheme_params=scheme_params,
+            regrid_params=RegridParams(min_piece_cells=trace.min_piece_cells),
+            log=log,
+            fault_schedule=fault_schedule,
+            tracer=tracer,
+            metrics=metrics,
         )
-        self.hierarchy.create_root_grids(
-            trace.root_boxes, work_per_cell=trace.root_work_per_cell
-        )
-        self._finish_setup(log, trace.dt0)
 
     # -- record stream ----------------------------------------------------- #
 
@@ -132,6 +125,11 @@ class TraceReplayRunner(SAMRRunner):
         return rec
 
     # -- overridden hooks --------------------------------------------------- #
+
+    def _create_root_grids(self, blocks_per_axis) -> None:
+        self.hierarchy.create_root_grids(
+            self.trace.root_boxes, work_per_cell=self.trace.root_work_per_cell
+        )
 
     def _rebuild_fine_level(self, level: int, time: float) -> List[Grid]:
         rec = self._next_record("regrid")
@@ -274,12 +272,12 @@ def replay_trace(
 
     Returns the replayed :class:`~repro.metrics.RunResult`.
     """
-    from ..harness.experiment import run_experiment
+    from ..harness.experiment import ExperimentConfig, _apply_seed, _run, run_experiment
 
+    if scheme is None:
+        scheme = "distributed"
     in_memory = isinstance(source, Trace)
     if config is None:
-        from ..harness.experiment import ExperimentConfig
-
         steps = source.nsteps if in_memory else read_trace(source).nsteps
         config = ExperimentConfig(steps=steps)
     if not in_memory:
@@ -296,25 +294,5 @@ def replay_trace(
             "an in-memory Trace cannot go through an executor; write it "
             "with write_trace() and replay the file instead"
         )
-    from ..harness.experiment import (
-        _apply_seed,
-        _traced_run,
-        make_faults,
-        make_scheme,
-        make_system,
-    )
-
-    if scheme is None:
-        scheme = "distributed"
-    cfg = _apply_seed(config, seed)
-    return _traced_run(tracer, lambda metrics: TraceReplayRunner(
-        source,
-        make_system(cfg),
-        make_scheme(scheme),
-        sim_params=cfg.sim_params,
-        scheme_params=cfg.effective_scheme_params(),
-        fault_schedule=make_faults(cfg),
-        tracer=tracer,
-        metrics=metrics,
-        strict=strict,
-    ).run(cfg.steps))
+    return _run(_apply_seed(config, seed), scheme, tracer, trace=source,
+                strict=strict)

@@ -61,6 +61,13 @@ class TestCommands:
         assert "eff (dist)" in out
         assert "average improvement" in out
 
+    def test_sweep_with_system_spec_exits_2(self, capsys):
+        """A sweep varies --configs, which a --system spec ignores."""
+        rc = main(["sweep", "--system", '{"groups":[2,2,2]}', "--configs",
+                   "1", "2", "--steps", "2"])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("error:")
+
     def test_figure_fig2(self, capsys):
         rc = main(["figure", "fig2"])
         assert rc == 0

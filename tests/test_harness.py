@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import SchemeParams
+from repro.distsys import multi_site_spec
 from repro.distsys.traffic import (
     BurstyTraffic,
     ConstantTraffic,
@@ -41,6 +45,22 @@ class TestExperimentConfig:
     def test_gamma_flows_into_scheme_params(self):
         cfg = ExperimentConfig(gamma=5.0)
         assert cfg.effective_scheme_params().gamma == 5.0
+
+    def test_spec_label(self):
+        cfg = ExperimentConfig(system=multi_site_spec([2, 2, 2]))
+        assert cfg.label == "2+2+2"
+
+    def test_gamma_must_agree_with_scheme_params(self):
+        """A γ that scheme_params would silently override is an error."""
+        with pytest.raises(ValueError, match=r"scheme_params\.gamma.*gamma"):
+            ExperimentConfig(gamma=1e9, scheme_params=SchemeParams(
+                imbalance_threshold=1.05))
+        cfg = ExperimentConfig(gamma=1e9, scheme_params=SchemeParams(
+            gamma=1e9, imbalance_threshold=1.05))
+        assert cfg.effective_scheme_params().gamma == 1e9
+        # the what-if of docs/TRACES.md no longer silently does nothing
+        with pytest.raises(ValueError):
+            replace(cfg, gamma=8.0)
 
 
 class TestFactories:
@@ -100,6 +120,19 @@ class TestSweep:
         assert sw.pairs[0].sequential is sw.pairs[1].sequential
         assert len(sw.improvements) == 2
         assert sw.by_label()["1+1"] is sw.pairs[0]
+
+    def test_spec_pair_reports_the_spec_shape(self):
+        """Efficiency divides by the processors the runs actually use."""
+        cfg = ExperimentConfig(system=multi_site_spec([2, 2, 2]), steps=2)
+        pair = run_paired(cfg, with_sequential=True)
+        assert pair.nprocs == 6
+        assert 0 < pair.parallel_efficiency <= 1
+        assert 0 < pair.distributed_efficiency <= 1
+
+    def test_sweep_rejects_spec_config(self):
+        cfg = ExperimentConfig(system=multi_site_spec([2, 2, 2]), steps=2)
+        with pytest.raises(ValueError, match="run_paired per spec"):
+            run_sweep(cfg, procs_per_group=(1, 2))
 
     def test_sequential_missing_raises(self):
         cfg = ExperimentConfig(steps=2)

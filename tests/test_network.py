@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distsys import build_system, wan_spec
+from repro.distsys.comm import Message, MessageKind, comm_phase_time
 from repro.distsys.network import (
     MAX_OCCUPANCY,
     Link,
@@ -12,6 +14,20 @@ from repro.distsys.network import (
     origin2000_interconnect,
 )
 from repro.distsys.traffic import ConstantTraffic, NoTraffic
+from repro.faults import FaultSchedule, LinkDegradationFault
+
+
+def _link_phase_time_reference(link: Link, nbundles: int, nbytes: float,
+                               time: float) -> float:
+    """The per-link cost of a bulk-synchronous phase with ``nbundles``
+    simultaneous pairwise transfers totalling ``nbytes``: propagation
+    latency once (transfers overlap in flight), the hosts' per-bundle
+    software overhead and the medium's bytes serialized.  The reference
+    formula :func:`comm_phase_time` must reproduce on a one-link route."""
+    if nbundles == 0:
+        return 0.0
+    return (link.alpha(time) + nbundles * link.per_message_overhead
+            + nbytes * link.beta(time))
 
 
 class _SaturatedTraffic:
@@ -94,15 +110,18 @@ class TestPresets:
         assert t == pytest.approx(wan.latency + wan.per_message_overhead, rel=0.01)
 
     def test_phase_time_components(self):
-        link = Link("t", latency=0.01, bandwidth=1e6, per_message_overhead=0.001)
-        # alpha once + 3 overheads + bytes
-        assert link.phase_time(3, 1e6, 0.0) == pytest.approx(0.01 + 0.003 + 1.0)
-        assert link.phase_time(0, 0.0, 0.0) == 0.0
-
-    def test_phase_time_validation(self):
-        link = Link("t", latency=0.01, bandwidth=1e6)
-        with pytest.raises(ValueError):
-            link.phase_time(-1, 0, 0.0)
+        """On a one-link route a phase costs the link's alpha once, one
+        overhead per bundle and the bytes at the link's rate."""
+        system = build_system(wan_spec(2), traffic=ConstantTraffic(0.3))
+        link = system.route_between(0, 1).links[0]
+        # three bundles (pid pairs), all crossing the one inter-group link
+        msgs = [Message(0, 2, 4e5, MessageKind.SIBLING),
+                Message(0, 3, 3e5, MessageKind.SIBLING),
+                Message(1, 2, 3e5, MessageKind.SIBLING)]
+        assert comm_phase_time(system, msgs, 5.0).elapsed == pytest.approx(
+            _link_phase_time_reference(link, 3, 1e6, 5.0))
+        assert comm_phase_time(system, [], 5.0).elapsed == 0.0
+        assert _link_phase_time_reference(link, 0, 0.0, 5.0) == 0.0
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(ValueError):
@@ -140,15 +159,16 @@ class TestOccupancyClamp:
 
     def test_degraded_link_overlay_stays_finite(self):
         """A fault overlay stacking on heavy traffic must stay finite."""
-        base = Link("t", latency=0.005, bandwidth=19e6,
-                    traffic=_SaturatedTraffic(0.999))
-        # a degradation overlay divides bandwidth further, as the fault
-        # schedule does; phase_time must remain positive and finite
-        degraded = Link("t-degraded", latency=base.latency * 4,
-                        bandwidth=base.bandwidth / 10,
-                        traffic=base.traffic)
-        t = degraded.phase_time(4, 1e6, 0.0)
+        system = build_system(wan_spec(2), traffic=_SaturatedTraffic(0.999))
+        # the fault schedule composes a degradation overlay onto the link's
+        # traffic; the phase cost must remain positive and finite
+        degraded = FaultSchedule([LinkDegradationFault(occupancy=0.9)]).apply(system)
+        link = degraded.route_between(0, 1).links[0]
+        msgs = [Message(src, dst, 2.5e5, MessageKind.SIBLING)
+                for src, dst in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        t = comm_phase_time(degraded, msgs, 0.0).elapsed
         assert 0.0 < t < float("inf")
+        assert t == pytest.approx(_link_phase_time_reference(link, 4, 1e6, 0.0))
 
     def test_clamp_is_noop_for_builtin_models(self):
         """Occupancies inside [0, MAX_OCCUPANCY] must pass the clamp

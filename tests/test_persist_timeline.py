@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness import (
     ExperimentConfig,
+    SweepResult,
     load_fault_scenarios,
     load_replicated,
     load_run,
@@ -17,6 +18,7 @@ from repro.harness import (
     replicate,
     run_experiment,
     run_fault_scenarios,
+    run_paired,
     run_sweep,
     save_fault_scenarios,
     save_replicated,
@@ -106,9 +108,11 @@ class TestSweepPersistence:
     ], ids=["spec", "trace", "service"])
     def test_full_config_round_trips(self, extra, tmp_path):
         """Every field survives, not just the headline ones."""
-        cfg = ExperimentConfig(steps=1, domain_cells=8, max_levels=2,
-                               traffic_seed=3, base_speed=3e4, **extra)
-        sweep = run_sweep(cfg, procs_per_group=[1])
+        cfg = ExperimentConfig(procs_per_group=1, steps=1, domain_cells=8,
+                               max_levels=2, traffic_seed=3, base_speed=3e4,
+                               **extra)
+        # a sweep varies procs_per_group, so a spec config is one pair
+        sweep = SweepResult(pairs=[run_paired(cfg)])
         path = tmp_path / "sweep.json"
         save_sweep(sweep, path)
         assert load_sweep(path).pairs[0].config == sweep.pairs[0].config

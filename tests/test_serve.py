@@ -137,6 +137,20 @@ class TestWire:
         with pytest.raises(MalformedRequestError):
             spec_from_payload(payload)
 
+    def test_sweep_rejects_system_spec(self):
+        """A sweep varies procs_per_group, which a spec ignores: the job
+        would run the same system once per entry of ``procs``."""
+        from dataclasses import replace
+
+        from repro.distsys import multi_site_spec
+
+        cfg = replace(SOLVER_CFG, system=multi_site_spec([2, 2, 2]))
+        payload = spec_to_payload(
+            JobSpec(kind="sweep", config=cfg, procs=(1, 2),
+                    schemes=("distributed",)))
+        with pytest.raises(MalformedRequestError, match="system spec"):
+            spec_from_payload(payload)
+
 
 class TestJobQueue:
     def mk(self, client, priority=0, seq=0):
