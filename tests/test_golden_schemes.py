@@ -23,6 +23,13 @@ GOLDEN = json.loads(
 
 _BASE = dict(procs_per_group=2, steps=3, domain_cells=16, max_levels=3)
 _RING = ring(4)
+# unequal group weights: every capacity, target and gain depends on them
+_HETERO = SystemSpec(groups=(GroupSpec(nprocs=2, weight=2.0),
+                             GroupSpec(nprocs=3, weight=0.7)))
+_HETERO3 = SystemSpec(groups=(GroupSpec(nprocs=2, weight=1.3),
+                              GroupSpec(nprocs=3, weight=0.7),
+                              GroupSpec(nprocs=1, weight=2.9)),
+                      independent_inter_links=True)
 CONFIGS = {
     "wan": ExperimentConfig(**_BASE),
     "lan": ExperimentConfig(app_name="amr64", network="lan", **_BASE),
@@ -73,6 +80,16 @@ CONFIGS = {
     "mesh3-mixed": ExperimentConfig(
         system=multi_site_spec([2, 2, 2]),
         fault=FaultParams(scenario="mixed"), traffic_kind="bursty", **_BASE),
+    # heterogeneous weights, unfaulted (every scheme), under bursty CPU
+    # load on the slow group, and three unequal groups on a mesh under the
+    # mixed scenario aimed at the fastest one
+    "hetero": ExperimentConfig(system=_HETERO, **_BASE),
+    "hetero-cpu-load": ExperimentConfig(
+        system=_HETERO, fault=FaultParams(scenario="cpu-load", group=1),
+        traffic_kind="bursty", **_BASE),
+    "hetero3-mixed": ExperimentConfig(
+        system=_HETERO3, fault=FaultParams(scenario="mixed", group=2),
+        traffic_kind="bursty", **_BASE),
 }
 
 
