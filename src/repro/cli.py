@@ -83,7 +83,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Sequence
 
-from .config import ExecParams, FaultParams
+from .config import ExecParams, FaultParams, TraceParams
 from .core.registry import SEQUENTIAL, available_schemes
 from .exec import ExecTask, get_default_executor, make_executor, set_default_executor
 from .obs import Tracer, flame_summary, write_chrome_trace
@@ -266,6 +266,11 @@ def _exec_params_from(args: argparse.Namespace) -> ExecParams:
     )
 
 
+class _FlagError(ValueError):
+    """A flag value a config rejects; :func:`main` prints it as
+    ``error: ...`` and exits 2."""
+
+
 def _fault_from(args: argparse.Namespace) -> Optional[FaultParams]:
     if args.fault == "none":
         return None
@@ -295,20 +300,40 @@ def _system_from(args: argparse.Namespace):
     return SystemSpec.from_dict(json.loads(raw))
 
 
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        app_name=args.app,
-        network=args.network,
-        procs_per_group=args.procs,
-        steps=args.steps,
-        domain_cells=args.domain,
-        max_levels=args.levels,
-        traffic_kind=args.traffic,
-        traffic_level=args.traffic_level,
-        gamma=args.gamma,
-        fault=_fault_from(args),
-        system=_system_from(args),
-    )
+def _trace_from(args: argparse.Namespace) -> Optional[TraceParams]:
+    """The trace a replay's ``source`` and generator flags describe."""
+    source = getattr(args, "source", None)
+    if source is None:
+        return None
+    return TraceParams(source=source, seed=args.seed,
+                       intensity=args.intensity, strict=args.strict)
+
+
+def _config_from(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """The experiment config a command's flags describe, plus ``fields``.
+
+    Every command that runs something builds its config here, so a flag
+    value a config rejects (NaN, out of range, a malformed ``--system``)
+    raises :class:`_FlagError` here whatever the command.
+    """
+    try:
+        return ExperimentConfig(
+            app_name=args.app,
+            network=args.network,
+            procs_per_group=args.procs,
+            steps=args.steps,
+            domain_cells=args.domain,
+            max_levels=args.levels,
+            traffic_kind=args.traffic,
+            traffic_level=args.traffic_level,
+            gamma=args.gamma,
+            fault=_fault_from(args),
+            trace=_trace_from(args),
+            system=_system_from(args),
+            **fields,
+        )
+    except ValueError as err:
+        raise _FlagError(str(err)) from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,21 +636,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .faults import resilience_report
 
-    # template carrying the window/severity flags; each scenario swaps only
-    # the kind ("none" rows drop it entirely)
-    template = FaultParams(
-        scenario="slowdown",
-        group=args.fault_group,
-        start=args.fault_start,
-        duration=args.fault_duration,
-        severity=args.fault_severity,
-        seed=args.fault_seed,
-    )
-    cfg = replace(_config_from(args), fault=template)
+    # the window/severity flags form a template fault; each scenario swaps
+    # only its kind ("none" rows drop it entirely)
+    args.fault = "slowdown"
+    cfg = _config_from(args)
     tracer = _tracer_from(args)
     results = run_fault_scenarios(cfg, scenarios=tuple(args.scenarios),
                                   tracer=tracer)
@@ -707,9 +723,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .config import TraceParams
     from .traces import TraceFormatError, TraceReplayError, default_replay_steps
 
     if args.steps is None:
@@ -718,15 +731,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         except TraceFormatError as err:
             print(f"error: {err}")
             return 2
-    try:
-        cfg = replace(
-            _config_from(args),
-            trace=TraceParams(source=args.source, seed=args.seed,
-                              intensity=args.intensity, strict=args.strict),
-        )
-    except ValueError as err:  # bad --intensity, malformed synth: source
-        print(f"error: {err}")
-        return 2
+    cfg = _config_from(args)
     try:
         result, tracer = _run_one(cfg, args)
     except (TraceFormatError, TraceReplayError, ValueError) as err:
@@ -740,30 +745,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from .config import ServiceConfig
     from .service import ServiceReport, format_service_report
 
-    try:
-        svc = ServiceConfig(
-            nshards=args.shards,
-            replication=args.replication,
-            requests_per_second=args.rps,
-            service_rate=args.service_rate,
-            duration_seconds=args.duration,
-            arrivals=args.arrivals,
-            arrival_seed=args.arrival_seed,
-            zipf_exponent=args.zipf,
-            router=args.router,
-            router_seed=args.router_seed,
-            balance_every_seconds=args.balance_every,
-            slo_ms=args.slo_ms,
-        )
-    except ValueError as err:  # a non-positive or non-finite service value
-        print(f"error: {err}")
-        return 2
-    result, tracer = _run_one(replace(_config_from(args), service=svc), args)
+    # a plain dict: the config builds (and checks) the ServiceConfig
+    svc = dict(
+        nshards=args.shards,
+        replication=args.replication,
+        requests_per_second=args.rps,
+        service_rate=args.service_rate,
+        duration_seconds=args.duration,
+        arrivals=args.arrivals,
+        arrival_seed=args.arrival_seed,
+        zipf_exponent=args.zipf,
+        router=args.router,
+        router_seed=args.router_seed,
+        balance_every_seconds=args.balance_every,
+        slo_ms=args.slo_ms,
+    )
+    result, tracer = _run_one(_config_from(args, service=svc), args)
     report = ServiceReport.from_run(result)
     print(format_service_report(report))
     print(f"  report hash {report.hash}")
@@ -864,12 +863,9 @@ def _daemon_unreachable(args: argparse.Namespace, err: OSError) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .serve import ServeError
 
     if args.source is not None:
-        from .config import TraceParams
         from .traces import TraceFormatError, default_replay_steps
 
         if args.steps is None:
@@ -880,18 +876,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 return 2
     elif args.steps is None:
         args.steps = 4
-    try:
-        cfg = _config_from(args)
-        if args.source is not None:
-            cfg = replace(
-                cfg,
-                trace=TraceParams(source=args.source, seed=args.seed,
-                                  intensity=args.intensity,
-                                  strict=args.strict),
-            )
-    except ValueError as err:
-        print(f"error: {err}")
-        return 2
+    cfg = _config_from(args)
     client = _serve_client(args)
     try:
         if args.sweep is not None:
@@ -1034,6 +1019,15 @@ def _run_profiled(fn, args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _FlagError as err:
+        print(f"error: {err}")
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command under its executor."""
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,

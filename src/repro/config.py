@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Final, Tuple
+from typing import Any, Final, Tuple
 
 __all__ = ["SimParams", "SchemeParams", "FaultParams", "ExecParams",
            "TraceParams", "ServiceConfig", "FAULT_SCENARIOS"]
@@ -28,6 +28,22 @@ FAULT_SCENARIOS: Final[Tuple[str, ...]] = (
     "link-degraded",
     "mixed",
 )
+
+
+def _check_floats(obj: Any, *, finite: bool = False) -> None:
+    """Reject NaN -- and, with ``finite``, the infinities -- in every
+    ``float`` field of the dataclass ``obj``, naming the field.
+
+    NaN passes every ordered comparison, so a range check such as
+    ``gamma < 0`` lets it through; every config runs this first.
+    """
+    for f in fields(obj):
+        if f.type != "float":
+            continue
+        value = getattr(obj, f.name)
+        if math.isnan(value) or (finite and math.isinf(value)):
+            need = "be finite" if finite else "not be NaN"
+            raise ValueError(f"{f.name} must {need}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,9 @@ class SimParams:
         Computational overhead charged per grid created by a regrid (data
         structure construction); identical for both schemes, so it cancels
         in comparisons but keeps totals honest.
+
+    Every float field must be finite: NaN or an infinity raises a
+    ``ValueError`` that names the field.
     """
 
     bytes_per_cell: float = 80.0
@@ -71,6 +90,7 @@ class SimParams:
     regrid_seconds_per_grid: float = 5.0e-5
 
     def __post_init__(self) -> None:
+        _check_floats(self, finite=True)
         if self.bytes_per_cell <= 0:
             raise ValueError("bytes_per_cell must be positive")
         if self.ghost_width < 0:
@@ -104,6 +124,10 @@ class SchemeParams:
         relative distance of its target load.
     max_local_moves:
         Safety cap on grid moves per local balancing action.
+
+    A NaN float field raises a ``ValueError`` that names it.  ``gamma``
+    and ``imbalance_threshold`` may be infinite: the gate they set then
+    never fires.
     """
 
     gamma: float = 2.0
@@ -112,6 +136,7 @@ class SchemeParams:
     max_local_moves: int = 10_000
 
     def __post_init__(self) -> None:
+        _check_floats(self)
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.imbalance_threshold < 1.0:
@@ -181,6 +206,8 @@ class TraceParams:
         replayed hierarchy and fails loudly on divergence.  Only
         meaningful when replaying under the recorded scheme + system;
         cross-scheme replays legitimately diverge.
+
+    A NaN ``intensity`` raises a ``ValueError`` that names it.
     """
 
     source: str = ""
@@ -190,6 +217,7 @@ class TraceParams:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        _check_floats(self)
         if not self.source:
             raise ValueError("trace source must be a file path or 'synth:<name>'")
         if self.source.startswith("synth:") and len(self.source) <= len("synth:"):
@@ -284,12 +312,7 @@ class ServiceConfig:
     migration_stall_ms: float = 50.0
 
     def __post_init__(self) -> None:
-        # NaN passes every ordered comparison below, so reject it (and the
-        # infinities) by name first
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(
-                    f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        _check_floats(self, finite=True)
         if self.nshards < 1:
             raise ValueError("nshards must be >= 1")
         if self.replication < 1:
@@ -354,6 +377,9 @@ class FaultParams:
         Slowdown factor, ``> 1``.
     seed:
         Seed for the stochastic scenarios' load models.
+
+    A NaN float field raises a ``ValueError`` that names it.  ``duration``
+    may be infinite: the window then never closes.
     """
 
     scenario: str = "none"
@@ -364,6 +390,7 @@ class FaultParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_floats(self)
         if self.scenario not in FAULT_SCENARIOS:
             raise ValueError(
                 f"unknown fault scenario {self.scenario!r}; "

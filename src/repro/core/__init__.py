@@ -37,7 +37,6 @@ from .registry import (
     scheme_cache_payload,
     unregister_scheme,
 )
-from .weights import capacity_normalized_loads, measure_weights, relative_weights
 
 __all__ = [
     "BalanceContext",
@@ -58,9 +57,6 @@ __all__ = [
     "plan_global_redistribution",
     "lpt_assign",
     "plan_rebalance",
-    "capacity_normalized_loads",
-    "measure_weights",
-    "relative_weights",
     # policy protocols + component tables
     "WeightPolicy",
     "DecisionPolicy",

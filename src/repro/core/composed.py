@@ -87,14 +87,14 @@ class ComposedScheme(DLBScheme):
     def global_balance(self, ctx: BalanceContext, time: float) -> None:
         if not self.global_policy.active(ctx):
             return
-        # re-measure the environment at the balance point: imbalance
-        # detection, gain and the redistribution targets all see the
-        # weight policy's view of this instant, so an externally slowed
-        # group reads as overloaded even when its workload share is nominal
-        now = ctx.sim.clock
-        at = self.weight_policy.resolve_time(now)
-        imbalanced = self.decision_policy.imbalance_exists(ctx, at)
-        gain = self.decision_policy.estimate_gain(ctx, at)
+        # ask the weight policy once: imbalance detection, gain and the
+        # redistribution targets all see its weights for this instant, so
+        # under re-measured weights an externally slowed group reads as
+        # overloaded even when its workload share is nominal
+        weights = self.weight_policy.processor_weights(
+            ctx.system, ctx.sim.clock)
+        imbalanced = self.decision_policy.imbalance_exists(ctx, weights)
+        gain = self.decision_policy.estimate_gain(ctx, weights)
         if not imbalanced or gain <= 0.0:
             ctx.sim.log.record(
                 GlobalDecisionEvent(
@@ -108,7 +108,7 @@ class ComposedScheme(DLBScheme):
             )
             return
         # plan the boundary shift; its level-0 cell count is the W of Eq. 1
-        plan = self.global_policy.plan(ctx, at)
+        plan = self.global_policy.plan(ctx, weights)
         if plan.empty:
             ctx.sim.log.record(
                 GlobalDecisionEvent(

@@ -19,7 +19,7 @@ decrease in execution time that will occur from the redistribution of load."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from ..distsys.system import DistributedSystem
 
@@ -112,19 +112,21 @@ class WorkloadHistory:
 def estimate_gain(
     history: WorkloadHistory,
     system: DistributedSystem,
-    time: Optional[float] = None,
+    capacities: Optional[Mapping[int, float]] = None,
 ) -> float:
     """Eq. 4: predicted execution-time decrease from removing group imbalance.
 
-    With ``time`` given, each group's recorded workload is first normalised
-    by its *effective* capacity share at that instant.  This generalises
-    Eq. 4 -- written for groups of equal aggregate performance -- to the
-    dynamic-environment case: a group slowed 4x by external load while
+    With ``capacities`` (group id -> capacity, as
+    :func:`~repro.partition.proportional.group_capacities` computes them
+    from a weight policy's weights), each group's recorded workload is
+    first normalised by its capacity share.  This generalises Eq. 4 --
+    written for groups of equal aggregate performance -- to heterogeneous
+    and dynamic environments: a group slowed 4x by external load while
     holding its nominal share of work is exactly as overloaded as a group
-    holding 4x the work on nominal processors, and the gain estimate now
-    says so.  With equal effective capacities (no faults, homogeneous
-    groups) the normalisation is the identity and the paper's formula is
-    recovered bit for bit.
+    holding 4x the work on nominal processors, and the gain estimate says
+    so.  With equal capacities the normalisation is the identity and the
+    paper's formula is recovered bit for bit; without ``capacities`` it is
+    the paper's formula.
 
     Returns 0.0 when no history exists yet or all groups are idle.
     """
@@ -134,8 +136,8 @@ def estimate_gain(
     totals = rec.group_totals(system)
     if not totals:
         return 0.0
-    if time is not None:
-        caps = {g: system.groups[g].capacity_at(time) for g in totals}
+    if capacities is not None:
+        caps = {g: capacities[g] for g in totals}
         cap_total = sum(caps.values())
         n = len(totals)
         if cap_total > 0.0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..amr.grid import Grid
 from ..distsys.events import RedistributionEvent
@@ -103,14 +103,14 @@ def effective_level0_loads(ctx: BalanceContext) -> Dict[int, float]:
 
 
 def plan_global_redistribution(
-    ctx: BalanceContext, time: Optional[float] = None
+    ctx: BalanceContext, weights: Mapping[int, float]
 ) -> GlobalPlan:
     """Match donor surpluses to receiver deficits with boundary-near grids.
 
     Pure planning: no hierarchy or assignment mutation, no time charged.
-    ``time`` switches the capacity-proportional targets to the effective
-    (fault-adjusted) capacities at that instant -- the distributed scheme
-    passes its balance-point clock so re-measured weights steer the plan.
+    Group targets are proportional to the group capacities under
+    ``weights`` (pid -> weight) -- the distributed scheme passes the
+    weights it re-measured at the balance point, so they steer the plan.
     """
     eff = effective_level0_loads(ctx)
     plan = GlobalPlan()
@@ -121,7 +121,7 @@ def plan_global_redistribution(
     loads: Dict[int, float] = {g.group_id: 0.0 for g in ctx.system.groups}
     for gid, load in eff.items():
         loads[group_of[gid]] += load
-    targets = group_targets(ctx.system, total, time)
+    targets = group_targets(ctx.system, total, weights)
     surplus = {g: loads[g] - targets[g] for g in loads}
     donors = sorted((g for g in surplus if surplus[g] > 0), key=lambda g: -surplus[g])
     receivers = sorted((g for g in surplus if surplus[g] < 0), key=lambda g: surplus[g])
@@ -172,7 +172,7 @@ def plan_global_redistribution(
             src = ctx.assignment.pid_of(grid.gid)
             dst = dst_memo.get(recv)
             if dst is None:
-                dst = _least_loaded_pid(ctx, recv, time, level0_loads)
+                dst = _least_loaded_pid(ctx, recv, weights, level0_loads)
                 dst_memo[recv] = dst
             if load <= amount * (1.0 + WHOLE_GRID_SLACK):
                 plan.moves.append((grid.gid, src, dst))
@@ -283,25 +283,16 @@ def _donor_grids_sorted(
 def _least_loaded_pid(
     ctx: BalanceContext,
     group_id: int,
-    time: Optional[float] = None,
-    loads: Optional[Dict[int, float]] = None,
+    weights: Mapping[int, float],
+    loads: Mapping[int, float],
 ) -> int:
-    """Receiver processor: least capacity-normalised level-0 load in group.
+    """Receiver processor: least weight-normalised level-0 load in group.
 
-    With ``time``, normalisation uses the effective (fault-adjusted) weight
-    at that instant, steering migrated grids toward the group's healthiest
-    processors.  ``loads`` lets the planner pass the level-0 loads it
-    already holds instead of recomputing them per query.
+    Under re-measured ``weights`` this steers migrated grids toward the
+    group's healthiest processors.  ``loads`` are the level-0 loads the
+    planner already holds.
     """
-    group = ctx.system.groups[group_id]
-    if loads is None:
-        loads = ctx.assignment.level_loads(0)
-
-    def eff_weight(pid: int) -> float:
-        p = ctx.system.processor(pid)
-        return p.weight if time is None else p.weight * p.availability(time)
-
     return min(
-        group.pids,
-        key=lambda pid: (loads[pid] / eff_weight(pid), pid),
+        ctx.system.groups[group_id].pids,
+        key=lambda pid: (loads[pid] / weights[pid], pid),
     )

@@ -22,9 +22,9 @@ instantiates one policy per axis from a spec, routing ``spec.options`` to
 the constructors that accept them (``sweeps`` to the diffusion local
 policy, ``initial_delta``/``use_forecast`` to the gain/cost decision, ...).
 
-The nominal weight policy resolves to ``time=None``, so time-optional
-helpers (:func:`~repro.partition.proportional.processor_targets` and
-friends) use nominal weights and capacities.
+The weight policy is the only place that decides what a processor is
+worth: every capacity, target, imbalance test and gain is computed from
+the pid -> weight mapping its ``processor_weights`` returns.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import numpy as np
 
 from ..distsys.comm import Message, MessageKind
 from ..partition.proportional import (
+    group_capacities,
     group_targets,
     processor_targets,
     proportional_shares,
@@ -78,7 +79,6 @@ __all__ = [
     "NominalWeights",
     "MeasuredWeights",
     "NeverRedistribute",
-    "AlwaysRedistribute",
     "GainCostDecision",
     "FlatPartition",
     "ContiguousGroupPartition",
@@ -109,16 +109,11 @@ __all__ = [
 class WeightPolicy(Protocol):
     """How processor performance weights are evaluated (paper Section 3.1).
 
-    The policy answers two questions: what is each processor worth right
-    now, and -- for the time-optional partitioning helpers -- should the
-    current clock be consulted at all.  ``resolve_time`` returning ``None``
-    selects nominal weights/capacities everywhere downstream, which is the
-    paper's homogeneous-baseline behaviour.
+    The one question the policy answers -- what is each processor worth at
+    this instant -- is the only place the nominal/measured choice is made;
+    group capacities, targets, the imbalance test and the gain are all
+    computed from the mapping it returns.
     """
-
-    def resolve_time(self, time: float) -> Optional[float]:
-        """Map the balance-point clock to the helpers' ``time`` argument."""
-        ...
 
     def processor_weights(
         self, system: "DistributedSystem", time: float
@@ -135,13 +130,13 @@ class DecisionPolicy(Protocol):
     decisions: List[Decision]
 
     def imbalance_exists(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> bool:
-        """Is inter-group imbalance detected at the balance point?"""
+        """Is inter-group imbalance detected under these processor weights?"""
         ...
 
     def estimate_gain(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> float:
         """Eq. 4's Gain from the recorded workload history."""
         ...
@@ -172,9 +167,9 @@ class GlobalPartitionPolicy(Protocol):
         ...
 
     def plan(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> GlobalPlan:
-        """Plan the inter-group redistribution at a balance point."""
+        """Plan the inter-group redistribution under these weights."""
         ...
 
     def execute(
@@ -216,13 +211,10 @@ class LocalBalancePolicy(Protocol):
 class NominalWeights:
     """Static relative-performance weights (paper Section 3.1, Table 1).
 
-    ``resolve_time`` is ``None``: downstream partitioning helpers use the
-    processors' nominal weights and the groups' nominal capacities, exactly
-    as the group-oblivious schemes always did.
+    Each processor weighs its nominal performance weight
+    (``GroupSpec.weight``) whatever the time, so a group's capacity is the
+    paper's ``n_g * p_g``.
     """
-
-    def resolve_time(self, time: float) -> Optional[float]:
-        return None
 
     def processor_weights(
         self, system: "DistributedSystem", time: float
@@ -238,9 +230,6 @@ class MeasuredWeights:
     moment a balancing decision consults it.
     """
 
-    def resolve_time(self, time: float) -> Optional[float]:
-        return time
-
     def processor_weights(
         self, system: "DistributedSystem", time: float
     ) -> Dict[int, float]:
@@ -255,14 +244,14 @@ class MeasuredWeights:
 
 
 def group_imbalance_exists(
-    ctx: BalanceContext, time: Optional[float] = None
+    ctx: BalanceContext, weights: Mapping[int, float]
 ) -> bool:
     """Capacity-normalised group loads differ beyond the threshold?
 
     Uses the recorded history (Eq. 3 totals) -- the same data the gain is
-    computed from -- so detection and gain agree.  With ``time``,
-    normalisation is by *effective* capacity at that instant: a group
-    slowed 4x by external load trips the threshold with unchanged
+    computed from -- so detection and gain agree.  Each group's load is
+    normalised by its capacity under ``weights``: with re-measured weights
+    a group slowed 4x by external load trips the threshold with unchanged
     workload, which is exactly the adaptation the dynamic-environment
     experiments measure.
     """
@@ -270,13 +259,12 @@ def group_imbalance_exists(
     if rec is None:
         return False
     totals = rec.group_totals(ctx.system)
+    caps = group_capacities(ctx.system, weights)
     norm = {}
     for g in totals:
-        group = ctx.system.groups[g]
-        cap = group.capacity if time is None else group.capacity_at(time)
-        if cap <= 0.0:  # pragma: no cover - availability is floored
+        if caps[g] <= 0.0:  # pragma: no cover - availability is floored
             return True
-        norm[g] = totals[g] / cap
+        norm[g] = totals[g] / caps[g]
     hi = max(norm.values())
     lo = min(norm.values())
     if hi <= 0.0:
@@ -293,12 +281,12 @@ class NeverRedistribute:
         self.decisions: List[Decision] = []
 
     def imbalance_exists(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> bool:
         return False
 
     def estimate_gain(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> float:
         return 0.0
 
@@ -310,39 +298,6 @@ class NeverRedistribute:
         )
 
     def record_overhead(self, delta: float) -> None:  # pragma: no cover
-        return None
-
-
-class AlwaysRedistribute:
-    """Skip the cost gate: any detected positive-gain imbalance fires.
-
-    The ``gamma -> 0`` ablation as a standalone policy -- useful for
-    measuring what the Eq. 1 cost gate is actually worth.
-    """
-
-    def __init__(self) -> None:
-        self.decisions: List[Decision] = []
-
-    def imbalance_exists(
-        self, ctx: BalanceContext, time: Optional[float]
-    ) -> bool:
-        return group_imbalance_exists(ctx, time)
-
-    def estimate_gain(
-        self, ctx: BalanceContext, time: Optional[float]
-    ) -> float:
-        return estimate_gain(ctx.history, ctx.system, time=time)
-
-    def evaluate(
-        self, ctx: BalanceContext, plan: GlobalPlan, gain: float
-    ) -> Decision:
-        decision = Decision(
-            gain=gain, cost=0.0, gamma=ctx.scheme_params.gamma, invoke=True
-        )
-        self.decisions.append(decision)
-        return decision
-
-    def record_overhead(self, delta: float) -> None:
         return None
 
 
@@ -380,14 +335,15 @@ class GainCostDecision:
             self._beta_forecaster = None
 
     def imbalance_exists(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> bool:
-        return group_imbalance_exists(ctx, time)
+        return group_imbalance_exists(ctx, weights)
 
     def estimate_gain(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> float:
-        return estimate_gain(ctx.history, ctx.system, time=time)
+        return estimate_gain(ctx.history, ctx.system,
+                             group_capacities(ctx.system, weights))
 
     def evaluate(
         self, ctx: BalanceContext, plan: GlobalPlan, gain: float
@@ -436,13 +392,13 @@ class FlatPartition:
     def initial_distribution(
         self, ctx: BalanceContext, weights: WeightPolicy
     ) -> None:
-        t0 = weights.resolve_time(0.0)
+        w0 = weights.processor_weights(ctx.system, 0.0)
         for level in range(ctx.hierarchy.max_levels):
             grids = ctx.hierarchy.level_grids(level)
             if not grids:
                 continue
             total = sum(g.workload for g in grids)
-            targets = processor_targets(ctx.system, total, t0)
+            targets = processor_targets(ctx.system, total, w0)
             for gid, pid in lpt_assign(grids, targets).items():
                 ctx.assignment.assign(gid, pid)
 
@@ -450,7 +406,7 @@ class FlatPartition:
         return False
 
     def plan(
-        self, ctx: BalanceContext, time: Optional[float]
+        self, ctx: BalanceContext, weights: Mapping[int, float]
     ) -> GlobalPlan:  # pragma: no cover - inactive partitions are not planned
         return GlobalPlan()
 
@@ -473,7 +429,7 @@ def _curve_sorted(grids: List[Any], curve: str) -> List[Any]:
 
 def _root_group_cut(
     ctx: BalanceContext,
-    weights: WeightPolicy,
+    w0: Mapping[int, float],
     order: Callable[[List[Any]], List[Any]],
 ) -> Dict[int, int]:
     """gid -> group for every grid of the initial hierarchy.
@@ -490,7 +446,7 @@ def _root_group_cut(
     if total <= 0:
         total = sum(g.workload for g in grids)
         eff = {g.gid: g.workload for g in grids}
-    targets = group_targets(ctx.system, total, time=weights.resolve_time(0.0))
+    targets = group_targets(ctx.system, total, w0)
     gorder = sorted(targets)
     ordered = order(grids)
     seg = contiguous_segments(
@@ -532,11 +488,11 @@ class ContiguousGroupPartition(_GroupPartition):
     ) -> None:
         """Capacity-proportional split across groups, LPT within each group,
         level by level."""
+        w0 = weights.processor_weights(ctx.system, 0.0)
         grid_group = _root_group_cut(
-            ctx, weights,
+            ctx, w0,
             lambda grids: sorted(grids, key=lambda g: (g.box.lo, g.gid)),
         )
-        w0 = weights.processor_weights(ctx.system, 0.0)
         for level in range(ctx.hierarchy.max_levels):
             level_grids = ctx.hierarchy.level_grids(level)
             for group in ctx.system.groups:
@@ -554,8 +510,10 @@ class ContiguousGroupPartition(_GroupPartition):
                 for gid, pid in lpt_assign(ggrids, ptargets).items():
                     ctx.assignment.assign(gid, pid)
 
-    def plan(self, ctx: BalanceContext, time: Optional[float]) -> GlobalPlan:
-        return plan_global_redistribution(ctx, time=time)
+    def plan(
+        self, ctx: BalanceContext, weights: Mapping[int, float]
+    ) -> GlobalPlan:
+        return plan_global_redistribution(ctx, weights)
 
 
 class SFCPartition(_GroupPartition):
@@ -590,10 +548,10 @@ class SFCPartition(_GroupPartition):
         """Curve-cut across groups, then curve-cut per level within each:
         curve-contiguous processor segments instead of LPT, so neighbouring
         grids land on neighbouring processors."""
-        grid_group = _root_group_cut(
-            ctx, weights, lambda grids: _curve_sorted(grids, self.curve)
-        )
         w0 = weights.processor_weights(ctx.system, 0.0)
+        grid_group = _root_group_cut(
+            ctx, w0, lambda grids: _curve_sorted(grids, self.curve)
+        )
         for level in range(ctx.hierarchy.max_levels):
             level_grids = ctx.hierarchy.level_grids(level)
             if not level_grids:
@@ -613,20 +571,22 @@ class SFCPartition(_GroupPartition):
                 for g, si in zip(ggrids, pseg):
                     ctx.assignment.assign(g.gid, group.processors[si].pid)
 
-    def plan(self, ctx: BalanceContext, time: Optional[float]) -> GlobalPlan:
+    def plan(
+        self, ctx: BalanceContext, weights: Mapping[int, float]
+    ) -> GlobalPlan:
         """Re-cut the level-0 curve; moves are the grids that change group.
 
         Grids staying in their group keep their processor (within-group
         placement is the local policy's job); incoming grids are steered to
         the processor whose segment of the destination group's new cut they
-        fall into, using availability-adjusted weights at ``time``.
+        fall into, cut in proportion to ``weights``.
         """
         plan = GlobalPlan()
         eff = effective_level0_loads(ctx)
         total = sum(eff.values())
         if total <= 0:
             return plan
-        targets = group_targets(ctx.system, total, time=time)
+        targets = group_targets(ctx.system, total, weights)
         gorder = sorted(targets)
         ordered = _curve_sorted(ctx.hierarchy.level_grids(0), self.curve)
         seg = contiguous_segments(
@@ -639,11 +599,7 @@ class SFCPartition(_GroupPartition):
             group = ctx.system.groups[group_id]
             gtotal = sum(eff[g.gid] for g in ggrids)
             shares = proportional_shares(
-                gtotal,
-                [
-                    p.weight if time is None else p.weight * p.availability(time)
-                    for p in group.processors
-                ],
+                gtotal, [weights[p.pid] for p in group.processors]
             )
             pseg = contiguous_segments([eff[g.gid] for g in ggrids], shares)
             for g, si in zip(ggrids, pseg):
@@ -727,7 +683,9 @@ class GlobalGreedyLocal:
         if not grids:
             return
         total = sum(g.workload for g in grids)
-        targets = processor_targets(ctx.system, total, weights.resolve_time(time))
+        targets = processor_targets(
+            ctx.system, total, weights.processor_weights(ctx.system, time)
+        )
         _rebalance(ctx, grids, targets, level)
 
 
@@ -1157,7 +1115,6 @@ WEIGHT_POLICIES: Dict[str, Type[Any]] = {
 
 DECISION_POLICIES: Dict[str, Type[Any]] = {
     "never": NeverRedistribute,
-    "always": AlwaysRedistribute,
     "gain-cost": GainCostDecision,
 }
 

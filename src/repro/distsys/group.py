@@ -15,7 +15,6 @@ from typing import List
 
 from .network import Link, origin2000_interconnect
 from .processor import Processor
-from .traffic import NoTraffic
 
 __all__ = ["Group"]
 
@@ -57,18 +56,10 @@ class Group:
                 f"group {self.name!r} is not homogeneous: weights {sorted(weights)} "
                 "(the paper defines a group as processors of the same performance)"
             )
-        # Structural caches.  Groups (like systems) are immutable after
-        # construction -- fault schedules build *new* systems rather than
-        # mutating -- so these never need invalidation.  Only external load
-        # is time-dependent: processors carrying a real load model are
-        # remembered so the common all-idle case short-circuits exactly
-        # (NoTraffic availability is exactly 1.0, and w * 1.0 == w bitwise).
+        # Groups (like systems) are immutable after construction -- fault
+        # schedules build *new* systems rather than mutating -- so the pid
+        # list never needs invalidation.
         self._pids = [p.pid for p in self.processors]
-        self._capacity = sum(p.weight for p in self.processors)
-        self._has_load = any(
-            not isinstance(p.load, NoTraffic) for p in self.processors
-        )
-        self._capacity_memo: tuple = (None, 0.0)
 
     # ------------------------------------------------------------------ #
 
@@ -80,29 +71,6 @@ class Group:
     def processor_weight(self) -> float:
         """The common per-processor weight ``p_g`` of this group."""
         return self.processors[0].weight
-
-    @property
-    def capacity(self) -> float:
-        """Aggregate nominal compute capacity ``n_g * p_g`` (paper 4.4)."""
-        return self._capacity
-
-    def capacity_at(self, time: float) -> float:
-        """Effective capacity at ``time``: nominal weights scaled by each
-        processor's external-load availability.
-
-        A group whose processors are slowed 4x contributes a quarter of its
-        nominal capacity; a dropped-out group contributes almost nothing
-        until it rejoins.  This is what the global phase's re-measured
-        weights see.
-        """
-        if not self._has_load:
-            return self._capacity
-        memo_time, memo_value = self._capacity_memo
-        if memo_time == time:
-            return memo_value
-        value = sum(p.weight * p.availability(time) for p in self.processors)
-        self._capacity_memo = (time, value)
-        return value
 
     @property
     def pids(self) -> List[int]:

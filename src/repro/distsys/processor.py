@@ -78,9 +78,7 @@ class Processor:
     def effective_speed(self, time: float = 0.0) -> float:
         """Work units per second actually achievable at ``time``.
 
-        This is what a calibration benchmark run at ``time`` would measure
-        -- the quantity :func:`~repro.core.weights.measure_weights`
-        normalises into relative weights.
+        This is what a calibration benchmark run at ``time`` would measure.
         """
         return self.speed * self.availability(time)
 

@@ -130,36 +130,6 @@ class DistributedSystem:
         """Topology-adjacent groups (every other group on a star or mesh)."""
         return self.topology.group_neighbors(group)
 
-    # ------------------------------------------------------------------ #
-    # capacity math (paper Section 4.4)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total_capacity(self) -> float:
-        """``sum over groups of n_g * p_g`` (nominal)."""
-        return sum(g.capacity for g in self.groups)
-
-    def capacity_fraction(self, group_id: int) -> float:
-        """The share ``n_g*p_g / sum(n*p)`` of group ``group_id``.
-
-        This is the workload fraction the paper's global phase assigns to
-        the group.
-        """
-        return self.groups[group_id].capacity / self.total_capacity
-
-    def total_capacity_at(self, time: float) -> float:
-        """Effective system capacity at ``time`` (external load discounted)."""
-        return sum(g.capacity_at(time) for g in self.groups)
-
-    def capacity_fraction_at(self, group_id: int, time: float) -> float:
-        """Effective capacity share of ``group_id`` at ``time``.
-
-        Under an injected fault this is the share a weight-re-measuring
-        global phase assigns the group; with no external load it equals
-        :meth:`capacity_fraction` exactly.
-        """
-        return self.groups[group_id].capacity_at(time) / self.total_capacity_at(time)
-
     def describe(self) -> str:
         """Multi-line human-readable description for reports (cached)."""
         if self._describe is not None:

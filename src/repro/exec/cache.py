@@ -63,7 +63,10 @@ __all__ = [
 #: run dicts can carry a ``service`` report)
 #: v6: a ``sequential`` task runs ``sequential_config`` of its config, so
 #: an un-normalised config's entry may now hold a different ``E(1)``
-CACHE_SCHEMA_VERSION = 6
+#: v7: the gain/cost gate normalises Eq. 4 by group capacity under every
+#: weight policy, so a custom composition pairing ``nominal`` weights with
+#: ``gain-cost`` may now decide differently
+CACHE_SCHEMA_VERSION = 7
 
 #: the code-version salt: results are only reused within the same package
 #: version and cache schema

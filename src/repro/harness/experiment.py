@@ -20,6 +20,7 @@ from ..config import (
     ServiceConfig,
     SimParams,
     TraceParams,
+    _check_floats,
 )
 from ..core.registry import SEQUENTIAL, make_scheme
 from ..distsys import (
@@ -67,7 +68,10 @@ class ExperimentConfig:
     ``gamma`` is the gain/cost gate's γ.  When ``scheme_params`` is set it
     carries its own γ, which must equal ``gamma`` -- a config that sets the
     two differently raises :class:`ValueError` rather than silently running
-    with one of them.
+    with one of them.  ``gamma = inf`` is a gate that never fires.
+
+    A NaN float field (``base_speed``, ``traffic_level``, ``gamma``)
+    raises a :class:`ValueError` that names it.
     """
 
     app_name: str = "shockpool3d"
@@ -102,6 +106,7 @@ class ExperimentConfig:
     system: Optional[SystemSpec] = None
 
     def __post_init__(self) -> None:
+        _check_floats(self)
         if isinstance(self.system, dict):
             object.__setattr__(self, "system",
                                SystemSpec.from_dict(self.system))

@@ -2,7 +2,12 @@
 space-filling-curve keys."""
 
 from .mapping import GridAssignment
-from .proportional import group_targets, processor_targets, proportional_shares
+from .proportional import (
+    group_capacities,
+    group_targets,
+    processor_targets,
+    proportional_shares,
+)
 from .sfc import (
     CURVES,
     box_centroid_keys,
@@ -20,6 +25,7 @@ from .splitter import carve_workload, split_level0_grid
 
 __all__ = [
     "GridAssignment",
+    "group_capacities",
     "group_targets",
     "processor_targets",
     "proportional_shares",

@@ -13,11 +13,16 @@ degenerates to an even split) and across any number of groups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from ..distsys.system import DistributedSystem
 
-__all__ = ["proportional_shares", "group_targets", "processor_targets"]
+__all__ = [
+    "proportional_shares",
+    "group_capacities",
+    "group_targets",
+    "processor_targets",
+]
 
 
 def proportional_shares(total: float, capacities: Sequence[float]) -> List[float]:
@@ -37,36 +42,40 @@ def proportional_shares(total: float, capacities: Sequence[float]) -> List[float
     return [total * c / s for c in caps]
 
 
-def group_targets(
-    system: DistributedSystem, total: float, time: Optional[float] = None
+def group_capacities(
+    system: DistributedSystem, weights: Mapping[int, float]
 ) -> Dict[int, float]:
-    """Target workload per group: ``W * n_g*p_g / sum(n*p)``.
+    """Capacity of every group: the sum of its processors' ``weights``.
 
-    With ``time`` given, capacities are the *effective* ones at that
-    instant (external CPU load discounted) -- the weight-re-measuring
-    global phase passes its balance-point clock here so a slowed or
-    dropped-out group is assigned proportionally less work.
+    ``weights`` maps pid -> weight, as a weight policy's
+    ``processor_weights`` returns it.  Under nominal weights this is the
+    paper's ``n_g * p_g``; under re-measured ones a group slowed by
+    external load, or dropped out, has proportionally less capacity.
     """
-    caps = [
-        g.capacity if time is None else g.capacity_at(time) for g in system.groups
-    ]
-    shares = proportional_shares(total, caps)
-    return {g.group_id: share for g, share in zip(system.groups, shares)}
+    return {
+        g.group_id: sum(weights[pid] for pid in g.pids) for g in system.groups
+    }
+
+
+def group_targets(
+    system: DistributedSystem, total: float, weights: Mapping[int, float]
+) -> Dict[int, float]:
+    """Target workload per group: ``W * cap_g / sum(cap)`` (Eq. 5), with
+    the capacities :func:`group_capacities` computes from ``weights``."""
+    caps = group_capacities(system, weights)
+    shares = proportional_shares(total, list(caps.values()))
+    return dict(zip(caps, shares))
 
 
 def processor_targets(
-    system: DistributedSystem, total: float, time: Optional[float] = None
+    system: DistributedSystem, total: float, weights: Mapping[int, float]
 ) -> Dict[int, float]:
-    """Target workload per processor, proportional to its weight.
+    """Target workload per processor, proportional to its entry in
+    ``weights`` (pid -> weight).
 
-    Used by the group-oblivious parallel DLB baseline (all processors) and
-    by the local phase (restricted to one group's processors and that
-    group's share of the workload).  ``time`` switches to effective
-    (fault-adjusted) weights, as for :func:`group_targets`.
+    Used by the group-oblivious schemes, which balance over all
+    processors.
     """
     procs = system.processors
-    weights = [
-        p.weight if time is None else p.weight * p.availability(time) for p in procs
-    ]
-    shares = proportional_shares(total, weights)
+    shares = proportional_shares(total, [weights[p.pid] for p in procs])
     return {p.pid: share for p, share in zip(procs, shares)}

@@ -339,3 +339,38 @@ class TestTopologyCommand:
         bad.write_text('{"groups": [], "colour": "red"}')
         assert main(["topology", "--system", str(bad)]) == 2
         assert "error" in capsys.readouterr().out
+
+
+class TestNonFiniteFlags:
+    """Every command that builds a config from flags reports a NaN flag
+    value as ``error:`` with exit status 2, naming the field."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--no-cache"], ["compare", "--no-cache"],
+        ["sweep", "--configs", "1", "--no-cache"], ["faults", "--no-cache"],
+        ["trace", "--out", "unused.json"], ["record", "--out", "unused.gz"],
+        ["replay", "synth:hotspot", "--no-cache"], ["route", "--no-cache"],
+        ["submit"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("flag,field", [
+        ("--gamma", "gamma"),
+        ("--traffic-level", "traffic_level"),
+        ("--fault-start", "start"),
+    ])
+    def test_nan_flag_exits_2(self, capsys, tmp_path, monkeypatch, command,
+                              flag, field):
+        monkeypatch.chdir(tmp_path)
+        argv = [*command, "--procs", "1", "--steps", "2", flag, "nan"]
+        if flag == "--fault-start" and command[0] != "faults":
+            argv += ["--fault", "slowdown"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {field} must not be NaN")
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_intensity_exits_2(self, capsys):
+        rc = main(["replay", "synth:hotspot", "--procs", "1", "--steps", "2",
+                   "--intensity", "nan", "--no-cache"])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(
+            "error: intensity must not be NaN")

@@ -9,6 +9,7 @@ import pytest
 from repro.amr.applications import ShockPool3D
 from repro.config import FaultParams
 from repro.core import make_scheme
+from repro.core.policies import MeasuredWeights, NominalWeights
 from repro.distsys import (
     BurstyTraffic,
     ComposedTraffic,
@@ -43,6 +44,7 @@ from repro.faults import (
 )
 from repro.harness import ExperimentConfig, make_faults, run_experiment
 from repro.harness.persist import run_result_to_dict
+from repro.partition import group_capacities
 from repro.runtime import SAMRRunner
 
 
@@ -147,11 +149,17 @@ class TestProcessorAvailability:
             [SlowdownFault(group=1, start=10.0, end=20.0, factor=4.0)]
         )
         faulted = sched.apply(system)
-        g0, g1 = faulted.groups
-        assert g1.capacity_at(0.0) == pytest.approx(g1.capacity)
-        assert g1.capacity_at(15.0) == pytest.approx(g1.capacity / 4.0)
-        assert g0.capacity_at(15.0) == pytest.approx(g0.capacity)
-        assert faulted.capacity_fraction_at(1, 15.0) < 0.25
+        nominal = group_capacities(
+            faulted, NominalWeights().processor_weights(faulted, 0.0))
+
+        def at(t):
+            return group_capacities(
+                faulted, MeasuredWeights().processor_weights(faulted, t))
+
+        assert at(0.0)[1] == pytest.approx(nominal[1])
+        assert at(15.0)[1] == pytest.approx(nominal[1] / 4.0)
+        assert at(15.0)[0] == pytest.approx(nominal[0])
+        assert at(15.0)[1] / sum(at(15.0).values()) < 0.25
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from repro.core.global_phase import (
     execute_global_redistribution,
     plan_global_redistribution,
 )
+from repro.core.policies import NominalWeights
 from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import RedistributionEvent
 from repro.partition import GridAssignment
@@ -37,6 +38,11 @@ def make_ctx(blocks=(8, 1, 1), n=16, assign_split=4):
         history=WorkloadHistory(),
     )
     return ctx, roots
+
+
+def nominal(ctx):
+    """The context's processors at their nominal weights."""
+    return NominalWeights().processor_weights(ctx.system, ctx.sim.clock)
 
 
 class TestEffectiveLoads:
@@ -70,11 +76,11 @@ class TestEffectiveLoads:
 class TestPlan:
     def test_balanced_plan_empty(self):
         ctx, _ = make_ctx(assign_split=4)  # 4/4 split, uniform loads
-        assert plan_global_redistribution(ctx).empty
+        assert plan_global_redistribution(ctx, nominal(ctx)).empty
 
     def test_imbalanced_plan_moves_from_donor(self):
         ctx, roots = make_ctx(assign_split=6)  # 6 slabs on group 0, 2 on group 1
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         assert not plan.empty
         for gid, src, dst in plan.moves:
             assert ctx.assignment.group_of(gid) == 0  # donor is group 0
@@ -83,7 +89,7 @@ class TestPlan:
 
     def test_plan_moves_boundary_grids_first(self):
         ctx, roots = make_ctx(assign_split=6)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         # group 1 holds the highest-x slabs; the donor grids closest to it
         # (largest lo[0] among group-0 slabs) must move first
         moved = {gid for gid, _, _ in plan.moves}
@@ -99,7 +105,7 @@ class TestPlan:
         ctx, _ = make_ctx(assign_split=6)
         version_before = ctx.hierarchy.version
         clock_before = ctx.sim.clock
-        plan_global_redistribution(ctx)
+        plan_global_redistribution(ctx, nominal(ctx))
         assert ctx.hierarchy.version == version_before
         assert ctx.sim.clock == clock_before
 
@@ -110,14 +116,14 @@ class TestPlan:
         # pile children under group 0's first slab
         child = ctx.hierarchy.add_grid(1, roots[0].box.refine(2), roots[0].gid)
         ctx.assignment.assign(child.gid, 0)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         assert not plan.empty
 
 
 class TestExecute:
     def test_execute_moves_and_charges(self):
         ctx, _ = make_ctx(assign_split=6)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         nmoved, cells, delta = execute_global_redistribution(ctx, plan, 0.5)
         assert nmoved >= len(plan.moves)
         assert cells > 0
@@ -130,7 +136,7 @@ class TestExecute:
 
     def test_execute_results_in_balance(self):
         ctx, _ = make_ctx(assign_split=6)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         execute_global_redistribution(ctx, plan, 0.0)
         loads = ctx.assignment.group_level_loads(0)
         ratio = max(loads.values()) / min(loads.values())
@@ -138,14 +144,14 @@ class TestExecute:
 
     def test_empty_plan_noop(self):
         ctx, _ = make_ctx(assign_split=4)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         assert execute_global_redistribution(ctx, plan, 0.0) == (0, 0, 0.0)
         assert ctx.sim.clock == 0.0
 
     def test_carve_used_for_fractional_moves(self):
         # one root grid holding everything: balancing needs half of it
         ctx, roots = make_ctx(blocks=(1, 1, 1), assign_split=1)
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(ctx, nominal(ctx))
         assert plan.carves, "expected a split for the fractional boundary shift"
         ngrids_before = len(ctx.hierarchy.level_grids(0))
         execute_global_redistribution(ctx, plan, 0.0)

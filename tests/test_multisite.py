@@ -12,7 +12,9 @@ import pytest
 from repro.amr.applications import ShockPool3D
 from repro.core import make_scheme
 from repro.core.gain import WorkloadHistory, estimate_gain
+from repro.core.policies import NominalWeights
 from repro.distsys import ConstantTraffic, build_system, multi_site_spec
+from repro.partition import group_capacities
 from repro.runtime import SAMRRunner
 
 
@@ -28,11 +30,13 @@ class TestMultiSiteSystem:
 
     def test_uneven_sites(self):
         s = build_system(multi_site_spec([1, 2, 4]))
-        assert s.capacity_fraction(2) == pytest.approx(4 / 7)
+        caps = group_capacities(s, NominalWeights().processor_weights(s, 0.0))
+        assert caps[2] / sum(caps.values()) == pytest.approx(4 / 7)
 
     def test_weighted_sites(self):
         s = build_system(multi_site_spec([2, 2], group_weights=[1.0, 3.0]))
-        assert s.capacity_fraction(1) == pytest.approx(0.75)
+        caps = group_capacities(s, NominalWeights().processor_weights(s, 0.0))
+        assert caps[1] / sum(caps.values()) == pytest.approx(0.75)
 
     def test_single_site_rejected(self):
         with pytest.raises(ValueError):
@@ -89,7 +93,8 @@ class TestThreeSiteRuns:
             hierarchy=h, assignment=a, system=system,
             sim=ClusterSimulator(system), history=WorkloadHistory(),
         )
-        plan = plan_global_redistribution(ctx)
+        plan = plan_global_redistribution(
+            ctx, NominalWeights().processor_weights(system, 0.0))
         claimed = [gid for gid, _s, _d in plan.moves] + [c.gid for c in plan.carves]
         assert len(claimed) == len(set(claimed))
         assert not plan.empty

@@ -20,6 +20,10 @@ from repro.partition import (
 from repro.runtime import root_blocks
 
 
+def _nominal(system):
+    return {p.pid: p.weight for p in system.processors}
+
+
 def make_setup(blocks=(4, 1, 1), n=16):
     domain = Box.cube(0, n, 3)
     h = GridHierarchy(domain, 2, 3)
@@ -61,13 +65,13 @@ class TestProportionalShares:
     def test_group_targets_match_paper_formula(self):
         """W * nA*pA/(nA*pA + nB*pB) from Section 4.4."""
         s = build_system(multi_site_spec([2, 4], group_weights=[3.0, 1.0]))
-        targets = group_targets(s, 100.0)
+        targets = group_targets(s, 100.0, _nominal(s))
         assert targets[0] == pytest.approx(100.0 * 6 / 10)
         assert targets[1] == pytest.approx(100.0 * 4 / 10)
 
     def test_processor_targets_weighted(self):
         s = build_system(multi_site_spec([1, 1], group_weights=[1.0, 3.0]))
-        targets = processor_targets(s, 80.0)
+        targets = processor_targets(s, 80.0, _nominal(s))
         assert targets[0] == pytest.approx(20.0)
         assert targets[1] == pytest.approx(60.0)
 

@@ -84,6 +84,11 @@ class TestSchemeSpec:
             with pytest.raises(ValueError, match=axis):
                 SchemeSpec(name="x", **{axis: "bogus"})
 
+    def test_always_decision_policy_rejected(self):
+        """The gate-skipping ``always`` policy had no caller and is gone."""
+        with pytest.raises(ValueError, match="decision"):
+            SchemeSpec(name="x", decision="always")
+
     def test_label_falls_back_to_name(self):
         assert SchemeSpec(name="x").label == "x"
         assert HYBRID.label == HYBRID.display

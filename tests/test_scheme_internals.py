@@ -10,7 +10,7 @@ from repro.config import SchemeParams
 from repro.core import make_scheme
 from repro.core.base import BalanceContext, DLBScheme, execute_moves
 from repro.core.gain import WorkloadHistory
-from repro.core.policies import group_imbalance_exists
+from repro.core.policies import NominalWeights, group_imbalance_exists
 from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
 from repro.distsys.events import LocalBalanceEvent
 from repro.partition import GridAssignment
@@ -76,6 +76,10 @@ class TestExecuteMoves:
             scheme.global_balance(ctx, 0.0)
 
 
+def nominal(ctx):
+    return NominalWeights().processor_weights(ctx.system, ctx.sim.clock)
+
+
 class TestImbalanceDetection:
     def setup_scheme(self, loads, threshold=1.05, walltime=10.0):
         ctx = make_ctx()
@@ -88,23 +92,23 @@ class TestImbalanceDetection:
 
     def test_no_history_no_imbalance(self):
         ctx = make_ctx()
-        assert not group_imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx, nominal(ctx))
 
     def test_balanced_below_threshold(self):
         ctx, scheme = self.setup_scheme({0: 10.0, 1: 10.0, 2: 10.2, 3: 10.0})
-        assert not group_imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx, nominal(ctx))
 
     def test_imbalanced_above_threshold(self):
         ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 10.0, 3: 0.0})
-        assert group_imbalance_exists(ctx)
+        assert group_imbalance_exists(ctx, nominal(ctx))
 
     def test_one_group_idle_counts_as_imbalance(self):
         ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 0.0, 3: 0.0})
-        assert group_imbalance_exists(ctx)
+        assert group_imbalance_exists(ctx, nominal(ctx))
 
     def test_all_idle_is_balanced(self):
         ctx, scheme = self.setup_scheme({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
-        assert not group_imbalance_exists(ctx)
+        assert not group_imbalance_exists(ctx, nominal(ctx))
 
 
 

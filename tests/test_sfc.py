@@ -213,7 +213,7 @@ class TestSFCPolicies:
         ctx = make_sfc_ctx()
         part = SFCPartition("morton")
         part.initial_distribution(ctx, NominalWeights())
-        plan = part.plan(ctx, time=None)
+        plan = part.plan(ctx, NominalWeights().processor_weights(ctx.system, 0.0))
         # freshly balanced: re-cutting the same curve plans no moves
         assert plan.empty
 

@@ -18,6 +18,13 @@ from repro.distsys import (
 from repro.distsys.group import Group
 from repro.distsys.network import mren_wan
 from repro.distsys.processor import Processor
+from repro.partition import group_capacities
+
+
+def nominal_capacities(system):
+    """Group id -> ``n_g * p_g``."""
+    return group_capacities(
+        system, {p.pid: p.weight for p in system.processors})
 
 
 def _two_node_topology(edges=True) -> NetworkTopology:
@@ -56,9 +63,10 @@ class TestGroup:
     def test_capacity(self):
         procs = [Processor(i, 0, weight=2.0) for i in range(3)]
         g = Group(0, "g", procs)
-        assert g.capacity == 6.0
         assert g.nprocs == 3
         assert g.processor_weight == 2.0
+        s = build_system(SystemSpec(groups=(GroupSpec(nprocs=3, weight=2.0),)))
+        assert nominal_capacities(s) == {0: 6.0}
 
     def test_empty_group_raises(self):
         with pytest.raises(ValueError):
@@ -103,16 +111,18 @@ class TestDistributedSystem:
 
     def test_capacity_fraction(self):
         s = build_system(SystemSpec(groups=(2, 6)))
-        assert s.capacity_fraction(0) == pytest.approx(0.25)
-        assert s.capacity_fraction(1) == pytest.approx(0.75)
+        caps = nominal_capacities(s)
+        assert caps[0] / sum(caps.values()) == pytest.approx(0.25)
+        assert caps[1] / sum(caps.values()) == pytest.approx(0.75)
 
     def test_heterogeneous_groups(self):
         s = build_system(SystemSpec(
             groups=(GroupSpec(nprocs=2, weight=1.0),
                     GroupSpec(nprocs=2, weight=3.0)),
             inter_link="gigabit-lan"))
-        assert s.total_capacity == pytest.approx(8.0)
-        assert s.capacity_fraction(1) == pytest.approx(0.75)
+        caps = nominal_capacities(s)
+        assert sum(caps.values()) == pytest.approx(8.0)
+        assert caps[1] / sum(caps.values()) == pytest.approx(0.75)
 
     def test_parallel_system_single_group(self):
         s = build_system(parallel_spec(8))
