@@ -17,6 +17,12 @@ The algorithm, per candidate box:
       :math:`\\Delta_d(i) = \\Sigma_d(i+1) - 2\\Sigma_d(i) + \\Sigma_d(i-1)`;
    c. the midpoint of the longest axis.
 4. Recurse on both halves.
+
+The recursion runs one depth at a time: every candidate box of a depth
+goes through steps 1--3 together, as array operations over the ragged
+concatenation of all their signatures, and the halves of every split form
+the next depth.  A candidate's fate depends only on its own box and the
+flags, and the output is sorted, so the visiting order is immaterial.
 """
 
 from __future__ import annotations
@@ -77,48 +83,71 @@ def cluster_flags(field: FlagField, params: Optional[ClusterParams] = None) -> L
     together cover every flagged cell.  The list is sorted (deterministic
     output for identical input).
 
-    The signatures :math:`\\Sigma_d` driving the recursion are read from
-    per-axis prefix-sum tables built once per call (:class:`_SignatureTable`)
-    instead of re-reducing a sub-array per candidate box; box efficiencies
-    come from the same tables.  The boxes produced are identical to the
-    per-box reduction — signatures are integer counts either way.
+    The candidates of one depth are two ``(k, ndim)`` arrays of corners, in
+    coordinates relative to ``field.box.lo``.  Their signatures come from
+    one summed-area table built once per call (:class:`_SummedAreaTable`),
+    all ``k * ndim`` of them in one gather.  Every box is then shrunk,
+    tested and, if it must be split, given a plane by
+    :func:`_choose_planes`.  Signatures are integer counts and every float
+    is computed elementwise from the same operands as a per-box scan would
+    use, so the boxes do not depend on the batching.
     """
     params = params or ClusterParams()
     if not field.any:
         return []
-    table = _SignatureTable(field)
-    out: List[Box] = []
-    stack = [table.shrink(field.box)]
-    while stack:
-        item = stack.pop()
-        if item is None:
-            continue
-        box, sigs, nflagged = item
-        if nflagged == 0:
-            continue
-        # shape/ncells read off the signatures (len(sigs[d]) == box.shape[d]
-        # after shrink) to skip per-box property recomputation.
-        shape = tuple(s.shape[0] for s in sigs)
-        ncells = 1
-        for extent in shape:
-            ncells *= extent
+    table = _SummedAreaTable(field.flags)
+    ndim = field.flags.ndim
+    lo = np.zeros((1, ndim), dtype=np.int64)
+    hi = np.array([field.flags.shape], dtype=np.int64)
+    kept_lo: List[np.ndarray] = []
+    kept_hi: List[np.ndarray] = []
+    while len(lo):
+        sig, starts = table.signatures(lo, hi)
+        # --- 1. shrink: first and last non-zero slab of every signature.
+        # Every candidate holds flags (the whole field does, and each half
+        # of a split keeps one of its parent's end slabs), so every segment
+        # has a non-zero entry.  Trimming zero slabs along one axis removes
+        # only flagless cells, so the untrimmed signatures, read inside
+        # [first, last], are the shrunk box's signatures.
+        seg_lo = starts[:-1]
+        nz = np.flatnonzero(sig)
+        first = (nz[np.searchsorted(nz, seg_lo)] - seg_lo).reshape(lo.shape)
+        last = (nz[np.searchsorted(nz, starts[1:]) - 1] + 1 - seg_lo).reshape(lo.shape)
+        lo, hi = lo + first, lo + last
+        shape = last - first
+        # --- 2. accept efficient boxes and boxes too small to split
+        nflagged = np.add.reduceat(sig, seg_lo)[::ndim]
+        ncells = shape.prod(axis=1)
         eff = nflagged / ncells
-        splittable = any(s >= 2 * params.min_width for s in shape)
-        if (eff >= params.min_efficiency and ncells <= params.max_cells) or not splittable:
-            if ncells > params.max_cells and splittable:
-                pass  # fall through to split below
-            else:
-                out.append(box)
-                continue
-        split = _find_split(box, sigs, params)
-        if split is None:
-            out.append(box)
-            continue
-        left, right = split
-        stack.append(table.shrink(left))
-        stack.append(table.shrink(right))
-    out.sort()
-    return out
+        splittable = (shape >= 2 * params.min_width).any(axis=1)
+        accept = ~splittable | ((eff >= params.min_efficiency) & (ncells <= params.max_cells))
+        kept_lo.append(lo[accept])
+        kept_hi.append(hi[accept])
+        split = ~accept
+        if not split.any():
+            break
+        # --- 3. a plane for every box that is split; 4. both halves recurse
+        axis, offset = _choose_planes(sig, seg_lo, first.ravel(), shape, split, params.min_width)
+        lo, hi, axis = lo[split], hi[split], axis[split]
+        rows = np.arange(len(lo))
+        cut = lo[rows, axis] + offset[split]
+        left_hi = hi.copy()
+        left_hi[rows, axis] = cut
+        right_lo = lo.copy()
+        right_lo[rows, axis] = cut
+        lo = np.concatenate([lo, right_lo])
+        hi = np.concatenate([left_hi, hi])
+    origin = np.asarray(field.box.lo, dtype=np.int64)
+    out_lo = np.concatenate(kept_lo) + origin
+    out_hi = np.concatenate(kept_hi) + origin
+    # Output boxes are disjoint and non-empty, so no two share a lower
+    # corner: ordering by ``lo`` alone is ``sorted()``'s (lo, hi) order.
+    order = np.lexsort(out_lo.T[::-1])
+    # corners are in-range offsets of the validated field box
+    return [
+        Box._unchecked(tuple(l), tuple(h))
+        for l, h in zip(out_lo[order].tolist(), out_hi[order].tolist())
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -126,202 +155,155 @@ def cluster_flags(field: FlagField, params: Optional[ClusterParams] = None) -> L
 # --------------------------------------------------------------------- #
 
 
-#: (shrunk box, its per-axis signatures, its flagged-cell count)
-_Candidate = Tuple[Box, List[np.ndarray], int]
+class _SummedAreaTable:
+    """A summed-area table answering signature queries for many boxes at once.
 
+    ``S[j0, j1, ...]`` is the number of flags in ``[0, j0) x [0, j1) x ...``:
+    the inclusive prefix sum over every axis, zero-padded by one plane at
+    each low end.  For a box ``[lo, hi)`` and an axis ``d``, combining ``S``
+    over the ``2^(ndim-1)`` corners of the other axes (``+`` at ``hi``, ``-``
+    at ``lo``, inclusion--exclusion) gives the flag count below each slab
+    ``j`` of the box; the signature :math:`\\Sigma_d(i)` is the difference of
+    that count at slabs ``i + 1`` and ``i``.
 
-class _SignatureTable:
-    """Per-axis prefix-sum tables answering signature queries for any sub-box.
-
-    For each axis ``d`` the table holds the flag array cumulatively summed
-    (``np.cumsum``) along every *other* axis, zero-padded by one plane at the
-    low end.  The signature :math:`\\Sigma_d` of an arbitrary sub-box is then
-    an inclusion--exclusion combination of ``2^(ndim-1)`` table slices — one
-    vectorized expression per axis instead of a reduction over the sub-box.
-    All arithmetic is ``int64`` counts, so results match the direct
-    ``sub.sum(axis=...)`` bit-for-bit.
+    The table is ``int32`` when every count fits, else ``int64``.  A corner
+    sum is a flag count, so it fits too (a partial sum that left the range
+    would wrap back: integer arrays compute modulo ``2**32``), and the
+    signatures are cast to ``int64`` before anything multiplies them.
     """
 
-    __slots__ = ("origin", "ndim", "tables", "others")
+    __slots__ = ("flat", "strides", "coef", "signs")
 
-    def __init__(self, field: FlagField) -> None:
-        self.origin = field.box.lo
-        flags = field.flags
-        self.ndim = flags.ndim
-        self.tables: List[np.ndarray] = []
-        self.others: List[Tuple[int, ...]] = []
-        for d in range(self.ndim):
-            t = flags.astype(np.int64)
-            for ax in range(self.ndim):
-                if ax != d:
-                    t = t.cumsum(axis=ax)
-            pad = [(0, 0) if ax == d else (1, 0) for ax in range(self.ndim)]
-            self.tables.append(np.pad(t, pad))
-            self.others.append(tuple(ax for ax in range(self.ndim) if ax != d))
+    def __init__(self, flags: np.ndarray) -> None:
+        ndim = flags.ndim
+        dtype = np.int32 if flags.size < 2**31 else np.int64
+        table = np.zeros(tuple(n + 1 for n in flags.shape), dtype=dtype)
+        inner = table[(slice(1, None),) * ndim]
+        np.cumsum(flags, axis=0, dtype=dtype, out=inner)
+        for ax in range(1, ndim):
+            np.cumsum(inner, axis=ax, out=inner)
+        self.flat = table.ravel()
+        strides = np.array(table.strides, dtype=np.int64) // table.itemsize
+        self.strides = strides
+        # coef[side, a, c, d]: how much corner ``a`` of the box's ``lo``
+        # (side 0) or ``hi`` (side 1) adds to the flat index of corner term
+        # ``c`` of the axis-``d`` signature at its first slab.  Bit ``j`` of
+        # ``c`` picks ``lo`` on the ``j``-th other axis; its sign is the
+        # parity of ``c``.
+        ncorner = 1 << (ndim - 1)
+        coef = np.zeros((2, ndim, ncorner, ndim), dtype=np.int64)
+        for d in range(ndim):
+            coef[0, d, :, d] = strides[d]
+            others = [a for a in range(ndim) if a != d]
+            for c in range(ncorner):
+                for j, a in enumerate(others):
+                    coef[1 - ((c >> j) & 1), a, c, d] = strides[a]
+        self.coef = coef.reshape(2 * ndim, ncorner * ndim)
+        self.signs = [bin(c).count("1") % 2 for c in range(ncorner)]
 
-    def signature(self, box: Box, d: int) -> np.ndarray:
-        """:math:`\\Sigma_d` over ``box`` (len ``box.shape[d]``, int64)."""
-        o = self.origin
-        blo = box.lo
-        bhi = box.hi
-        table = self.tables[d]
-        # Direct inclusion-exclusion expressions for the common ranks; the
-        # generic mask loop below covers the rest.  Integer arithmetic, so
-        # the evaluation order is immaterial.
-        if self.ndim == 3:
-            l0, l1, l2 = blo[0] - o[0], blo[1] - o[1], blo[2] - o[2]
-            h0, h1, h2 = bhi[0] - o[0], bhi[1] - o[1], bhi[2] - o[2]
-            if d == 0:
-                s = slice(l0, h0)
-                return (
-                    table[s, h1, h2] - table[s, l1, h2]
-                    - table[s, h1, l2] + table[s, l1, l2]
-                )
-            if d == 1:
-                s = slice(l1, h1)
-                return (
-                    table[h0, s, h2] - table[l0, s, h2]
-                    - table[h0, s, l2] + table[l0, s, l2]
-                )
-            s = slice(l2, h2)
-            return (
-                table[h0, h1, s] - table[l0, h1, s]
-                - table[h0, l1, s] + table[l0, l1, s]
-            )
-        if self.ndim == 2:
-            l0, l1 = blo[0] - o[0], blo[1] - o[1]
-            h0, h1 = bhi[0] - o[0], bhi[1] - o[1]
-            if d == 0:
-                return table[slice(l0, h0), h1] - table[slice(l0, h0), l1]
-            return table[h0, slice(l1, h1)] - table[l0, slice(l1, h1)]
-        lo = tuple(blo[a] - o[a] for a in range(self.ndim))
-        hi = tuple(bhi[a] - o[a] for a in range(self.ndim))
-        others = self.others[d]
-        base: List[object] = [0] * self.ndim
-        base[d] = slice(lo[d], hi[d])
-        out: Optional[np.ndarray] = None
-        for mask in range(1 << len(others)):
-            idx = list(base)
-            bits = 0
-            for j, ax in enumerate(others):
-                if (mask >> j) & 1:
-                    idx[ax] = lo[ax]
-                    bits += 1
-                else:
-                    idx[ax] = hi[ax]
-            term = table[tuple(idx)]
-            if out is None:
-                out = term.copy()
-            elif bits % 2:
-                out -= term
-            else:
-                out += term
-        assert out is not None
-        return out
+    def signatures(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every signature of every box ``[lo[b], hi[b])``, concatenated.
 
-    def shrink(self, box: Box) -> Optional[_Candidate]:
-        """Bounding box of the flagged cells inside ``box`` plus its
-        signatures and flag count (None if the box holds no flags).
-
-        The shrunk box's signatures are the original ones sliced to the
-        nonzero range: trimming a zero-signature plane along one axis removes
-        only flagless cells, so the other axes' signatures are unchanged.
+        Segment ``s = b * ndim + d`` is :math:`\\Sigma_d` of box ``b`` and
+        occupies ``sig[starts[s]:starts[s + 1]]``.  Returns ``(sig,
+        starts)``, ``sig`` as ``int64``.
         """
-        if box.is_empty:
-            return None
-        sigs = [self.signature(box, d) for d in range(self.ndim)]
-        nz0 = np.nonzero(sigs[0])[0]
-        if len(nz0) == 0:
-            return None
-        lo = list(box.lo)
-        hi = list(box.hi)
-        for d in range(self.ndim):
-            nz = nz0 if d == 0 else np.nonzero(sigs[d])[0]
-            a, b = int(nz[0]), int(nz[-1]) + 1
-            lo[d] = box.lo[d] + a
-            hi[d] = box.lo[d] + b
-            sigs[d] = sigs[d][a:b]
-        # corners are validated box corners plus in-range offsets
-        return Box._unchecked(tuple(lo), tuple(hi)), sigs, int(sigs[0].sum())
+        k, ndim = lo.shape
+        nseg = k * ndim
+        # Flag counts below slabs lo[d] .. hi[d]: one more entry per segment
+        # than the signature has.
+        ext = (hi - lo).ravel() + 1
+        gstart = np.zeros(nseg + 1, dtype=np.int64)
+        np.cumsum(ext, out=gstart[1:])
+        step = np.tile(self.strides, k)
+        corner = (np.concatenate([lo, hi], axis=1) @ self.coef).reshape(k, -1, ndim)
+        base = corner.transpose(1, 0, 2).reshape(-1, nseg) - gstart[:-1] * step
+        index = np.repeat(base, ext, axis=1)
+        index += np.arange(gstart[-1]) * np.repeat(step, ext)
+        terms = self.flat[index]
+        below = terms[0]
+        for c in range(1, len(terms)):
+            if self.signs[c]:
+                below = below - terms[c]
+            else:
+                below = below + terms[c]
+        sig = np.delete(np.diff(below), gstart[1:-1] - 1).astype(np.int64)
+        return sig, gstart - np.arange(nseg + 1)
 
 
-def _find_split(
-    box: Box, sigs: List[np.ndarray], params: ClusterParams
-) -> Optional[Tuple[Box, Box]]:
-    """Choose a split plane for an inefficient/oversized box.
+def _choose_planes(
+    sig: np.ndarray,
+    seg_lo: np.ndarray,
+    first: np.ndarray,
+    shape: np.ndarray,
+    split: np.ndarray,
+    min_w: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split axis and plane offset (from the shrunk ``lo``) of every box.
 
-    Candidate planes per preference tier are enumerated as arrays; ties
-    resolve to the first candidate in (axis, position) order via
-    ``np.argmax``'s first-maximum rule — the same winner the former scalar
-    scan with its strict ``>`` updates produced.
+    ``sig``/``seg_lo`` are the untrimmed signatures; the shrunk box's part
+    of segment ``s`` starts ``first[s]`` slabs in and is ``shape.flat[s]``
+    long.  Only the entries of boxes with ``split`` set are meaningful.
+
+    Candidates are listed in (axis, position) order within each box, so a
+    box's first maximum is the winner of a per-axis first-maximum
+    (``np.argmax``) scan with a strict ``>`` across axes.
     """
-    min_w = params.min_width
-    # --- (a) holes: zero-signature planes ----------------------------- #
-    best_hole: Optional[Tuple[int, int]] = None  # (axis, plane)
-    best_hole_centrality = -1.0
-    for d in range(box.ndim):
-        sig = sigs[d]
-        if len(sig) < 2 * min_w:
-            continue  # no plane can leave min_width on both sides
-        zeros = np.nonzero(sig == 0)[0]
-        if len(zeros) == 0:
-            continue
-        # each hole cell offers two planes (before / after it), tried in
-        # that order by the scalar scan: interleave to preserve it
-        cand = np.empty(2 * len(zeros), dtype=np.int64)
-        cand[0::2] = box.lo[d] + zeros  # split before the hole cell
-        cand[1::2] = cand[0::2] + 1
-        cand = cand[(cand >= box.lo[d] + min_w) & (cand <= box.hi[d] - min_w)]
-        if len(cand) == 0:
-            continue
-        # prefer holes near the middle of the box
-        centrality = -np.abs((cand - box.lo[d]) / len(sig) - 0.5)
-        k = int(np.argmax(centrality))
-        if centrality[k] > best_hole_centrality:
-            best_hole_centrality = float(centrality[k])
-            best_hole = (d, int(cand[k]))
-    if best_hole is not None:
-        axis, plane = best_hole
-        return box.split(axis, plane)
-    # --- (b) Laplacian zero crossing ---------------------------------- #
-    best_edge: Optional[Tuple[int, int]] = None  # (axis, plane)
-    best_strength = 0
-    for d in range(box.ndim):
-        sig = sigs[d]
-        if len(sig) < 4 or len(sig) < 2 * min_w:
-            continue
-        lap = sig[2:] - 2 * sig[1:-1] + sig[:-2]  # Δ at interior indices 1..n-2
-        cross = np.nonzero(lap[:-1] * lap[1:] < 0)[0]
-        if len(cross) == 0:
-            continue
-        planes = box.lo[d] + cross + 2  # between signature cells i+1, i+2
-        valid = (planes >= box.lo[d] + min_w) & (planes <= box.hi[d] - min_w)
-        if not valid.any():
-            continue
-        strength = np.abs(lap[cross[valid]] - lap[cross[valid] + 1])
-        planes = planes[valid]
-        k = int(np.argmax(strength))
-        if int(strength[k]) > best_strength:
-            best_strength = int(strength[k])
-            best_edge = (d, int(planes[k]))
-    if best_edge is not None:
-        axis, plane = best_edge
-        return box.split(axis, plane)
-    # --- (c) bisect the longest axis ----------------------------------- #
-    axis = box.longest_axis()
-    plane = box.lo[axis] + box.shape[axis] // 2
-    if _valid_plane(box, axis, plane, params.min_width):
-        return box.split(axis, plane)
-    # Try any axis that admits a valid midpoint split.
-    for d in sorted(range(box.ndim), key=lambda a: -box.shape[a]):
-        plane = box.lo[d] + box.shape[d] // 2
-        if _valid_plane(box, d, plane, params.min_width):
-            return box.split(d, plane)
-    return None
+    ndim = shape.shape[1]
+    n = shape.ravel()
+    # (c) default: bisect the longest axis (first maximum).  A split box has
+    # an axis of at least 2 * min_w, so both halves keep min_w.
+    axis = np.argmax(shape, axis=1)
+    offset = shape[np.arange(len(shape)), axis] // 2
+
+    # (a) holes: each zero slab offers the planes before and after it.
+    zpos = np.flatnonzero(sig == 0)
+    zseg = np.searchsorted(seg_lo, zpos, side="right") - 1
+    zoff = zpos - seg_lo[zseg] - first[zseg]
+    inside = (zoff >= 0) & (zoff < n[zseg]) & split[zseg // ndim]
+    zseg, zoff = zseg[inside], zoff[inside]
+    cseg = np.repeat(zseg, 2)
+    coff = np.stack([zoff, zoff + 1], axis=1).ravel()
+    ok = (coff >= min_w) & (coff <= n[cseg] - min_w)
+    cseg, coff = cseg[ok], coff[ok]
+    # prefer holes near the middle of the box
+    centrality = -np.abs(coff / n[cseg] - 0.5)
+    box, pick = _first_max(centrality, cseg // ndim)
+    axis[box] = cseg[pick] % ndim
+    offset[box] = coff[pick]
+    need = split.copy()
+    need[box] = False
+
+    # (b) Laplacian zero crossings, for split boxes without a hole.  A
+    # crossing between Δ at slabs i+1 and i+2 reads slabs i .. i+3, which
+    # must all lie in the shrunk part of one segment.
+    if need.any():
+        lap = sig[2:] - 2 * sig[1:-1] + sig[:-2]
+        cross = np.flatnonzero(lap[:-1] * lap[1:] < 0)
+        xseg = np.searchsorted(seg_lo, cross, side="right") - 1
+        xoff = cross - seg_lo[xseg] - first[xseg]
+        plane = xoff + 2
+        ok = (
+            (xoff >= 0) & (xoff + 3 < n[xseg]) & need[xseg // ndim]
+            & (plane >= min_w) & (plane <= n[xseg] - min_w)
+        )
+        cross, xseg, plane = cross[ok], xseg[ok], plane[ok]
+        strength = np.abs(lap[cross] - lap[cross + 1])
+        box, pick = _first_max(strength, xseg // ndim)
+        axis[box] = xseg[pick] % ndim
+        offset[box] = plane[pick]
+    return axis, offset
 
 
-def _valid_plane(box: Box, axis: int, plane: int, min_width: int) -> bool:
-    """A split plane is valid if both halves keep the minimum width."""
-    return (
-        box.lo[axis] + min_width <= plane <= box.hi[axis] - min_width
-    )
+def _first_max(values: np.ndarray, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For each distinct ``group``, the index of its first maximum value.
+
+    Returns ``(group, index)`` pairs; ``lexsort`` is stable, so among equal
+    values the earliest entry wins, as with ``np.argmax``.
+    """
+    order = np.lexsort((-values, groups))
+    g = groups[order]
+    head = np.ones(len(g), dtype=bool)
+    head[1:] = g[1:] != g[:-1]
+    pick = order[head]
+    return groups[pick], pick

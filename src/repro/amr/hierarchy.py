@@ -254,31 +254,35 @@ class GridHierarchy:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Check every structural invariant; raises AssertionError on breach.
+        """Check every structural invariant; raises :exc:`ValueError` on a
+        breach (under ``python -O`` too), naming the first offending grid.
 
         Intended for tests and debugging -- not called on hot paths.
         """
         for level_idx, level in enumerate(self._levels):
             grids = [self._grids[g] for g in level]
             for g in grids:
-                assert g.level == level_idx, f"grid {g.gid} level mismatch"
+                if g.level != level_idx:
+                    raise ValueError(f"grid {g.gid} level mismatch")
             boxes = BoxArray.from_boxes([g.box for g in grids], ndim=self.domain.ndim)
             ia, ib = boxes.overlap_pairs()
-            assert not len(ia), (
-                f"grids {grids[ia[0]].gid} and {grids[ib[0]].gid} overlap "
-                f"on level {level_idx}"
-            )
+            if len(ia):
+                raise ValueError(
+                    f"grids {grids[ia[0]].gid} and {grids[ib[0]].gid} overlap "
+                    f"on level {level_idx}"
+                )
         for g in self._grids.values():
             if g.level > 0:
                 parent = self._grids[g.parent_gid]
-                assert g.gid in parent.children, f"grid {g.gid} missing from parent's children"
-                assert parent.box.refine(self.refinement_ratio).contains(g.box), (
-                    f"grid {g.gid} not nested in parent {parent.gid}"
-                )
-                assert self.level_domain(g.level).contains(g.box), (
-                    f"grid {g.gid} escapes the domain"
-                )
+                if g.gid not in parent.children:
+                    raise ValueError(f"grid {g.gid} missing from parent's children")
+                if not parent.box.refine(self.refinement_ratio).contains(g.box):
+                    raise ValueError(f"grid {g.gid} not nested in parent {parent.gid}")
+                if not self.level_domain(g.level).contains(g.box):
+                    raise ValueError(f"grid {g.gid} escapes the domain")
             for child in g.children:
-                assert self._grids[child].parent_gid == g.gid
+                if self._grids[child].parent_gid != g.gid:
+                    raise ValueError(f"grid {child} does not name its parent {g.gid}")
         root_cells = sum(g.ncells for g in self.level_grids(0))
-        assert root_cells == self.domain.ncells, "level 0 does not tile the domain"
+        if root_cells != self.domain.ncells:
+            raise ValueError("level 0 does not tile the domain")

@@ -378,8 +378,9 @@ class FaultParams:
     seed:
         Seed for the stochastic scenarios' load models.
 
-    A NaN float field raises a ``ValueError`` that names it.  ``duration``
-    may be infinite: the window then never closes.
+    A NaN float field raises a ``ValueError`` that names it, and so does
+    an infinite ``start``.  ``duration`` may be infinite: the window then
+    never closes.
     """
 
     scenario: str = "none"
@@ -398,6 +399,8 @@ class FaultParams:
             )
         if self.group < 0:
             raise ValueError("group must be >= 0")
+        if math.isinf(self.start):
+            raise ValueError(f"start must be finite, got {self.start!r}")
         if self.start < 0:
             raise ValueError("start must be >= 0")
         if self.duration <= 0:

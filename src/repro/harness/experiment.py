@@ -10,6 +10,7 @@ the two executions would have the similar network environments."
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -71,7 +72,9 @@ class ExperimentConfig:
     with one of them.  ``gamma = inf`` is a gate that never fires.
 
     A NaN float field (``base_speed``, ``traffic_level``, ``gamma``)
-    raises a :class:`ValueError` that names it.
+    raises a :class:`ValueError` that names it.  ``base_speed`` must also be
+    finite and positive, and ``traffic_level`` must lie in ``[0, 1]``
+    whatever the ``traffic_kind``.
     """
 
     app_name: str = "shockpool3d"
@@ -107,6 +110,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_floats(self)
+        if math.isinf(self.base_speed):
+            raise ValueError(f"base_speed must be finite, got {self.base_speed!r}")
+        if self.base_speed <= 0:
+            raise ValueError(f"base_speed must be positive, got {self.base_speed!r}")
+        if not 0.0 <= self.traffic_level <= 1.0:
+            raise ValueError(
+                f"traffic_level must be in [0, 1], got {self.traffic_level!r}")
         if isinstance(self.system, dict):
             object.__setattr__(self, "system",
                                SystemSpec.from_dict(self.system))

@@ -142,11 +142,17 @@ class GridAssignment:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Every hierarchy grid assigned to exactly one live processor."""
+        """Every hierarchy grid assigned to exactly one live processor.
+
+        Raises :exc:`ValueError` (under ``python -O`` too) naming the first
+        grid that is unassigned or on a pid outside the system.
+        """
         for g in self.hierarchy.all_grids():
-            assert g.gid in self._owner, f"grid {g.gid} is unassigned"
-            pid = self._owner[g.gid]
-            assert 0 <= pid < self.system.nprocs, f"grid {g.gid} on bad pid {pid}"
+            pid = self._owner.get(g.gid)
+            if pid is None:
+                raise ValueError(f"grid {g.gid} is unassigned")
+            if not 0 <= pid < self.system.nprocs:
+                raise ValueError(f"grid {g.gid} on bad pid {pid}")
 
     def copy(self) -> "GridAssignment":
         """Shallow copy (same hierarchy/system, independent owner map)."""

@@ -368,6 +368,19 @@ class TestNonFiniteFlags:
         assert out.startswith(f"error: {field} must not be NaN")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--traffic-level", "inf"], "traffic_level must be in [0, 1], got inf"),
+        (["--traffic-level", "1.5"], "traffic_level must be in [0, 1], got 1.5"),
+        (["--fault", "slowdown", "--fault-start", "inf"], "start must be finite, got inf"),
+    ], ids=["traffic-level-inf", "traffic-level-1.5", "fault-start-inf"])
+    def test_out_of_range_flag_exits_2(self, capsys, tmp_path, monkeypatch, flags,
+                                       message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--steps", "2", "--no-cache", *flags]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {message}")
+        assert not list(tmp_path.iterdir())
+
     def test_nan_intensity_exits_2(self, capsys):
         rc = main(["replay", "synth:hotspot", "--procs", "1", "--steps", "2",
                    "--intensity", "nan", "--no-cache"])

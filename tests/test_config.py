@@ -104,6 +104,48 @@ class TestNonFiniteFloats:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimParams(**{name: value})
 
+    @pytest.mark.parametrize("value", [INF, -INF])
+    def test_base_speed_must_be_finite(self, value):
+        """An infinite speed used to run, reporting no compute time."""
+        from repro.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="base_speed must be finite"):
+            ExperimentConfig(base_speed=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_base_speed_must_be_positive(self, value):
+        """A zero or negative speed used to pass the config and fail only
+        when the run built its system."""
+        from repro.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match="base_speed must be positive"):
+            ExperimentConfig(base_speed=value)
+
+    @pytest.mark.parametrize("kind", ["none", "constant", "diurnal", "bursty"])
+    @pytest.mark.parametrize("value", [INF, -INF, 1.5, -0.1])
+    def test_traffic_level_outside_unit_interval_rejected(self, kind, value):
+        """An out-of-range level used to fail inside the traffic model with
+        a message that named no config field (or pass unused)."""
+        from repro.harness import ExperimentConfig
+
+        with pytest.raises(ValueError, match=r"traffic_level must be in \[0, 1\]"):
+            ExperimentConfig(traffic_kind=kind, traffic_level=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_traffic_level_bounds_accepted(self, value):
+        from repro.harness import ExperimentConfig
+
+        assert ExperimentConfig(traffic_level=value).traffic_level == value
+
+    @pytest.mark.parametrize("value", [INF, -INF])
+    def test_fault_start_must_be_finite(self, value):
+        """An infinite start used to fail while the schedule was built,
+        with ``need end > start, got [inf, inf)``."""
+        from repro.config import FaultParams
+
+        with pytest.raises(ValueError, match="start must be finite"):
+            FaultParams(scenario="slowdown", start=value)
+
     def test_meaningful_infinities_accepted(self):
         from repro.config import FaultParams
         from repro.harness import ExperimentConfig

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,7 +284,7 @@ class TestValidateCatchesCorruption:
         h.add_grid(1, Box((4, 0, 0), (8, 4, 4)), root.gid)
         # overlaps both siblings; bypasses add_grid's checks on purpose
         c = h._insert(1, Box((3, 3, 3), (5, 5, 5)), root.gid, 1.0)
-        with pytest.raises(AssertionError,
+        with pytest.raises(ValueError,
                            match=f"grids {a.gid} and {c.gid} overlap on level 1"):
             h.validate()
 
@@ -288,8 +293,60 @@ class TestValidateCatchesCorruption:
         root = h.level_grids(0)[0]
         c = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         root._children.remove(c.gid)  # corrupt on purpose
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             h.validate()
+
+    def test_validators_raise_under_python_O(self):
+        """``python -O`` strips ``assert``; both validators must still
+        reject corrupt state, with a ``ValueError`` naming the grid."""
+        import repro
+
+        script = textwrap.dedent("""
+            from repro.amr.box import Box
+            from repro.amr.hierarchy import GridHierarchy
+            from repro.distsys import build_system, wan_spec
+            from repro.partition import GridAssignment
+            from repro.runtime import root_blocks
+
+            assert False, "this script must run under python -O"
+
+            def hierarchy():
+                domain = Box.cube(0, 16, 3)
+                h = GridHierarchy(domain, refinement_ratio=2, max_levels=3)
+                h.create_root_grids(root_blocks(domain, (2, 2, 1)))
+                return h
+
+            def expect(check, message):
+                try:
+                    check()
+                except ValueError as err:
+                    assert str(err) == message, str(err)
+                    print("ok", message)
+                else:
+                    print("passed silently:", message)
+
+            h = hierarchy()
+            root = h.level_grids(0)[0]
+            a = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+            c = h._insert(1, Box((3, 3, 3), (5, 5, 5)), root.gid, 1.0)
+            expect(h.validate, f"grids {a.gid} and {c.gid} overlap on level 1")
+
+            h = hierarchy()
+            system = build_system(wan_spec(2))
+            owners = GridAssignment(h, system)
+            gids = [g.gid for g in h.all_grids()]
+            expect(owners.validate, f"grid {gids[0]} is unassigned")
+            for gid in gids:
+                owners.assign(gid, 0)
+            owners._owner[gids[-1]] = system.nprocs  # corrupt on purpose
+            expect(owners.validate, f"grid {gids[-1]} on bad pid {system.nprocs}")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and all(line.startswith("ok ") for line in lines), proc.stdout
 
 
 @given(

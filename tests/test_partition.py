@@ -131,7 +131,16 @@ class TestGridAssignment:
 
     def test_validate_catches_unassigned(self):
         h, s, a = make_setup()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
+            a.validate()
+
+    def test_validate_catches_bad_pid(self):
+        h, s, a = make_setup()
+        for g in h.all_grids():
+            a.assign(g.gid, 0)
+        gid = h.level_grids(0)[0].gid
+        a._owner[gid] = s.nprocs  # corrupt on purpose
+        with pytest.raises(ValueError, match=f"grid {gid} on bad pid {s.nprocs}"):
             a.validate()
 
     def test_copy_is_independent(self):
