@@ -17,7 +17,10 @@ Two primitives:
   assignment: repeatedly move the best-fitting grid from the most
   overloaded processor to the most underloaded one.  Each move strictly
   reduces the total absolute deviation, so termination is guaranteed; a
-  tolerance keeps churn (and hence migration traffic) low.
+  tolerance keeps churn (and hence migration traffic) low.  The plan
+  names each grid at most once: a grid the loop picks again keeps its
+  first entry with the later destination, so its data crosses the network
+  once, straight from its current owner.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def plan_rebalance(
     max_moves:
         Hard cap (safety; never hit in practice).
 
-    Returns the move list in execution order.
+    Returns the move list in execution order, one entry per moved grid,
+    each from the grid's owner in ``owner_of``.
     """
     loads: Dict[int, float] = {pid: 0.0 for pid in targets}
     on_proc: Dict[int, List[Grid]] = {pid: [] for pid in targets}
@@ -96,6 +100,8 @@ def plan_rebalance(
     mean_target = sum(targets.values()) / nprocs
     tol_abs = tolerance * mean_target
     moves: List[Move] = []
+    #: gid -> index of its entry in ``moves``
+    entry: Dict[int, int] = {}
 
     for _ in range(max_moves):
         over = max(loads, key=lambda p: (loads[p] - targets[p], p))
@@ -118,9 +124,16 @@ def plan_rebalance(
                 best, best_fit = g, fit
         if best is None:
             break  # nothing movable without making matters worse
-        moves.append((best.gid, over, under))
+        i = entry.get(best.gid)
+        if i is None:
+            entry[best.gid] = len(moves)
+            moves.append((best.gid, over, under))
+        else:
+            # moved again: one transfer from the original owner instead
+            moves[i] = (best.gid, moves[i][1], under)
         on_proc[over].remove(best)
         on_proc[under].append(best)
         loads[over] -= best.workload
         loads[under] += best.workload
-    return moves
+    # a grid that came back to its owner does not move at all
+    return [m for m in moves if m[1] != m[2]]
