@@ -23,7 +23,7 @@ engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -293,8 +293,6 @@ class BoxArray:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BoxArray(n={len(self)}, ndim={self.ndim})"
 
-
-BoxLike = Union[Box, BoxArray, Sequence[Box]]
 
 #: candidate pairs materialised per batch by :meth:`BoxArray.overlap_pairs`
 _BATCH_PAIRS = 1 << 15

@@ -7,7 +7,7 @@ orchestrated by :class:`.composed.ComposedScheme`, described by the
 mapping.
 """
 
-from .base import BalanceContext, DLBScheme, Move, execute_moves
+from .base import BalanceContext, Move, execute_moves
 from .composed import ComposedScheme
 from .cost import CostEstimate, CostModel
 from .decision import Decision, decide
@@ -40,7 +40,6 @@ from .registry import (
 
 __all__ = [
     "BalanceContext",
-    "DLBScheme",
     "Move",
     "execute_moves",
     "ComposedScheme",

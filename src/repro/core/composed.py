@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence
 
 from ..distsys.events import GlobalDecisionEvent
-from .base import BalanceContext, DLBScheme
+from .base import BalanceContext
 from .decision import Decision
 from .policies import (
     DecisionPolicy,
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 __all__ = ["ComposedScheme"]
 
 
-class ComposedScheme(DLBScheme):
+class ComposedScheme:
     """One policy per axis, orchestrated as the paper's Fig. 4 loop.
 
     The global phase runs once per coarse step: skip unless the partition
@@ -43,6 +43,10 @@ class ComposedScheme(DLBScheme):
     plan the redistribution (its level-0 cell count is the ``W`` of Eq. 1),
     gate it through the decision policy, and execute only on ``invoke`` --
     feeding the measured overhead back into the decision's cost model.
+
+    The runtime calls the four hooks below.  Each may mutate the assignment
+    (via planned moves) and charge time on the simulator, and must leave
+    every hierarchy grid assigned.
     """
 
     def __init__(
@@ -68,23 +72,35 @@ class ComposedScheme(DLBScheme):
         return self.decision_policy.decisions
 
     # ------------------------------------------------------------------ #
-    # DLBScheme hooks: delegate to the policies
+    # runtime hooks: delegate to the policies
     # ------------------------------------------------------------------ #
 
     def initial_distribution(self, ctx: BalanceContext) -> None:
+        """Distribute the freshly created level-0 grids (no comm charged --
+        initial data is loaded in place, as in the paper's runs)."""
         self.global_policy.initial_distribution(ctx, self.weight_policy)
 
     def place_new_grids(
         self, ctx: BalanceContext, new_gids: Sequence[int]
     ) -> None:
+        """Give first owners to grids just created by a regrid.
+
+        Placement is bookkeeping, not migration: a new grid's data is
+        *produced* by interpolation from its parent, so the only traffic it
+        can cause is the parent-child exchange the solver already accounts
+        -- unless the local policy places it away from the parent, in which
+        case the interpolated data crosses the network once (charged here).
+        """
         self.local_policy.place_new_grids(ctx, new_gids, self.weight_policy)
 
     def local_balance(
         self, ctx: BalanceContext, level: int, time: float
     ) -> None:
+        """Per-level balancing opportunity (Fig. 5 'local' marks)."""
         self.local_policy.local_balance(ctx, level, time, self.weight_policy)
 
     def global_balance(self, ctx: BalanceContext, time: float) -> None:
+        """Per-coarse-step balancing opportunity (Fig. 5 'global' marks)."""
         if not self.global_policy.active(ctx):
             return
         # ask the weight policy once: imbalance detection, gain and the

@@ -47,7 +47,7 @@ from typing import (
 
 import numpy as np
 
-from ..distsys.comm import Message, MessageKind
+from ..distsys.comm import MessageBatch, MessageKind
 from ..partition.proportional import (
     group_capacities,
     group_targets,
@@ -655,7 +655,9 @@ class GlobalGreedyLocal:
         level = ctx.hierarchy.grid(new_gids[0]).level
         loads: Dict[int, float] = ctx.assignment.level_loads(level)
         w = weights.processor_weights(ctx.system, ctx.sim.clock)
-        messages = []
+        srcs: List[int] = []
+        dsts: List[int] = []
+        nbytes: List[float] = []
         for gid in sorted(new_gids, key=lambda g: -ctx.hierarchy.grid(g).workload):
             grid = ctx.hierarchy.grid(gid)
             pid = min(loads, key=lambda p: (loads[p] / w[p], p))
@@ -663,14 +665,13 @@ class GlobalGreedyLocal:
             loads[pid] += grid.workload
             parent_pid = ctx.assignment.pid_of(grid.parent_gid)
             if parent_pid != pid:
-                messages.append(
-                    Message(parent_pid, pid,
-                            grid.ncells * ctx.sim_params.bytes_per_cell,
-                            MessageKind.MIGRATION)
-                )
-        if messages:
-            ctx.sim.run_comm(messages, level=level, purpose="placement",
-                             count_as_balance=True)
+                srcs.append(parent_pid)
+                dsts.append(pid)
+                nbytes.append(grid.ncells * ctx.sim_params.bytes_per_cell)
+        if srcs:
+            ctx.sim.run_comm(
+                MessageBatch.of_kind(srcs, dsts, nbytes, MessageKind.MIGRATION),
+                level=level, purpose="placement", count_as_balance=True)
 
     def local_balance(
         self,

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple, Union
 
-from .base import DLBScheme
 from .composed import ComposedScheme
 from .policies import POLICY_REGISTRIES, build_policies
 
@@ -199,7 +198,7 @@ def get_scheme_spec(name: str) -> SchemeSpec:
     return _REGISTRY[name]
 
 
-def make_scheme(scheme: Union[str, SchemeSpec]) -> DLBScheme:
+def make_scheme(scheme: Union[str, SchemeSpec]) -> ComposedScheme:
     """Build a scheme instance from a registered name or an ad-hoc spec."""
     spec = scheme if isinstance(scheme, SchemeSpec) else get_scheme_spec(scheme)
     return ComposedScheme(spec, **build_policies(spec))

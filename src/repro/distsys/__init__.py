@@ -6,7 +6,7 @@ including dynamic background traffic on the shared links and the two-message
 network probe the cost model uses.
 """
 
-from .comm import CommPhaseResult, Message, MessageKind, comm_phase_time
+from .comm import CommPhaseResult, MessageBatch, MessageKind, comm_phase_time
 from .events import (
     CommEvent,
     ComputeEvent,
@@ -60,7 +60,7 @@ from .traffic import (
 
 __all__ = [
     "CommPhaseResult",
-    "Message",
+    "MessageBatch",
     "MessageKind",
     "comm_phase_time",
     "CommEvent",

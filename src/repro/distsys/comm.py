@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from .network import Link
 from .system import DistributedSystem
 
-__all__ = ["MessageKind", "Message", "MessageBatch", "CommGeometry",
-           "CommPhaseResult", "comm_phase_time"]
+__all__ = ["MessageKind", "MessageBatch", "CommGeometry", "CommPhaseResult",
+           "comm_phase_time"]
 
 
 class MessageKind(enum.Enum):
@@ -49,37 +49,19 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class Message:
-    """One point-to-point message.
-
-    ``nbytes`` may be fractional (aggregate volumes divided among pairs).
-    """
-
-    src: int
-    dst: int
-    nbytes: float
-    kind: MessageKind
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {self.nbytes}")
-
-
 #: stable kind <-> int-code mapping for :class:`MessageBatch`
 _KIND_LIST: List[MessageKind] = list(MessageKind)
 _KIND_CODE: Dict[MessageKind, int] = {k: i for i, k in enumerate(_KIND_LIST)}
 
 
 class MessageBatch:
-    """Many messages as parallel arrays (struct-of-arrays).
+    """The messages of one phase as parallel arrays (struct-of-arrays).
 
-    The hot communication phases of a run emit thousands of messages whose
-    per-object construction and per-message dict accounting dominated the
-    profile.  A batch carries the same information as a ``List[Message]`` --
-    ``src``/``dst`` pids, ``nbytes`` and a kind code per message, in message
-    order -- and :func:`comm_phase_time` costs it with array operations
-    whose order-sensitive float accumulations (``np.cumsum`` /
+    The hot communication phases of a run emit thousands of messages, so a
+    batch holds ``src``/``dst`` pids, ``nbytes`` (may be fractional:
+    aggregate volumes divided among pairs) and a kind code per message, in
+    message order, and :func:`comm_phase_time` costs it with array
+    operations whose order-sensitive float accumulations (``np.cumsum`` /
     ``np.add.at``) apply in element order, exactly like a per-message
     ``+=`` loop.
     """
@@ -109,16 +91,6 @@ class MessageBatch:
     def empty(cls) -> "MessageBatch":
         z = np.empty(0, dtype=np.int64)
         return cls(z, z, np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8))
-
-    @classmethod
-    def from_messages(cls, messages: Iterable[Message]) -> "MessageBatch":
-        seq = list(messages)
-        return cls(
-            [m.src for m in seq],
-            [m.dst for m in seq],
-            [m.nbytes for m in seq],
-            [_KIND_CODE[m.kind] for m in seq],
-        )
 
     @staticmethod
     def concatenate(batches: Iterable["MessageBatch"]) -> "MessageBatch":
@@ -233,24 +205,10 @@ class CommPhaseResult:
         if self.remote_bytes_by_kind is None:
             self.remote_bytes_by_kind = {}
 
-    def merge(self, other: "CommPhaseResult") -> None:
-        """Accumulate another phase into this one (elapsed adds serially)."""
-        self.elapsed += other.elapsed
-        self.local_time += other.local_time
-        self.remote_time += other.remote_time
-        self.local_messages += other.local_messages
-        self.remote_messages += other.remote_messages
-        self.local_bytes += other.local_bytes
-        self.remote_bytes += other.remote_bytes
-        for kind, nbytes in other.remote_bytes_by_kind.items():
-            self.remote_bytes_by_kind[kind] = (
-                self.remote_bytes_by_kind.get(kind, 0.0) + nbytes
-            )
-
 
 def comm_phase_time(
     system: DistributedSystem,
-    messages: Union[Iterable[Message], MessageBatch],
+    messages: MessageBatch,
     time: float,
     geometry: Optional[CommGeometry] = None,
 ) -> CommPhaseResult:
@@ -267,8 +225,6 @@ def comm_phase_time(
     ``tests/test_network.py``).  Link conditions are sampled once at the
     phase start (phases are short relative to traffic time scales).
 
-    ``messages`` is a :class:`MessageBatch` or any iterable of
-    :class:`Message` (converted with :meth:`MessageBatch.from_messages`).
     Per-pair and per-link byte volumes accumulate in message /
     first-appearance order (``np.add.at`` applies its updates sequentially
     in element order; subsetting then ``cumsum`` keeps left-to-right float
@@ -276,10 +232,9 @@ def comm_phase_time(
     first-appearance order.  ``geometry`` hoists the routing tables out of
     repeated calls; ``None`` builds one on the spot.
     """
-    batch = (messages if isinstance(messages, MessageBatch)
-             else MessageBatch.from_messages(messages))
     result = CommPhaseResult()
-    src, dst, nbytes, kinds = batch.src, batch.dst, batch.nbytes, batch.kind_codes
+    src, dst = messages.src, messages.dst
+    nbytes, kinds = messages.nbytes, messages.kind_codes
     keep = src != dst  # self-messages: no network cost
     if not keep.all():
         src, dst, nbytes, kinds = src[keep], dst[keep], nbytes[keep], kinds[keep]

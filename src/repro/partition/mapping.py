@@ -1,19 +1,19 @@
-"""Grid-to-processor assignment and load ledgers.
+"""Grid-to-processor assignment.
 
 The :class:`GridAssignment` is the mutable state every DLB scheme operates
-on: which processor owns which grid.  It provides the per-processor and
-per-group load views the paper's models consume -- ``w^i_proc(t)`` (Eq. 2)
-and ``W_group(t)`` (Eq. 3 without the iteration weighting, which the gain
-model applies itself).
+on: which processor owns which grid.  Its one load view,
+:meth:`GridAssignment.level_loads`, is the per-processor work of one level
+that the bulk-synchronous compute phase charges; the per-group sums of the
+paper's Eq. 2 are taken from the recorded history
+(:meth:`~repro.core.gain.CoarseStepRecord.group_level_load`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from ..distsys.system import DistributedSystem
 
@@ -50,9 +50,6 @@ class GridAssignment:
             raise ValueError(f"unknown processor {pid}")
         self._owner[gid] = pid
 
-    def unassign(self, gid: int) -> None:
-        self._owner.pop(gid, None)
-
     def pid_of(self, gid: int) -> int:
         """Owner of grid ``gid`` (KeyError if unassigned)."""
         pid = self._owner.get(gid)
@@ -88,27 +85,8 @@ class GridAssignment:
             del self._owner[gid]
 
     # ------------------------------------------------------------------ #
-    # load views
+    # load view
     # ------------------------------------------------------------------ #
-
-    def grids_on(self, pid: int, level: Optional[int] = None) -> List[Grid]:
-        """Grids owned by ``pid`` (optionally restricted to one level)."""
-        out = []
-        for gid, owner in self._owner.items():
-            if owner != pid or not self.hierarchy.has_grid(gid):
-                continue
-            g = self.hierarchy.grid(gid)
-            if level is None or g.level == level:
-                out.append(g)
-        out.sort(key=lambda g: g.gid)
-        return out
-
-    def proc_load(self, pid: int, level: Optional[int] = None) -> float:
-        """Workload (one step at each grid's own level) owned by ``pid``.
-
-        This is the paper's ``w^i_proc`` when ``level`` is given.
-        """
-        return sum(g.workload for g in self.grids_on(pid, level))
 
     def level_loads(self, level: int) -> Dict[int, float]:
         """Per-processor workload of one level: pid -> work units.
@@ -120,21 +98,6 @@ class GridAssignment:
         for g in self.hierarchy.level_grids(level):
             if g.gid in self._owner:
                 loads[self._owner[g.gid]] += g.workload
-        return loads
-
-    def group_load(self, group_id: int, level: Optional[int] = None) -> float:
-        """Total workload owned by the processors of one group."""
-        return sum(
-            self.proc_load(pid, level) for pid in self.system.groups[group_id].pids
-        )
-
-    def group_level_loads(self, level: int) -> Dict[int, float]:
-        """Per-group workload of one level: group_id -> work units."""
-        loads = {g.group_id: 0.0 for g in self.system.groups}
-        for grid in self.hierarchy.level_grids(level):
-            if grid.gid in self._owner:
-                gid_ = self.system.processor(self._owner[grid.gid]).group_id
-                loads[gid_] += grid.workload
         return loads
 
     # ------------------------------------------------------------------ #

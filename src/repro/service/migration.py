@@ -24,7 +24,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.base import BalanceContext, DLBScheme
+from ..core.base import BalanceContext
+from ..core.composed import ComposedScheme
 from ..core.gain import WorkloadHistory
 from ..distsys.events import RedistributionEvent
 from ..distsys.simulator import ClusterSimulator
@@ -63,7 +64,7 @@ class MigrationEngine:
     """
 
     def __init__(self, shard_map: ShardMap, sim: ClusterSimulator,
-                 scheme: DLBScheme, sim_params, scheme_params,
+                 scheme: ComposedScheme, sim_params, scheme_params,
                  tracer=None) -> None:
         self.shard_map = shard_map
         self.sim = sim
@@ -149,4 +150,4 @@ class MigrationEngine:
 
     @property
     def decisions(self) -> List:
-        return list(getattr(self.scheme, "decisions", []))
+        return list(self.scheme.decisions)

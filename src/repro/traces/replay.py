@@ -30,7 +30,7 @@ from ..amr.grid import Grid
 from ..amr.integrator import SubStep
 from ..amr.regrid import RegridParams, apply_cluster_boxes
 from ..config import SchemeParams, SimParams
-from ..core.base import DLBScheme
+from ..core.composed import ComposedScheme
 from ..distsys.events import EventLog
 from ..distsys.system import DistributedSystem
 from ..faults.schedule import FaultSchedule
@@ -75,7 +75,7 @@ class TraceReplayRunner(SAMRRunner):
         self,
         trace: Union[Trace, str, Path],
         system: DistributedSystem,
-        scheme: DLBScheme,
+        scheme: ComposedScheme,
         sim_params: Optional[SimParams] = None,
         scheme_params: Optional[SchemeParams] = None,
         log: Optional[EventLog] = None,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +22,32 @@ from repro.distsys import (
 from repro.distsys.comm import (
     CommGeometry,
     CommPhaseResult,
-    Message,
     MessageBatch,
     MessageKind,
     comm_phase_time,
 )
 from repro.distsys.traffic import ConstantTraffic
+
+
+@dataclass(frozen=True)
+class Message:
+    """One point-to-point message: the reference's input, one per object."""
+
+    src: int
+    dst: int
+    nbytes: float
+    kind: MessageKind
+
+
+def from_messages(messages):
+    """The same messages as one :class:`MessageBatch`, in order."""
+    return MessageBatch.concatenate(
+        MessageBatch.of_kind([m.src], [m.dst], [m.nbytes], m.kind)
+        for m in messages)
+
+
+def phase(system, messages, time=0.0):
+    return comm_phase_time(system, from_messages(messages), time)
 
 
 @pytest.fixture
@@ -42,8 +62,12 @@ def wan_params(system, t=0.0):
 
 class TestMessage:
     def test_negative_bytes_raise(self):
-        with pytest.raises(ValueError):
-            Message(0, 1, -5, MessageKind.SIBLING)
+        with pytest.raises(ValueError, match="nbytes must be >= 0"):
+            MessageBatch.of_kind([0, 1], [1, 0], [5.0, -5.0], MessageKind.SIBLING)
+        with pytest.raises(ValueError, match="lengths differ"):
+            MessageBatch.of_kind([0, 1], [1], [5.0, 5.0], MessageKind.SIBLING)
+        with pytest.raises(ValueError, match="lengths differ"):
+            MessageBatch([0], [1], [5.0], [0, 0])
 
     def test_kinds_cover_taxonomy(self):
         assert {k.value for k in MessageKind} == {
@@ -53,17 +77,17 @@ class TestMessage:
 
 class TestCommPhaseTime:
     def test_empty_phase_free(self):
-        r = comm_phase_time(build_system(wan_spec(1)), [], 0.0)
+        r = comm_phase_time(build_system(wan_spec(1)), MessageBatch.empty(), 0.0)
         assert r.elapsed == 0.0
 
     def test_self_message_free(self, system):
-        r = comm_phase_time(system, [Message(0, 0, 1e6, MessageKind.SIBLING)], 0.0)
+        r = phase(system, [Message(0, 0, 1e6, MessageKind.SIBLING)])
         assert r.elapsed == 0.0
         assert r.local_messages == 0
 
     def test_single_remote_message(self, system):
         alpha, beta, oh = wan_params(system)
-        r = comm_phase_time(system, [Message(0, 2, 1000, MessageKind.SIBLING)], 0.0)
+        r = phase(system, [Message(0, 2, 1000, MessageKind.SIBLING)])
         assert r.elapsed == pytest.approx(alpha + oh + 1000 * beta)
         assert r.remote_messages == 1
         assert r.remote_bytes == 1000
@@ -74,7 +98,7 @@ class TestCommPhaseTime:
             Message(0, 2, 1000, MessageKind.SIBLING),
             Message(0, 2, 3000, MessageKind.PARENT_CHILD),
         ]
-        r = comm_phase_time(system, msgs, 0.0)
+        r = phase(system, msgs)
         # one bundle: one latency, one overhead, summed volume
         assert r.elapsed == pytest.approx(alpha + oh + 4000 * beta)
 
@@ -86,7 +110,7 @@ class TestCommPhaseTime:
             Message(0, 2, 1000, MessageKind.SIBLING),
             Message(1, 3, 1000, MessageKind.SIBLING),
         ]
-        r = comm_phase_time(system, msgs, 0.0)
+        r = phase(system, msgs)
         assert r.elapsed == pytest.approx(alpha + 2 * oh + 2000 * beta)
 
     def test_links_run_concurrently(self, system):
@@ -96,7 +120,7 @@ class TestCommPhaseTime:
             Message(0, 2, 1000, MessageKind.SIBLING),  # WAN
             Message(0, 1, 1000, MessageKind.SIBLING),  # intra group 0
         ]
-        r = comm_phase_time(system, msgs, 0.0)
+        r = phase(system, msgs)
         assert r.elapsed == pytest.approx(alpha + oh + 1000 * beta)
         assert r.local_time > 0
         assert r.remote_time > r.local_time
@@ -107,7 +131,7 @@ class TestCommPhaseTime:
             Message(2, 3, 20, MessageKind.SIBLING),
             Message(1, 2, 30, MessageKind.SIBLING),
         ]
-        r = comm_phase_time(system, msgs, 0.0)
+        r = phase(system, msgs)
         assert r.local_messages == 2
         assert r.remote_messages == 1
         assert r.local_bytes == 30
@@ -117,22 +141,7 @@ class TestCommPhaseTime:
         quiet = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         busy = build_system(wan_spec(2), traffic=ConstantTraffic(0.6))
         msgs = [Message(0, 2, 1e6, MessageKind.MIGRATION)]
-        assert (
-            comm_phase_time(busy, msgs, 0.0).elapsed
-            > comm_phase_time(quiet, msgs, 0.0).elapsed
-        )
-
-    def test_merge_accumulates(self):
-        a = CommPhaseResult(elapsed=1.0, local_time=0.5, remote_time=1.0,
-                            local_messages=1, remote_messages=2,
-                            local_bytes=10, remote_bytes=20)
-        b = CommPhaseResult(elapsed=2.0, local_time=0.25, remote_time=0.5,
-                            local_messages=3, remote_messages=4,
-                            local_bytes=30, remote_bytes=40)
-        a.merge(b)
-        assert a.elapsed == 3.0
-        assert a.local_messages == 4
-        assert a.remote_bytes == 60
+        assert phase(busy, msgs).elapsed > phase(quiet, msgs).elapsed
 
 
 # --------------------------------------------------------------------- #
@@ -249,10 +258,9 @@ class TestMatchesReference:
                               traffic=ConstantTraffic(0.3))
         msgs = data.draw(_phases(system.nprocs))
         expected = _phase_time_reference(system, msgs, time)
-        batch = MessageBatch.from_messages(msgs)
-        for got in (comm_phase_time(system, msgs, time),
-                    comm_phase_time(system, batch, time,
-                                    geometry=CommGeometry(system))):
+        batch = from_messages(msgs)
+        for geometry in (None, CommGeometry(system)):
+            got = comm_phase_time(system, batch, time, geometry=geometry)
             for f in fields(CommPhaseResult):
                 assert getattr(got, f.name) == getattr(expected, f.name), f.name
             assert (list(got.remote_bytes_by_kind)

@@ -17,7 +17,7 @@ from repro.distsys import (
     DiurnalTraffic,
     FaultEvent,
     GroupSpec,
-    Message,
+    MessageBatch,
     MessageKind,
     NoTraffic,
     SystemSpec,
@@ -275,12 +275,12 @@ class TestSharedBackbone:
     SPEC = SystemSpec(groups=(2, 2, 2))
     PAIRS = ((0, 1), (0, 2), (1, 2))
     #: one message per group pair plus a local one (pids 2g, 2g+1 in group g)
-    MESSAGES = [
-        Message(0, 2, 1.0e4, MessageKind.SIBLING),
-        Message(2, 5, 2.5e4, MessageKind.PARENT_CHILD),
-        Message(4, 1, 4.0e4, MessageKind.MIGRATION),
-        Message(0, 1, 8.0e3, MessageKind.SIBLING),
-    ]
+    MESSAGES = MessageBatch.concatenate([
+        MessageBatch.of_kind([0], [2], [1.0e4], MessageKind.SIBLING),
+        MessageBatch.of_kind([2], [5], [2.5e4], MessageKind.PARENT_CHILD),
+        MessageBatch.of_kind([4], [1], [4.0e4], MessageKind.MIGRATION),
+        MessageBatch.of_kind([0], [1], [8.0e3], MessageKind.SIBLING),
+    ])
 
     def _systems(self, **target):
         healthy = build_system(self.SPEC, traffic=ConstantTraffic(0.1))
@@ -301,7 +301,8 @@ class TestSharedBackbone:
         assert (comm_phase_time(faulted, self.MESSAGES, 0.0)
                 == comm_phase_time(healthy, self.MESSAGES, 0.0))
         for a, b in self.PAIRS:
-            msg = [Message(2 * a, 2 * b, 1.0e4, MessageKind.SIBLING)]
+            msg = MessageBatch.of_kind([2 * a], [2 * b], [1.0e4],
+                                       MessageKind.SIBLING)
             assert (comm_phase_time(faulted, msg, 1500.0).elapsed
                     > comm_phase_time(healthy, msg, 1500.0).elapsed)
 

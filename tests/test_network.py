@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distsys import build_system, wan_spec
-from repro.distsys.comm import Message, MessageKind, comm_phase_time
+from repro.distsys.comm import MessageBatch, MessageKind, comm_phase_time
 from repro.distsys.network import (
     MAX_OCCUPANCY,
     Link,
@@ -115,12 +115,11 @@ class TestPresets:
         system = build_system(wan_spec(2), traffic=ConstantTraffic(0.3))
         link = system.route_between(0, 1).links[0]
         # three bundles (pid pairs), all crossing the one inter-group link
-        msgs = [Message(0, 2, 4e5, MessageKind.SIBLING),
-                Message(0, 3, 3e5, MessageKind.SIBLING),
-                Message(1, 2, 3e5, MessageKind.SIBLING)]
+        msgs = MessageBatch.of_kind([0, 0, 1], [2, 3, 2], [4e5, 3e5, 3e5],
+                                    MessageKind.SIBLING)
         assert comm_phase_time(system, msgs, 5.0).elapsed == pytest.approx(
             _link_phase_time_reference(link, 3, 1e6, 5.0))
-        assert comm_phase_time(system, [], 5.0).elapsed == 0.0
+        assert comm_phase_time(system, MessageBatch.empty(), 5.0).elapsed == 0.0
         assert _link_phase_time_reference(link, 0, 0.0, 5.0) == 0.0
 
     def test_negative_overhead_rejected(self):
@@ -164,8 +163,8 @@ class TestOccupancyClamp:
         # traffic; the phase cost must remain positive and finite
         degraded = FaultSchedule([LinkDegradationFault(occupancy=0.9)]).apply(system)
         link = degraded.route_between(0, 1).links[0]
-        msgs = [Message(src, dst, 2.5e5, MessageKind.SIBLING)
-                for src, dst in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        msgs = MessageBatch.of_kind([0, 0, 1, 1], [2, 3, 2, 3], [2.5e5] * 4,
+                                    MessageKind.SIBLING)
         t = comm_phase_time(degraded, msgs, 0.0).elapsed
         assert 0.0 < t < float("inf")
         assert t == pytest.approx(_link_phase_time_reference(link, 4, 1e6, 0.0))

@@ -106,19 +106,13 @@ class TestGridAssignment:
         for i, g in enumerate(grids):
             a.assign(g.gid, i % 2)
         per_grid = grids[0].workload
-        assert a.proc_load(0) == pytest.approx(2 * per_grid)
-        assert a.level_loads(0)[1] == pytest.approx(2 * per_grid)
-        assert a.level_loads(0)[3] == 0.0
-        assert a.group_load(0) == pytest.approx(4 * per_grid)
-        assert a.group_load(1) == 0.0
-
-    def test_group_level_loads(self):
-        h, s, a = make_setup(blocks=(4, 1, 1))
-        for g in h.level_grids(0):
-            a.assign(g.gid, 3)  # all on group 1
-        gl = a.group_level_loads(0)
-        assert gl[0] == 0.0
-        assert gl[1] == pytest.approx(16**3)
+        loads = a.level_loads(0)
+        assert loads[0] == pytest.approx(2 * per_grid)
+        assert loads[1] == pytest.approx(2 * per_grid)
+        assert loads[3] == 0.0
+        group_loads = [sum(loads[pid] for pid in g.pids) for g in s.groups]
+        assert group_loads[0] == pytest.approx(4 * per_grid)
+        assert group_loads[1] == 0.0
 
     def test_prune_drops_stale(self):
         h, s, a = make_setup()
@@ -151,15 +145,6 @@ class TestGridAssignment:
         b.assign(gid, 1)
         assert a.pid_of(gid) == 0
         assert b.pid_of(gid) == 1
-
-    def test_grids_on_filters_by_level(self):
-        h, s, a = make_setup()
-        root = h.level_grids(0)[0]
-        child = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        for g in h.all_grids():
-            a.assign(g.gid, 0)
-        assert child in a.grids_on(0, level=1)
-        assert child not in a.grids_on(0, level=0)
 
 
 class TestSplitter:

@@ -14,7 +14,7 @@ from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import regrid_level
 from repro.core.gain import WorkloadHistory, estimate_gain
 from repro.distsys import ConstantTraffic, build_system, wan_spec
-from repro.distsys.comm import Message, MessageKind, comm_phase_time
+from repro.distsys.comm import MessageBatch, MessageKind, comm_phase_time
 from repro.runtime import root_blocks
 
 
@@ -96,10 +96,11 @@ class TestCommMonotonicity:
     def test_more_bytes_never_faster(self, nbytes, extra):
         system = build_system(wan_spec(1), traffic=ConstantTraffic(0.2))
         small = comm_phase_time(
-            system, [Message(0, 1, nbytes, MessageKind.SIBLING)], 0.0
+            system, MessageBatch.of_kind([0], [1], [nbytes], MessageKind.SIBLING), 0.0
         )
         large = comm_phase_time(
-            system, [Message(0, 1, nbytes + extra, MessageKind.SIBLING)], 0.0
+            system, MessageBatch.of_kind([0], [1], [nbytes + extra], MessageKind.SIBLING),
+            0.0,
         )
         assert large.elapsed >= small.elapsed - 1e-12
 
@@ -108,8 +109,9 @@ class TestCommMonotonicity:
     def test_more_pairs_never_faster(self, n):
         system = build_system(wan_spec(8), traffic=ConstantTraffic(0.2))
         def phase(k):
-            msgs = [Message(i % 8, 8 + (i % 8), 100.0, MessageKind.SIBLING)
-                    for i in range(k)]
+            msgs = MessageBatch.of_kind([i % 8 for i in range(k)],
+                                        [8 + (i % 8) for i in range(k)],
+                                        [100.0] * k, MessageKind.SIBLING)
             return comm_phase_time(system, msgs, 0.0).elapsed
         assert phase(n) <= phase(n + 1) + 1e-12
 

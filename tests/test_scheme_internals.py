@@ -8,7 +8,7 @@ from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams
 from repro.core import make_scheme
-from repro.core.base import BalanceContext, DLBScheme, execute_moves
+from repro.core.base import BalanceContext, execute_moves
 from repro.core.gain import WorkloadHistory
 from repro.core.policies import NominalWeights, group_imbalance_exists
 from repro.distsys import ClusterSimulator, ConstantTraffic, build_system, wan_spec
@@ -62,18 +62,6 @@ class TestExecuteMoves:
         assert (n, cells) == (1, grid.ncells)
         assert ctx.assignment.pid_of(grid.gid) == dst
         assert ctx.sim.balance_overhead > 0
-
-    def test_abstract_scheme_hooks_raise(self):
-        scheme = DLBScheme()
-        ctx = make_ctx()
-        with pytest.raises(NotImplementedError):
-            scheme.initial_distribution(ctx)
-        with pytest.raises(NotImplementedError):
-            scheme.place_new_grids(ctx, [])
-        with pytest.raises(NotImplementedError):
-            scheme.local_balance(ctx, 0, 0.0)
-        with pytest.raises(NotImplementedError):
-            scheme.global_balance(ctx, 0.0)
 
 
 def nominal(ctx):

@@ -37,7 +37,7 @@ from repro.distsys import (
     wan_mesh,
     wan_spec,
 )
-from repro.distsys.comm import Message, MessageKind, comm_phase_time
+from repro.distsys.comm import MessageBatch, MessageKind, comm_phase_time
 from repro.distsys.topology import degenerate_topology, resolve_topology
 from repro.distsys.traffic import ConstantTraffic
 from repro.faults.schedule import FaultSchedule, LinkDegradationFault
@@ -205,8 +205,7 @@ class TestSharedEdgeContention:
         topo = system.topology
         spoke = topo.route(0, 1).links[0]   # g0 -- hub
         b1, b2 = 10_000.0, 30_000.0
-        msgs = [Message(0, 1, b1, MessageKind.SIBLING),
-                Message(0, 2, b2, MessageKind.SIBLING)]
+        msgs = MessageBatch.of_kind([0, 0], [1, 2], [b1, b2], MessageKind.SIBLING)
         r = comm_phase_time(system, msgs, 0.0)
         shared_busy = (spoke.alpha(0.0) + 2 * spoke.per_message_overhead
                        + (b1 + b2) * spoke.beta(0.0))
@@ -220,7 +219,8 @@ class TestSharedEdgeContention:
         spoke1 = topo.route(1, 2).links[0]  # g1 -- hub
         nbytes = 5_000.0
         r = comm_phase_time(
-            system, [Message(1, 2, nbytes, MessageKind.SIBLING)], 0.0)
+            system, MessageBatch.of_kind([1], [2], [nbytes], MessageKind.SIBLING),
+            0.0)
         busy = (spoke1.alpha(0.0) + spoke1.per_message_overhead
                 + nbytes * spoke1.beta(0.0))
         assert r.elapsed == pytest.approx(busy)
