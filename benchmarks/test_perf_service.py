@@ -33,7 +33,7 @@ from pathlib import Path
 from repro.config import ServiceConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.report import format_table
-from repro.serve import ServeClient, ServeError, ServeServer
+from repro.daemon import ServeClient, ServeError, ServeServer
 from repro.service import report_hash
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"

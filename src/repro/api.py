@@ -107,7 +107,7 @@ from .obs import (
 )
 
 # -- serving daemon --------------------------------------------------------
-from .serve import (
+from .daemon import (
     AsyncServeClient,
     JobResult,
     QueueFullError,

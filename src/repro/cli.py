@@ -52,7 +52,7 @@ Serving daemon
 streams the result back, bit-for-bit identical to running in-process.
 Repeated submissions hit the daemon's shared result cache without
 consuming a worker slot.  SIGINT/SIGTERM drains in-flight jobs and exits
-cleanly; a second signal force-cancels.  See docs/SERVING.md.
+cleanly; a second signal force-cancels.  See docs/DAEMON.md.
 
 Examples
 --------
@@ -829,7 +829,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serve import ServeServer
+    from .daemon import ServeServer
 
     try:
         server = ServeServer(
@@ -848,7 +848,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_client(args: argparse.Namespace):
-    from .serve import ServeClient
+    from .daemon import ServeClient
 
     return ServeClient(socket_path=args.socket, host=args.host,
                        port=args.port)
@@ -863,7 +863,7 @@ def _daemon_unreachable(args: argparse.Namespace, err: OSError) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .serve import ServeError
+    from .daemon import ServeError
 
     if args.source is not None:
         from .traces import TraceFormatError, default_replay_steps
@@ -968,7 +968,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    from .serve import ServeError
+    from .daemon import ServeError
 
     client = _serve_client(args)
     try:

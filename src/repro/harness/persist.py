@@ -131,7 +131,7 @@ def _config_to_dict(cfg) -> Dict:
     Captures everything -- ``traffic_seed``, ``base_speed``, ``sim_params``,
     ``scheme_params``, ``fault``, ``trace``, ``service`` and ``system`` --
     so reloaded configs compare equal to the originals.  Every persisted
-    result uses it, and it is the wire form ``repro.serve`` jobs carry
+    result uses it, and it is the wire form ``repro.daemon`` jobs carry
     their configs in.
     """
     out = {

@@ -32,7 +32,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.persist import run_result_to_dict
 from repro.config import TraceParams
-from repro.serve import (
+from repro.daemon import (
     AsyncServeClient,
     Job,
     JobNotFoundError,
@@ -46,13 +46,13 @@ from repro.serve import (
     ShuttingDownError,
     job_track,
 )
-from repro.serve.protocol import (
+from repro.daemon.protocol import (
     decode_message,
     encode_message,
     error_payload,
     raise_for_error,
 )
-from repro.serve.wire import (
+from repro.daemon.wire import (
     config_from_wire,
     config_to_wire,
     spec_from_payload,

@@ -47,7 +47,7 @@ from repro.harness.persist import (
     run_result_to_dict,
     save_run,
 )
-from repro.serve import ServeClient, ServeError, ServeServer
+from repro.daemon import ServeClient, ServeError, ServeServer
 from repro.service import (
     EwmaRouter,
     InversePriorityRouter,
