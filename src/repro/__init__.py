@@ -33,7 +33,7 @@ from .core import SchemeSpec, available_schemes, make_scheme, register_scheme
 from .metrics import RunResult, efficiency
 from .runtime import SAMRRunner
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "SchemeParams",

@@ -19,7 +19,9 @@ decrease in execution time that will occur from the redistribution of load."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..distsys.system import DistributedSystem
 
@@ -30,34 +32,31 @@ __all__ = ["CoarseStepRecord", "WorkloadHistory", "estimate_gain"]
 class CoarseStepRecord:
     """Everything recorded over one level-0 time step.
 
-    ``proc_level_loads[level][pid]`` is ``w^i_proc`` -- the workload each
-    processor held the *last* time that level was advanced in the step;
-    ``level_iterations[level]`` is ``N^i_iter``; ``walltime`` is ``T(t)``.
+    ``proc_level_loads[level]`` is ``w^i_proc`` as a pid-indexed ``float64``
+    array -- the workload each processor held the *last* time that level
+    was advanced in the step; ``level_iterations[level]`` is ``N^i_iter``;
+    ``walltime`` is ``T(t)``.
     """
 
     index: int
-    proc_level_loads: Dict[int, Dict[int, float]] = field(default_factory=dict)
+    proc_level_loads: Dict[int, np.ndarray] = field(default_factory=dict)
     level_iterations: Dict[int, int] = field(default_factory=dict)
     walltime: float = 0.0
 
-    def group_level_load(self, system: DistributedSystem, group_id: int, level: int) -> float:
-        """Eq. 2: ``W^i_group`` from the recorded per-processor loads."""
-        loads = self.proc_level_loads.get(level, {})
-        pids = set(system.groups[group_id].pids)
-        return sum(v for pid, v in loads.items() if pid in pids)
+    def group_totals(self, system: DistributedSystem) -> np.ndarray:
+        """Eq. 3 for every group, as a group-indexed ``float64`` array.
 
-    def group_total_load(self, system: DistributedSystem, group_id: int) -> float:
-        """Eq. 3: ``W_group = sum_i W^i_group * N^i_iter``."""
-        total = 0.0
+        Eq. 2's ``W^i_group`` is one ``bincount`` of the level's loads by
+        group, which adds each group's processors in pid order; the levels
+        are weighted by ``N^i_iter`` and summed in recording order.
+        """
+        total = np.zeros(system.ngroups, dtype=np.float64)
         for level, iters in self.level_iterations.items():
-            total += self.group_level_load(system, group_id, level) * iters
+            level_load = np.bincount(system.pid_groups,
+                                     weights=self.proc_level_loads[level],
+                                     minlength=system.ngroups)
+            total = total + level_load * iters
         return total
-
-    def group_totals(self, system: DistributedSystem) -> Dict[int, float]:
-        """Eq. 3 for every group."""
-        return {
-            g.group_id: self.group_total_load(system, g.group_id) for g in system.groups
-        }
 
 
 class WorkloadHistory:
@@ -79,11 +78,12 @@ class WorkloadHistory:
 
     # ------------------------------------------------------------------ #
 
-    def record_solve(self, level: int, loads: Dict[int, float]) -> None:
-        """Record one solver sub-step at ``level`` with per-pid loads."""
+    def record_solve(self, level: int, loads: np.ndarray) -> None:
+        """Record one solver sub-step at ``level`` with its pid-indexed
+        loads (stored as a copy)."""
         rec = self._current
         rec.level_iterations[level] = rec.level_iterations.get(level, 0) + 1
-        rec.proc_level_loads[level] = dict(loads)
+        rec.proc_level_loads[level] = np.array(loads, dtype=np.float64)
 
     def end_coarse_step(self, walltime: float) -> CoarseStepRecord:
         """Close the current record with its measured ``T(t)`` and rotate."""
@@ -112,11 +112,11 @@ class WorkloadHistory:
 def estimate_gain(
     history: WorkloadHistory,
     system: DistributedSystem,
-    capacities: Optional[Mapping[int, float]] = None,
+    capacities: Optional[np.ndarray] = None,
 ) -> float:
     """Eq. 4: predicted execution-time decrease from removing group imbalance.
 
-    With ``capacities`` (group id -> capacity, as
+    With ``capacities`` (group-indexed, as
     :func:`~repro.partition.proportional.group_capacities` computes them
     from a weight policy's weights), each group's recorded workload is
     first normalised by its capacity share.  This generalises Eq. 4 --
@@ -134,25 +134,19 @@ def estimate_gain(
     if rec is None:
         return 0.0
     totals = rec.group_totals(system)
-    if not totals:
-        return 0.0
     if capacities is not None:
-        caps = {g: capacities[g] for g in totals}
-        cap_total = sum(caps.values())
+        cap_total = sum(capacities.tolist())
         n = len(totals)
         if cap_total > 0.0:
             # scale each group's load by (even share / its effective share);
             # the scale factors average to ~1 so the result stays in
             # workload units and T(t) keeps its meaning
-            totals = {
-                g: totals[g] * cap_total / (n * caps[g])
-                for g in totals
-                if caps[g] > 0.0
-            }
-            if not totals:
+            live = capacities > 0.0
+            totals = totals[live] * cap_total / (n * capacities[live])
+            if not len(totals):
                 return 0.0
-    w_max = max(totals.values())
-    w_min = min(totals.values())
+    w_max = float(totals.max())
+    w_min = float(totals.min())
     if w_max <= 0.0:
         return 0.0
     return rec.walltime * (w_max - w_min) / (len(totals) * w_max)

@@ -74,7 +74,8 @@ class DistributedSystem:
         # (fault schedules *replace* the system rather than mutating it),
         # so pid-indexed arrays and the processor list are built once here
         # and never invalidated; only quantities sampling external load at
-        # a time instant remain per-call.
+        # a time instant remain per-call.  The balancing state of
+        # ``core/`` and ``partition/`` is computed over these arrays.
         nprocs = len(self._procs)
         self._processors: List[Processor] = [
             self._procs[pid] for pid in range(nprocs)
@@ -87,6 +88,22 @@ class DistributedSystem:
         #: nominal speed (``base_speed * weight``) of every processor by pid
         self.speed_by_pid: np.ndarray = np.fromiter(
             (p.speed for p in self._processors), dtype=np.float64, count=nprocs
+        )
+        #: nominal performance weight (``GroupSpec.weight``) by pid; read-only
+        #: because the nominal weight policy hands it out as is
+        self.weight_by_pid: np.ndarray = np.fromiter(
+            (p.weight for p in self._processors), dtype=np.float64, count=nprocs
+        )
+        self.weight_by_pid.flags.writeable = False
+        #: each group's pids as a sorted int64 array, indexed by group id
+        self.group_pids: List[np.ndarray] = [
+            np.array(sorted(g.pids), dtype=np.int64) for g in self.groups
+        ]
+        #: every group's ``Group.pids`` concatenated in group order: a
+        #: ``bincount`` over it adds each group's members in their own order
+        self.member_pids: np.ndarray = np.fromiter(
+            (pid for g in self.groups for pid in g.pids),
+            dtype=np.int64, count=nprocs,
         )
         #: pids whose processor carries a real external-load model -- the
         #: only ones whose availability can differ from exactly 1.0

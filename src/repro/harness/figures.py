@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..amr.applications import ShockPool3D
 from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import integration_order
@@ -345,11 +347,12 @@ def fig6_global_redistribution(cfg: Optional[ExperimentConfig] = None) -> Fig6Re
                 captures.append((pre, self._group_loads()))
 
         def _group_loads(self) -> Dict[int, float]:
-            eff = effective_level0_loads(self.ctx)
-            out = {g.group_id: 0.0 for g in self.system.groups}
-            for gid, load in eff.items():
-                out[self.assignment.group_of(gid)] += load
-            return out
+            roots = self.hierarchy.level_grids(0)
+            owners = self.assignment.pids_of([g.gid for g in roots])
+            loads = np.bincount(self.system.pid_groups[owners],
+                                weights=effective_level0_loads(self.ctx),
+                                minlength=self.system.ngroups)
+            return dict(enumerate(loads.tolist()))
 
     runner = CapturingRunner(
         make_app(cfg), make_system(cfg), make_scheme("distributed"),

@@ -2,15 +2,15 @@
 
 The :class:`GridAssignment` is the mutable state every DLB scheme operates
 on: which processor owns which grid.  Its one load view,
-:meth:`GridAssignment.level_loads`, is the per-processor work of one level
+:meth:`GridAssignment.level_loads`, is the pid-indexed work of one level
 that the bulk-synchronous compute phase charges; the per-group sums of the
-paper's Eq. 2 are taken from the recorded history
-(:meth:`~repro.core.gain.CoarseStepRecord.group_level_load`).
+paper's Eqs. 2-3 are taken from the recorded history
+(:meth:`~repro.core.gain.CoarseStepRecord.group_totals`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -88,17 +88,24 @@ class GridAssignment:
     # load view
     # ------------------------------------------------------------------ #
 
-    def level_loads(self, level: int) -> Dict[int, float]:
-        """Per-processor workload of one level: pid -> work units.
+    def level_loads(self, level: int) -> np.ndarray:
+        """Per-processor workload of one level: a ``float64`` array of
+        work units indexed by pid (idle processors hold 0.0).
 
-        Every processor of the system appears (idle processors map to 0.0),
-        which is what the bulk-synchronous compute phase needs.
+        Each processor's grids are added in hierarchy order (``bincount``
+        adds in input order); unassigned grids are skipped.
         """
-        loads = {pid: 0.0 for pid in range(self.system.nprocs)}
+        owner = self._owner
+        pids: List[int] = []
+        works: List[float] = []
         for g in self.hierarchy.level_grids(level):
-            if g.gid in self._owner:
-                loads[self._owner[g.gid]] += g.workload
-        return loads
+            pid = owner.get(g.gid)
+            if pid is not None:
+                pids.append(pid)
+                works.append(g.workload)
+        return np.bincount(np.array(pids, dtype=np.int64),
+                           weights=np.array(works, dtype=np.float64),
+                           minlength=self.system.nprocs)
 
     # ------------------------------------------------------------------ #
     # consistency

@@ -174,10 +174,7 @@ def simulate_service(
                 _add_shard_requests(requests_by_gid, gids,
                                     interval_shard_requests)
                 work_by_shard = interval_shard_requests * work_per_request
-                per_pid_work = {
-                    int(p): float(interval_pid_requests[p] * work_per_request)
-                    for p in np.flatnonzero(interval_pid_requests)
-                }
+                per_pid_work = interval_pid_requests * work_per_request
                 with trc.span("service-balance", time=t) as span:
                     outcome = engine.balance(
                         t, work_by_shard, per_pid_work,

@@ -95,16 +95,16 @@ class MigrationEngine:
         self.scheme.initial_distribution(self.ctx)
 
     def balance(self, time: float, work_by_shard: np.ndarray,
-                per_pid_work: Dict[int, float],
+                per_pid_work: np.ndarray,
                 interval: float) -> MigrationOutcome:
         """Run one balance point at simulated ``time``.
 
         ``work_by_shard`` (shard order) becomes the grids' workloads;
-        ``per_pid_work`` and ``interval`` (the measured serving work and
-        wall-clock of the elapsed balance interval) become the coarse-step
-        record the gain model predicts from -- the paper's "predict the
-        coming step from the previous one", with a serving interval playing
-        the coarse step.
+        ``per_pid_work`` (pid-indexed) and ``interval`` (the measured
+        serving work and wall-clock of the elapsed balance interval) become
+        the coarse-step record the gain model predicts from -- the paper's
+        "predict the coming step from the previous one", with a serving
+        interval playing the coarse step.
         """
         self.balance_invocations += 1
         self.shard_map.update_loads(work_by_shard)

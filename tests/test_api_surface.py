@@ -7,6 +7,7 @@ name is fine -- extend this list in the same change.
 
 import inspect
 
+import numpy as np
 import pytest
 
 import repro.api as api
@@ -155,6 +156,33 @@ class TestSurface:
 
     def test_no_duplicates(self):
         assert len(api.__all__) == len(set(api.__all__))
+
+
+class TestWeightPolicyArrays:
+    """A weight policy answers with one pid-indexed ``float64`` array."""
+
+    @pytest.mark.parametrize("name", ["nominal", "measured"])
+    def test_builtin_policies_return_float64_by_pid(self, name):
+        from repro.core.policies import WEIGHT_POLICIES
+
+        system = api.build_system(api.multi_site_spec([2, 3], group_weights=[1.0, 2.5]))
+        weights = WEIGHT_POLICIES[name]().processor_weights(system, 1.0)
+        assert isinstance(weights, np.ndarray)
+        assert weights.dtype == np.float64
+        assert weights.shape == (system.nprocs,)
+        assert weights.tolist() == [1.0, 1.0, 2.5, 2.5, 2.5]
+
+    def test_nominal_weights_are_read_only(self):
+        from repro.core.policies import MeasuredWeights, NominalWeights
+
+        system = api.build_system(api.wan_spec(2))
+        nominal = NominalWeights().processor_weights(system, 0.0)
+        with pytest.raises(ValueError):
+            nominal[0] = 2.0
+        # the measured policy hands out its own copy
+        measured = MeasuredWeights().processor_weights(system, 0.0)
+        measured[0] = 2.0
+        assert NominalWeights().processor_weights(system, 0.0)[0] == 1.0
 
 
 class TestCallShape:

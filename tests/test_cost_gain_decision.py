@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.cost import CostEstimate, CostModel
@@ -53,13 +54,15 @@ class TestCostModel:
 class TestWorkloadHistory:
     def test_record_and_rotate(self):
         h = WorkloadHistory()
-        h.record_solve(0, {0: 10.0, 1: 5.0})
-        h.record_solve(1, {0: 4.0, 1: 4.0})
-        h.record_solve(1, {0: 3.0, 1: 5.0})
+        h.record_solve(0, np.array([10.0, 5.0]))
+        h.record_solve(1, np.array([4.0, 4.0]))
+        last = np.array([3.0, 5.0])
+        h.record_solve(1, last)
+        last[0] = 99.0  # the history keeps its own copy
         rec = h.end_coarse_step(walltime=2.0)
         assert rec.level_iterations == {0: 1, 1: 2}
         # the *last* solve of each level is kept (w^i_proc at time t)
-        assert rec.proc_level_loads[1] == {0: 3.0, 1: 5.0}
+        assert rec.proc_level_loads[1].tolist() == [3.0, 5.0]
         assert rec.walltime == 2.0
         assert h.last_complete is rec
         assert h.completed_steps == 1
@@ -67,10 +70,10 @@ class TestWorkloadHistory:
     def test_keep_bounds_history(self):
         h = WorkloadHistory(keep=2)
         for i in range(5):
-            h.record_solve(0, {0: float(i)})
+            h.record_solve(0, np.array([float(i)]))
             h.end_coarse_step(1.0)
         assert h.completed_steps == 2
-        assert h.last_complete.proc_level_loads[0] == {0: 4.0}
+        assert h.last_complete.proc_level_loads[0].tolist() == [4.0]
 
     def test_group_math_eq2_eq3(self):
         system = build_system(wan_spec(2),
@@ -78,18 +81,16 @@ class TestWorkloadHistory:
         rec = CoarseStepRecord(
             index=0,
             proc_level_loads={
-                0: {0: 10.0, 1: 10.0, 2: 5.0, 3: 5.0},
-                1: {0: 8.0, 1: 0.0, 2: 2.0, 3: 2.0},
+                0: np.array([10.0, 10.0, 5.0, 5.0]),
+                1: np.array([8.0, 0.0, 2.0, 2.0]),
             },
             level_iterations={0: 1, 1: 2},
             walltime=4.0,
         )
-        # Eq. 2
-        assert rec.group_level_load(system, 0, 0) == 20.0
-        assert rec.group_level_load(system, 1, 1) == 4.0
-        # Eq. 3: W_group = sum_i W^i_group * N_iter(i)
-        assert rec.group_total_load(system, 0) == 20.0 + 2 * 8.0
-        assert rec.group_total_load(system, 1) == 10.0 + 2 * 4.0
+        # Eq. 3: W_group = sum_i W^i_group * N_iter(i), with Eq. 2's
+        # W^0 = (20, 10) and W^1 = (8, 4)
+        assert rec.group_totals(system).tolist() == [20.0 + 2 * 8.0,
+                                                     10.0 + 2 * 4.0]
 
     def test_negative_walltime_raises(self):
         h = WorkloadHistory()
@@ -100,7 +101,7 @@ class TestWorkloadHistory:
 class TestEstimateGain:
     def make_history(self, loads_a, loads_b, walltime=10.0):
         h = WorkloadHistory()
-        h.record_solve(0, {0: loads_a, 1: 0.0, 2: loads_b, 3: 0.0})
+        h.record_solve(0, np.array([loads_a, 0.0, loads_b, 0.0]))
         h.end_coarse_step(walltime)
         return h
 

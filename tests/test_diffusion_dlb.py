@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.amr.applications import ShockPool3D
@@ -22,9 +23,13 @@ def diffusion(sweeps=1):
 
 class TestDiffusionTargets:
     def targets(self, loads, weights=None, sweeps=1):
+        """``_targets`` on pid-indexed arrays built from pid -> value
+        dicts (pids 0..n-1), returned as a pid -> target dict."""
         local = diffusion(sweeps).local_policy
         w = weights or {pid: 1.0 for pid in loads}
-        return local._targets(None, loads, w)
+        out = local._targets(None, np.array([loads[p] for p in range(len(loads))]),
+                             np.array([w[p] for p in range(len(loads))]))
+        return dict(enumerate(out.tolist()))
 
     def test_single_processor_identity(self):
         assert self.targets({0: 10.0}) == {0: 10.0}

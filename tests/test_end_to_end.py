@@ -124,9 +124,10 @@ class TestSchemeDynamics:
             def global_balance(self, time):
                 def imb():
                     eff = effective_level0_loads(self.ctx)
+                    roots = self.hierarchy.level_grids(0)
                     loads = {g.group_id: 0.0 for g in self.system.groups}
-                    for gid, load in eff.items():
-                        loads[self.assignment.group_of(gid)] += load
+                    for grid, load in zip(roots, eff.tolist()):
+                        loads[self.assignment.group_of(grid.gid)] += load
                     hi, lo = max(loads.values()), min(loads.values())
                     return hi / lo if lo > 0 else float("inf")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.amr.box import Box
@@ -49,9 +50,9 @@ class TestEffectiveLoads:
     def test_no_children_equals_level0_workload_times_iter(self):
         ctx, roots = make_ctx()
         eff = effective_level0_loads(ctx)
-        # no history: N_iter(0) falls back to ratio^0 == 1
-        for g in roots:
-            assert eff[g.gid] == pytest.approx(g.workload)
+        # no history: N_iter(0) falls back to ratio^0 == 1; the array is
+        # aligned with the level-0 grids
+        assert eff.tolist() == pytest.approx([g.workload for g in roots])
 
     def test_subtree_weighted_by_nominal_iterations(self):
         ctx, roots = make_ctx()
@@ -59,18 +60,20 @@ class TestEffectiveLoads:
         ctx.assignment.assign(child.gid, 0)
         eff = effective_level0_loads(ctx)
         # level 1 runs ratio^1 = 2 sub-iterations per coarse step
-        assert eff[roots[0].gid] == pytest.approx(roots[0].workload + 2 * child.workload)
+        assert eff[0] == pytest.approx(roots[0].workload + 2 * child.workload)
 
     def test_history_iterations_override_nominal(self):
         ctx, roots = make_ctx()
         child = ctx.hierarchy.add_grid(1, Box((0, 0, 0), (4, 4, 4)), roots[0].gid)
         ctx.assignment.assign(child.gid, 0)
-        ctx.history.record_solve(0, {0: 1.0})
+        loads = np.zeros(ctx.system.nprocs)
+        loads[0] = 1.0
+        ctx.history.record_solve(0, loads)
         for _ in range(5):
-            ctx.history.record_solve(1, {0: 1.0})
+            ctx.history.record_solve(1, loads)
         ctx.history.end_coarse_step(1.0)
         eff = effective_level0_loads(ctx)
-        assert eff[roots[0].gid] == pytest.approx(roots[0].workload + 5 * child.workload)
+        assert eff[0] == pytest.approx(roots[0].workload + 5 * child.workload)
 
 
 class TestPlan:

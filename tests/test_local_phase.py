@@ -417,7 +417,7 @@ class TestPlanNamesEachGridOnce:
         make_scheme("parallel").local_balance(ctx, 0, 0.0)
         assert [ctx.assignment.pid_of(g.gid)
                 for g in ctx.hierarchy.level_grids(0)] == [2, 1, 0, 0, 2]
-        assert ctx.assignment.level_loads(0) == {0: 6.0, 1: 8.0, 2: 7.0}
+        assert ctx.assignment.level_loads(0).tolist() == [6.0, 8.0, 7.0]
 
     def test_sos_diffusion_replay_runs(self, capsys):
         rc = main(["replay", "synth:bursty", "--scheme", "diffusion:sos",

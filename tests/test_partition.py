@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import GridHierarchy
+from repro.core.policies import NominalWeights
 from repro.distsys import ConstantTraffic, build_system, multi_site_spec, wan_spec
 from repro.partition import (
     GridAssignment,
@@ -21,7 +22,7 @@ from repro.runtime import root_blocks
 
 
 def _nominal(system):
-    return {p.pid: p.weight for p in system.processors}
+    return NominalWeights().processor_weights(system, 0.0)
 
 
 def make_setup(blocks=(4, 1, 1), n=16):
@@ -35,10 +36,10 @@ def make_setup(blocks=(4, 1, 1), n=16):
 
 class TestProportionalShares:
     def test_even(self):
-        assert proportional_shares(100.0, [1, 1, 1, 1]) == [25.0] * 4
+        assert proportional_shares(100.0, [1, 1, 1, 1]).tolist() == [25.0] * 4
 
     def test_weighted(self):
-        assert proportional_shares(100.0, [1, 3]) == [25.0, 75.0]
+        assert proportional_shares(100.0, [1, 3]).tolist() == [25.0, 75.0]
 
     def test_sums_to_total(self):
         shares = proportional_shares(17.3, [1.1, 2.7, 0.4])

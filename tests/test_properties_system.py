@@ -65,7 +65,7 @@ class TestGainProperties:
         """0 <= Gain <= T / N_groups for any recorded loads."""
         system = build_system(wan_spec(2), traffic=ConstantTraffic(0.0))
         hist = WorkloadHistory()
-        hist.record_solve(0, {i: loads[i] for i in range(4)})
+        hist.record_solve(0, np.array(loads))
         hist.end_coarse_step(walltime)
         gain = estimate_gain(hist, system)
         assert gain >= 0.0
@@ -79,8 +79,8 @@ class TestGainProperties:
 
         def gain_for(factor):
             hist = WorkloadHistory()
-            hist.record_solve(0, {0: 30.0 * factor, 1: 0.0,
-                                  2: 10.0 * factor, 3: 0.0})
+            hist.record_solve(0, np.array([30.0 * factor, 0.0,
+                                           10.0 * factor, 0.0]))
             hist.end_coarse_step(7.0)
             return estimate_gain(hist, system)
 

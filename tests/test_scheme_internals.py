@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.amr.box import Box
@@ -83,19 +84,19 @@ class TestImbalanceDetection:
         assert not group_imbalance_exists(ctx, nominal(ctx))
 
     def test_balanced_below_threshold(self):
-        ctx, scheme = self.setup_scheme({0: 10.0, 1: 10.0, 2: 10.2, 3: 10.0})
+        ctx, scheme = self.setup_scheme(np.array([10.0, 10.0, 10.2, 10.0]))
         assert not group_imbalance_exists(ctx, nominal(ctx))
 
     def test_imbalanced_above_threshold(self):
-        ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 10.0, 3: 0.0})
+        ctx, scheme = self.setup_scheme(np.array([20.0, 0.0, 10.0, 0.0]))
         assert group_imbalance_exists(ctx, nominal(ctx))
 
     def test_one_group_idle_counts_as_imbalance(self):
-        ctx, scheme = self.setup_scheme({0: 20.0, 1: 0.0, 2: 0.0, 3: 0.0})
+        ctx, scheme = self.setup_scheme(np.array([20.0, 0.0, 0.0, 0.0]))
         assert group_imbalance_exists(ctx, nominal(ctx))
 
     def test_all_idle_is_balanced(self):
-        ctx, scheme = self.setup_scheme({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
+        ctx, scheme = self.setup_scheme(np.array([0.0, 0.0, 0.0, 0.0]))
         assert not group_imbalance_exists(ctx, nominal(ctx))
 
 

@@ -13,6 +13,7 @@ The paper's central invariants:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.amr.box import Box
@@ -49,7 +50,7 @@ class TestParallelDLBPolicy:
         ctx = make_ctx()
         make_scheme("parallel").initial_distribution(ctx)
         loads = ctx.assignment.level_loads(0)
-        assert max(loads.values()) == pytest.approx(min(loads.values()))
+        assert loads.max() == pytest.approx(loads.min())
 
     def test_new_grids_scatter_across_groups(self):
         ctx = make_ctx()
@@ -94,7 +95,7 @@ class TestParallelDLBPolicy:
             ctx.assignment.assign(g.gid, 0)
         scheme.local_balance(ctx, 0, 0.0)
         loads = ctx.assignment.level_loads(0)
-        assert max(loads.values()) / (sum(loads.values()) / 4) < 1.3
+        assert loads.max() / (sum(loads.tolist()) / 4) < 1.3
 
     def test_global_balance_is_noop(self):
         ctx = make_ctx()
@@ -172,7 +173,7 @@ class TestDistributedDLBPolicy:
         for i, g in enumerate(slabs):
             ctx.assignment.assign(g.gid, 0 if i < 6 else 2)
         # matching history: group 0 worked 3x harder, steps are expensive
-        loads = {p: 0.0 for p in range(4)}
+        loads = np.zeros(4)
         loads[0] = 300.0
         loads[2] = 100.0
         ctx.history.record_solve(0, loads)
@@ -201,7 +202,7 @@ class TestDistributedDLBPolicy:
         scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         # balanced history
-        ctx.history.record_solve(0, {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0})
+        ctx.history.record_solve(0, np.full(4, 10.0))
         ctx.history.end_coarse_step(10.0)
         scheme.global_balance(ctx, 1.0)
         assert ctx.sim.probe_time == 0.0  # no probe when balanced

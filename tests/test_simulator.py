@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.distsys import build_system, multi_site_spec, parallel_spec, wan_spec
@@ -18,7 +19,7 @@ from repro.distsys.traffic import ConstantTraffic, DiurnalTraffic
 class TestRunCompute:
     def test_elapsed_is_max_over_processors(self):
         sim = ClusterSimulator(build_system(parallel_spec(2, base_speed=1e3)))
-        elapsed = sim.run_compute({0: 1000.0, 1: 500.0})
+        elapsed = sim.run_compute(np.array([1000.0, 500.0]))
         assert elapsed == pytest.approx(1.0)
         assert sim.clock == pytest.approx(1.0)
         assert sim.compute_time == pytest.approx(1.0)
@@ -28,16 +29,22 @@ class TestRunCompute:
                                          group_weights=[1.0, 4.0]))
         sim = ClusterSimulator(s)
         # same load -> the weight-4 processor finishes 4x sooner
-        elapsed = sim.run_compute({0: 1000.0, 1: 1000.0})
+        elapsed = sim.run_compute(np.array([1000.0, 1000.0]))
         assert elapsed == pytest.approx(1.0)  # dominated by the slow one
 
     def test_empty_loads_free(self):
         sim = ClusterSimulator(build_system(parallel_spec(2)))
-        assert sim.run_compute({}) == 0.0
+        assert sim.run_compute(np.zeros(2)) == 0.0
+        assert sim.log.of_type(ComputeEvent)[0].ideal_elapsed == 0.0
+
+    def test_loads_need_one_entry_per_processor(self):
+        sim = ClusterSimulator(build_system(parallel_spec(2)))
+        with pytest.raises(ValueError, match="one entry per processor"):
+            sim.run_compute(np.array([1.0]))
 
     def test_event_recorded(self):
         sim = ClusterSimulator(build_system(parallel_spec(2, base_speed=1e3)))
-        sim.run_compute({0: 10.0}, level=1, seq=3)
+        sim.run_compute(np.array([10.0, 0.0]), level=1, seq=3)
         ev = sim.log.of_type(ComputeEvent)
         assert len(ev) == 1
         assert ev[0].level == 1 and ev[0].seq == 3

@@ -23,8 +23,8 @@ from repro.partition import group_capacities
 
 def nominal_capacities(system):
     """Group id -> ``n_g * p_g``."""
-    return group_capacities(
-        system, {p.pid: p.weight for p in system.processors})
+    return dict(enumerate(
+        group_capacities(system, system.weight_by_pid).tolist()))
 
 
 def _two_node_topology(edges=True) -> NetworkTopology:

@@ -3,14 +3,16 @@
 Group capacities, targets and the gain used to pick nominal or measured
 weights themselves, by branching on an optional ``time``.  The reference
 functions below keep those branches as they were; the hypothesis test
-shows that the mapping a weight policy returns reproduces them bit for
-bit on random heterogeneous systems, with and without external load.
+shows that the pid-indexed array a weight policy returns reproduces them
+bit for bit on random heterogeneous systems, with and without external
+load.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +76,7 @@ def _estimate_gain_reference(history, system, time=None):
     rec = history.last_complete
     if rec is None:
         return 0.0
-    totals = rec.group_totals(system)
+    totals = dict(enumerate(rec.group_totals(system).tolist()))
     if not totals:
         return 0.0
     if time is not None:
@@ -131,9 +133,10 @@ def histories(draw, system):
     """One completed coarse step over two levels."""
     loads = st.floats(0.0, 100.0)
     history = WorkloadHistory()
-    history.record_solve(0, {p.pid: draw(loads) for p in system.processors})
+    history.record_solve(0, np.array([draw(loads) for _ in system.processors]))
     for _ in range(draw(st.integers(0, 2))):
-        history.record_solve(1, {p.pid: draw(loads) for p in system.processors})
+        history.record_solve(
+            1, np.array([draw(loads) for _ in system.processors]))
     history.end_coarse_step(draw(st.floats(0.0, 20.0)))
     return history
 
@@ -150,21 +153,24 @@ def test_policy_weights_reproduce_the_time_branches(system, time, total, data):
     nominal = NominalWeights().processor_weights(system, time)
     measured = MeasuredWeights().processor_weights(system, time)
 
+    def by_index(values):
+        return dict(enumerate(values.tolist()))
+
     # nominal weights: the former time=None branches
-    assert group_capacities(system, nominal) == {
+    assert by_index(group_capacities(system, nominal)) == {
         g.group_id: _capacity_reference(g) for g in system.groups}
-    assert group_targets(system, total, nominal) == \
+    assert by_index(group_targets(system, total, nominal)) == \
         _group_targets_reference(system, total)
-    assert processor_targets(system, total, nominal) == \
+    assert by_index(processor_targets(system, total, nominal)) == \
         _processor_targets_reference(system, total)
 
     # measured weights at t: the former time=t branches
     caps = group_capacities(system, measured)
-    assert caps == {
+    assert by_index(caps) == {
         g.group_id: _capacity_at_reference(g, time) for g in system.groups}
-    assert group_targets(system, total, measured) == \
+    assert by_index(group_targets(system, total, measured)) == \
         _group_targets_reference(system, total, time)
-    assert processor_targets(system, total, measured) == \
+    assert by_index(processor_targets(system, total, measured)) == \
         _processor_targets_reference(system, total, time)
 
     # Eq. 4: raw without capacities, normalised with the measured ones
@@ -183,7 +189,7 @@ def test_gate_sees_the_same_gain_under_equal_weights():
     system = build_system(SystemSpec(groups=(
         GroupSpec(nprocs=2, weight=2.0), GroupSpec(nprocs=2, weight=1.0))))
     history = WorkloadHistory()
-    history.record_solve(0, {p.pid: 10.0 for p in system.processors})
+    history.record_solve(0, np.full(system.nprocs, 10.0))
     history.end_coarse_step(5.0)
     ctx = SimpleNamespace(system=system, history=history,
                           scheme_params=SchemeParams())
