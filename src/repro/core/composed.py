@@ -96,7 +96,8 @@ class ComposedScheme:
     def local_balance(
         self, ctx: BalanceContext, level: int, time: float
     ) -> None:
-        """Per-level balancing opportunity (Fig. 5 'local' marks)."""
+        """Per-level balancing opportunity (Fig. 5 'local' marks); ``time``
+        is the simulated clock, at which the weights are sampled."""
         self.local_policy.local_balance(ctx, level, time, self.weight_policy)
 
     def global_balance(self, ctx: BalanceContext, time: float) -> None:

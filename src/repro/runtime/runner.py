@@ -308,7 +308,9 @@ class SAMRRunner(IntegratorHooks):
         if self.recorder is not None:
             self.recorder.on_local(level, time)
         with self.tracer.span("local_balance", level=level):
-            self.scheme.local_balance(self.ctx, level, time)
+            # weights are sampled at the simulated clock, like every other
+            # balancing hook; ``time`` is the PDE time the recorder keeps
+            self.scheme.local_balance(self.ctx, level, self.sim.clock)
 
     def global_balance(self, time: float) -> None:
         if self.recorder is not None:
