@@ -75,10 +75,11 @@ def _is_finite(value: Any) -> bool:
 
 
 def _is_box(value: Any) -> bool:
-    """``[[lo...], [hi...]]``: equal-rank integer corners, ``hi >= lo``."""
+    """``[[lo...], [hi...]]``: integer corners of equal rank >= 1,
+    ``hi >= lo``."""
     return (isinstance(value, list) and len(value) == 2
             and all(isinstance(c, list) and all(map(_is_int, c)) for c in value)
-            and len(value[0]) == len(value[1])
+            and len(value[0]) == len(value[1]) >= 1
             and all(lo <= hi for lo, hi in zip(*value)))
 
 
@@ -134,10 +135,14 @@ def encode_box(box: Box) -> List[List[int]]:
 
 
 def decode_box(data: Any) -> Box:
-    """Inverse of :func:`encode_box`; raises :class:`TraceFormatError`."""
+    """Inverse of :func:`encode_box`; raises :class:`TraceFormatError`.
+
+    :func:`_is_box` checks everything ``Box`` would, so the box is built
+    without checking it again.
+    """
     if not _is_box(data):
         raise TraceFormatError(f"malformed box {data!r}")
-    return Box(tuple(data[0]), tuple(data[1]))
+    return Box._unchecked(tuple(data[0]), tuple(data[1]))
 
 
 @dataclass

@@ -207,6 +207,7 @@ FIELD_MUTATIONS = [
     ("solve", "q", True, "field 'q' must be an integer"),
     ("global", "s", 1.5, "field 's' must be an integer"),
     ("local", "l", None, "field 'l' must be an integer"),
+    ("regrid", "b", [[[], []]], "field 'b' must be a list of boxes"),
 ]
 
 
@@ -251,6 +252,25 @@ class TestFieldTypes:
         out = capsys.readouterr().out
         assert rc == 2
         assert out.startswith("error: ") and prefix in out and message in out
+
+    def test_zero_rank_root_box_is_a_format_error(self, tmp_path, capsys):
+        """A root box ``[[], []]`` has no dimension: reading the header
+        is a TraceFormatError, not the ValueError ``Box`` would raise."""
+        from repro.cli import main
+
+        trace = _hotspot_trace()
+        trace.header["root"][0] = [[], []]
+        path = tmp_path / "bad.trace.jsonl.gz"
+        with gzip.open(path, "wt", encoding="ascii") as fh:
+            for line in [trace.header, *trace.records,
+                         {"op": "end", "n": len(trace.records)}]:
+                fh.write(json.dumps(line) + "\n")
+        with pytest.raises(TraceFormatError, match=r"malformed box \[\[\], \[\]\]"):
+            read_trace(path)
+        rc = main(["replay", str(path), "--procs", "2", "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.startswith("error: ") and "malformed box [[], []]" in out
 
 
 class TestTraceParams:
