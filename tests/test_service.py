@@ -701,7 +701,7 @@ def _replica_matrix_reference(smap):
     mask = np.zeros((S, R), dtype=bool)
     for s, gid in enumerate(smap.gids):
         primary = smap.assignment.pid_of(int(gid))
-        members = smap.group_pids[int(smap.system.pid_groups[primary])]
+        members = smap.system.group_pids[int(smap.system.pid_groups[primary])]
         start = int(np.searchsorted(members, primary))
         n = min(R, len(members))
         idx = (start + np.arange(n)) % len(members)
