@@ -63,9 +63,8 @@ def assemble_flags(hierarchy: GridHierarchy, app, level: int, time: float) -> Fl
     grids = hierarchy.level_grids(level)
     if not grids:
         return FlagField.empty(Box(hierarchy.domain.lo, hierarchy.domain.lo))
-    bound = grids[0].box
-    for g in grids[1:]:
-        bound = bound.bounding_union(g.box)
+    boxes = hierarchy.level_boxes(level)
+    bound = Box(tuple(boxes.lo.min(axis=0).tolist()), tuple(boxes.hi.max(axis=0).tolist()))
     flags = np.zeros(bound.shape, dtype=bool)
     for g in grids:
         sub = np.asarray(app.flags(level, g.box, time), dtype=bool)
@@ -143,12 +142,10 @@ def apply_cluster_boxes(
     # Discard the old fine level (and, transitively, everything finer).
     hierarchy.clear_level(fine_level)
     ratio = hierarchy.refinement_ratio
-    parents = hierarchy.level_grids(coarse_level)
-    ndim = hierarchy.domain.ndim
-    if not cluster_boxes or not parents:
+    pba = hierarchy.level_boxes(coarse_level)
+    if not cluster_boxes or not len(pba):
         return []
-    cba = BoxArray.from_boxes(cluster_boxes, ndim=ndim)
-    pba = BoxArray.from_boxes([p.box for p in parents], ndim=ndim)
+    cba = BoxArray.from_boxes(cluster_boxes, ndim=hierarchy.domain.ndim)
     ci, pi = cba.overlap_pairs(pba)
     lo = np.maximum(cba.lo[ci], pba.lo[pi])
     hi = np.minimum(cba.hi[ci], pba.hi[pi])
@@ -156,23 +153,23 @@ def apply_cluster_boxes(
     pi = pi[keep]
     piece_lo = lo[keep] * ratio
     piece_hi = hi[keep] * ratio
-    _validate_pieces(fine_level, parents, pba.refine(ratio), pi, piece_lo, piece_hi)
+    gids = hierarchy.level_gids(coarse_level)
+    _validate_pieces(fine_level, gids, pba.refine(ratio), pi, piece_lo, piece_hi)
     created: List[Grid] = []
-    for k in range(len(pi)):
+    for k, parent_gid in enumerate(gids[pi].tolist()):
         # corners come from clipped int64 arrays with hi > lo (overlapping
         # pairs only), so the validating constructor adds nothing here
         child_box = Box._unchecked(tuple(int(x) for x in piece_lo[k]),
                                    tuple(int(x) for x in piece_hi[k]))
         created.append(
-            hierarchy._insert(fine_level, child_box, parents[pi[k]].gid,
-                              work_per_cell)
+            hierarchy._insert(fine_level, child_box, parent_gid, work_per_cell)
         )
     return created
 
 
 def _validate_pieces(
     fine_level: int,
-    parents: List[Grid],
+    parent_gids: np.ndarray,
     refined: BoxArray,
     parent_idx: np.ndarray,
     piece_lo: np.ndarray,
@@ -181,7 +178,7 @@ def _validate_pieces(
     """Batched equivalent of the per-insert ``add_grid`` checks.
 
     Verifies every piece nests in its parent's refined box (``refined``
-    holds every parent's, in ``parents`` order) and that the pieces are
+    holds every parent's, in ``parent_gids`` order) and that the pieces are
     pairwise disjoint (the fine level was just cleared, so the pieces are
     the whole level).  Raises :exc:`ValueError` like
     :meth:`~repro.amr.hierarchy.GridHierarchy.add_grid` on violation.
@@ -195,7 +192,7 @@ def _validate_pieces(
         p = int(parent_idx[k])
         raise ValueError(
             f"child box {pieces.box(k)} not nested in parent "
-            f"{parents[p].gid}'s refined box {refined.box(p)}"
+            f"{parent_gids[p]}'s refined box {refined.box(p)}"
         )
     ia, ib = pieces.overlap_pairs()
     if len(ia):

@@ -84,7 +84,7 @@ def fill_ghosts(
     # level order.
     outer_ba = BoxArray.from_boxes([data[g.gid].outer for g in grids],
                                    ndim=level_dom.ndim)
-    inner_ba = BoxArray.from_boxes([g.box for g in grids], ndim=level_dom.ndim)
+    inner_ba = hierarchy.level_boxes(level)
     rows, cols = outer_ba.overlap_pairs(inner_ba)
     sibling = rows != cols
     rows, cols = rows[sibling], cols[sibling]

@@ -179,18 +179,15 @@ class FluxRegister:
         """
         if not self.sides:
             return
-        child = self.hierarchy.grid(self.child_gid)
-        fine_level_grids = self.hierarchy.level_grids(child.level)
-        coarse_grids = self.hierarchy.level_grids(self.coarse_level)
-        ndim = self.footprint.ndim
+        h = self.hierarchy
+        child = h.grid(self.child_gid)
         # Overlap discovery in two pair queries sorted by (side, grid): every
         # side slab against every coarsened fine footprint (covered mask) and
         # every coarse grid (ownership).
         outside_ba = BoxArray.from_boxes([s.outside for s in self.sides])
-        fine_ba = BoxArray.from_boxes(
-            [g.box for g in fine_level_grids], ndim
-        ).coarsen(self.ratio)
-        coarse_ba = BoxArray.from_boxes([g.box for g in coarse_grids], ndim)
+        fine_ba = h.level_boxes(child.level).coarsen(self.ratio)
+        coarse_ba = h.level_boxes(self.coarse_level)
+        coarse_gids = h.level_gids(self.coarse_level).tolist()
         cov_side, cov_j = outside_ba.overlap_pairs(fine_ba)
         cov_lo = np.maximum(outside_ba.lo[cov_side], fine_ba.lo[cov_j])
         cov_hi = np.minimum(outside_ba.hi[cov_side], fine_ba.hi[cov_j])
@@ -210,8 +207,8 @@ class FluxRegister:
             correction = sign * side.delta / dx_coarse
             # distribute the correction to whichever coarse grids own the cells
             for k in range(*np.searchsorted(own_side, (si, si + 1))):
-                coarse = coarse_grids[own_j[k]]
-                if coarse.gid not in coarse_data:
+                coarse_gid = coarse_gids[own_j[k]]
+                if coarse_gid not in coarse_data:
                     continue
                 overlap = Box._unchecked(
                     tuple(int(x) for x in own_lo[k]),
@@ -221,5 +218,5 @@ class FluxRegister:
                 mask = ~covered[local]
                 if not mask.any():
                     continue
-                view = coarse_data[coarse.gid].view(overlap)
+                view = coarse_data[coarse_gid].view(overlap)
                 view[mask] += correction[local][mask]

@@ -130,7 +130,7 @@ def plan_global_redistribution(
         return plan
     system = ctx.system
     ngroups = system.ngroups
-    gids = np.fromiter((g.gid for g in roots), dtype=np.int64, count=len(roots))
+    gids = ctx.hierarchy.level_gids(0)
     group_of = system.pid_groups[ctx.assignment.pids_of(gids.tolist())]
     loads = np.bincount(group_of, weights=eff, minlength=ngroups)
     surplus = (loads - group_targets(system, total, weights)).tolist()
@@ -141,8 +141,8 @@ def plan_global_redistribution(
     if not donors or not receivers:
         return plan
 
-    lo = np.array([g.box.lo for g in roots], dtype=np.int64)
-    hi = np.array([g.box.hi for g in roots], dtype=np.int64)
+    boxes = ctx.hierarchy.level_boxes(0)
+    lo, hi = boxes.lo, boxes.hi
     centers = (lo + hi) / 2.0
     centroids = _group_centroids(group_of, centers, ngroups,
                                  np.prod(hi - lo, axis=1).astype(np.float64))

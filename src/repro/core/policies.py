@@ -59,7 +59,7 @@ from ..partition.proportional import (
     processor_targets,
     proportional_shares,
 )
-from ..partition.sfc import CURVES, contiguous_segments, grids_curve_order
+from ..partition.sfc import CURVES, contiguous_segments, curve_order
 from .base import BalanceContext, Move, execute_moves
 from .cost import CostModel
 from .decision import Decision, decide
@@ -73,6 +73,7 @@ from .global_phase import (
 from .local_phase import lpt_assign, plan_rebalance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
+    from ..amr.boxarray import BoxArray
     from ..distsys.system import DistributedSystem
     from .registry import SchemeSpec
 
@@ -436,11 +437,6 @@ def _check_curve(curve: str) -> str:
     return curve
 
 
-def _curve_sorted(grids: List[Any], curve: str) -> List[Any]:
-    """``grids`` in space-filling-curve order (ties by gid)."""
-    return [grids[i] for i in grids_curve_order(grids, curve)]
-
-
 def _by_pid(targets: np.ndarray) -> Dict[int, float]:
     """A pid-indexed target array as the pid -> target mapping the LPT and
     rebalance planners take."""
@@ -458,10 +454,10 @@ def _group_shares(
 
 
 def _bucket_by_group(
-    ctx: BalanceContext, grids: Sequence[Any]
+    ctx: BalanceContext, grids: Sequence[Any], gids: np.ndarray
 ) -> Dict[int, List[Any]]:
-    """``grids`` bucketed by their owner's group, in the order given."""
-    owners = ctx.assignment.pids_of([g.gid for g in grids])
+    """``grids`` (whose gids are ``gids``) bucketed by their owner's group."""
+    owners = ctx.assignment.pids_of(gids.tolist())
     by_group: Dict[int, List[Any]] = {}
     for g, group_id in zip(grids, ctx.system.pid_groups[owners].tolist()):
         by_group.setdefault(group_id, []).append(g)
@@ -471,15 +467,15 @@ def _bucket_by_group(
 def _root_group_cut(
     ctx: BalanceContext,
     w0: np.ndarray,
-    order: Callable[[List[Any]], np.ndarray],
+    order: Callable[[BoxArray, np.ndarray], np.ndarray],
 ) -> Dict[int, int]:
     """gid -> group for every grid of the initial hierarchy.
 
-    Level-0 grids, walked in ``order`` (indices into the level), are cut
-    into contiguous capacity-proportional runs (Eq. 5) weighted by each
-    root's *effective* (all-levels) load, so an already adapted initial
-    hierarchy starts balanced.  Descendant grids inherit their root's group
-    (children stay with parents).
+    Level-0 grids, walked in ``order`` (indices into the level, from its
+    boxes and gids), are cut into contiguous capacity-proportional runs
+    (Eq. 5) weighted by each root's *effective* (all-levels) load, so an
+    already adapted initial hierarchy starts balanced.  Descendant grids
+    inherit their root's group (children stay with parents).
     """
     grids = ctx.hierarchy.level_grids(0)
     eff = effective_level0_loads(ctx)
@@ -488,11 +484,10 @@ def _root_group_cut(
         total = sum(g.workload for g in grids)
         eff = np.array([g.workload for g in grids], dtype=np.float64)
     targets = group_targets(ctx.system, total, w0)
-    ordered = order(grids)
+    gids = ctx.hierarchy.level_gids(0)
+    ordered = order(ctx.hierarchy.level_boxes(0), gids)
     seg = contiguous_segments(eff[ordered].tolist(), targets.tolist())
-    grid_group: Dict[int, int] = {}
-    for i, si in zip(ordered.tolist(), seg.tolist()):
-        grid_group[grids[i].gid] = si
+    grid_group = dict(zip(gids[ordered].tolist(), seg.tolist()))
     for level in range(1, ctx.hierarchy.max_levels):
         for g in ctx.hierarchy.level_grids(level):
             grid_group[g.gid] = grid_group[g.parent_gid]
@@ -529,7 +524,10 @@ class ContiguousGroupPartition(_GroupPartition):
         """Capacity-proportional split across groups, LPT within each group,
         level by level."""
         w0 = weights.processor_weights(ctx.system, 0.0)
-        grid_group = _root_group_cut(ctx, w0, _lo_order)
+        # lower corners, axis 0 first, ties by gid
+        grid_group = _root_group_cut(
+            ctx, w0, lambda boxes, gids: np.lexsort((gids, *boxes.lo.T[::-1]))
+        )
         for level in range(ctx.hierarchy.max_levels):
             by_group: Dict[int, List[Any]] = {}
             for g in ctx.hierarchy.level_grids(level):
@@ -547,14 +545,6 @@ class ContiguousGroupPartition(_GroupPartition):
         self, ctx: BalanceContext, weights: np.ndarray
     ) -> GlobalPlan:
         return plan_global_redistribution(ctx, weights)
-
-
-def _lo_order(grids: List[Any]) -> np.ndarray:
-    """Indices sorting ``grids`` by lower corner (axis 0 first), ties by
-    gid."""
-    lo = np.array([g.box.lo for g in grids], dtype=np.int64)
-    gids = np.fromiter((g.gid for g in grids), dtype=np.int64, count=len(grids))
-    return np.lexsort((gids, *lo.T[::-1]))
 
 
 class SFCPartition(_GroupPartition):
@@ -590,15 +580,17 @@ class SFCPartition(_GroupPartition):
         curve-contiguous processor segments instead of LPT, so neighbouring
         grids land on neighbouring processors."""
         w0 = weights.processor_weights(ctx.system, 0.0)
+        h = ctx.hierarchy
         grid_group = _root_group_cut(
-            ctx, w0, lambda grids: grids_curve_order(grids, self.curve)
+            ctx, w0, lambda boxes, gids: curve_order(boxes, gids, self.curve)
         )
-        for level in range(ctx.hierarchy.max_levels):
-            level_grids = ctx.hierarchy.level_grids(level)
+        for level in range(h.max_levels):
+            level_grids = h.level_grids(level)
             if not level_grids:
                 continue
+            order = curve_order(h.level_boxes(level), h.level_gids(level), self.curve)
             by_group: Dict[int, List[Any]] = {}
-            for g in _curve_sorted(level_grids, self.curve):
+            for g in [level_grids[i] for i in order.tolist()]:
                 by_group.setdefault(grid_group[g.gid], []).append(g)
             for group_id, ggrids in by_group.items():
                 group = ctx.system.groups[group_id]
@@ -626,8 +618,10 @@ class SFCPartition(_GroupPartition):
         if total <= 0:
             return plan
         targets = group_targets(ctx.system, total, weights)
-        grids = ctx.hierarchy.level_grids(0)
-        ordered = grids_curve_order(grids, self.curve).tolist()
+        h = ctx.hierarchy
+        grids = h.level_grids(0)
+        ordered = curve_order(h.level_boxes(0), h.level_gids(0),
+                              self.curve).tolist()
         ordered_eff = eff[ordered].tolist()
         seg = contiguous_segments(ordered_eff, targets.tolist())
         by_group: Dict[int, List[Tuple[Any, float]]] = {}
@@ -798,7 +792,7 @@ class GroupLocal:
         w = weights.processor_weights(ctx.system, time)
         # grids never leave their group here, so one bucketing serves
         # every group's pass
-        by_group = _bucket_by_group(ctx, grids)
+        by_group = _bucket_by_group(ctx, grids, ctx.hierarchy.level_gids(level))
         for group in ctx.system.groups:
             ggrids = by_group.get(group.group_id)
             if not ggrids:
@@ -1135,11 +1129,16 @@ class SFCLocal(_ParentPlacement):
         time: float,
         weights: WeightPolicy,
     ) -> None:
-        grids = ctx.hierarchy.level_grids(level)
+        h = ctx.hierarchy
+        grids = h.level_grids(level)
         if not grids:
             return
         w = weights.processor_weights(ctx.system, time)
-        by_group = _bucket_by_group(ctx, _curve_sorted(grids, self.curve))
+        gids = h.level_gids(level)
+        order = curve_order(h.level_boxes(level), gids, self.curve)
+        by_group = _bucket_by_group(
+            ctx, [grids[i] for i in order.tolist()], gids[order]
+        )
         for group_id, ggrids in by_group.items():
             group = ctx.system.groups[group_id]
             gtotal = sum(g.workload for g in ggrids)

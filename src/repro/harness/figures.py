@@ -347,8 +347,7 @@ def fig6_global_redistribution(cfg: Optional[ExperimentConfig] = None) -> Fig6Re
                 captures.append((pre, self._group_loads()))
 
         def _group_loads(self) -> Dict[int, float]:
-            roots = self.hierarchy.level_grids(0)
-            owners = self.assignment.pids_of([g.gid for g in roots])
+            owners = self.assignment.pids_of(self.hierarchy.level_gids(0).tolist())
             loads = np.bincount(self.system.pid_groups[owners],
                                 weights=effective_level0_loads(self.ctx),
                                 minlength=self.system.ngroups)

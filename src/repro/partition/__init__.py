@@ -15,7 +15,6 @@ from .sfc import (
     curve_bits,
     curve_key,
     curve_order,
-    grids_curve_order,
     hilbert_decode,
     hilbert_key,
     morton_decode,
@@ -41,5 +40,4 @@ __all__ = [
     "box_centroid_keys",
     "contiguous_segments",
     "curve_order",
-    "grids_curve_order",
 ]

@@ -28,12 +28,11 @@ bit).  Decoders are provided for the round-trip tests.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..amr.boxarray import BoxArray
-from ..amr.grid import Grid
 
 __all__ = [
     "CURVES",
@@ -46,7 +45,6 @@ __all__ = [
     "box_centroid_keys",
     "contiguous_segments",
     "curve_order",
-    "grids_curve_order",
 ]
 
 #: curve names accepted by :func:`curve_key` and the SFC policies
@@ -246,9 +244,3 @@ def curve_order(boxes: BoxArray, gids: Sequence[int], curve: str) -> np.ndarray:
     """
     keys = box_centroid_keys(boxes, curve)
     return np.lexsort((np.asarray(gids, dtype=np.int64), keys))
-
-
-def grids_curve_order(grids: List[Grid], curve: str) -> np.ndarray:
-    """:func:`curve_order` over ``Grid`` objects (the policies' entry point)."""
-    boxes = BoxArray.from_boxes([g.box for g in grids])
-    return curve_order(boxes, [g.gid for g in grids], curve)

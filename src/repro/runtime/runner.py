@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..amr.box import Box
-from ..amr.boxarray import BoxArray
 from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import IntegratorHooks, SAMRIntegrator, SubStep
 from ..amr.grid import Grid
@@ -228,7 +227,7 @@ class SAMRRunner(IntegratorHooks):
         self.assignment.validate()
         self.integrator = SAMRIntegrator(self.hierarchy, self, dt0=dt0)
         self._step_start_clock = 0.0
-        #: per-level message geometry, keyed by the hierarchy version at
+        #: per-level message geometry, keyed by the level's version at
         #: which it was computed (see :meth:`_level_geometry`)
         self._geometry: Dict[int, Tuple[int, Tuple[tuple, tuple]]] = {}
 
@@ -367,7 +366,7 @@ class SAMRRunner(IntegratorHooks):
     # ------------------------------------------------------------------ #
 
     def _level_geometry(self, level: int) -> Tuple[tuple, tuple]:
-        """Message geometry at ``level``, cached on the hierarchy version.
+        """Message geometry at ``level``, cached on the level's version.
 
         Returns ``(sibling, parent_child)``: the sibling pairs of
         :meth:`~repro.amr.hierarchy.GridHierarchy.sibling_pairs` as
@@ -375,21 +374,24 @@ class SAMRRunner(IntegratorHooks):
         ``(parent_gids, gids, cells)`` with the grid's surface shell as the
         prolongation/restriction volume (empty on level 0, which has no
         parents).  The gid columns are lists: they feed the owner lookups
-        of every solve at this version.
+        of every solve at this version.  A level's parents change only
+        with its own grid set, so its version keys both.
         """
-        cached = self._geometry.get(level)
-        if cached is not None and cached[0] == self.hierarchy.version:
-            return cached[1]
         h = self.hierarchy
+        version = h.level_version(level)
+        cached = self._geometry.get(level)
+        if cached is not None and cached[0] == version:
+            return cached[1]
         pairs = h.sibling_pairs(level, self.sim_params.ghost_width)
-        grids = h.level_grids(level) if level > 0 else []
-        geometry = (
-            (pairs[:, 0].tolist(), pairs[:, 1].tolist(), pairs[:, 2]),
-            ([g.parent_gid for g in grids], [g.gid for g in grids],
-             BoxArray.from_boxes([g.box for g in grids],
-                                 ndim=h.domain.ndim).surface_cells()),
-        )
-        self._geometry[level] = (h.version, geometry)
+        if level > 0:
+            parent_child = ([g.parent_gid for g in h.level_grids(level)],
+                            h.level_gids(level).tolist(),
+                            h.level_boxes(level).surface_cells())
+        else:
+            parent_child = ([], [], np.zeros(0, dtype=np.int64))
+        geometry = ((pairs[:, 0].tolist(), pairs[:, 1].tolist(), pairs[:, 2]),
+                    parent_child)
+        self._geometry[level] = (version, geometry)
         return geometry
 
     def _exchange(self, src_gids: list, dst_gids: list, cells: np.ndarray,

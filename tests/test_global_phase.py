@@ -106,10 +106,11 @@ class TestPlan:
 
     def test_plan_is_pure(self):
         ctx, _ = make_ctx(assign_split=6)
-        version_before = ctx.hierarchy.version
+        h = ctx.hierarchy
+        versions_before = [h.level_version(level) for level in range(h.max_levels)]
         clock_before = ctx.sim.clock
         plan_global_redistribution(ctx, nominal(ctx))
-        assert ctx.hierarchy.version == version_before
+        assert [h.level_version(level) for level in range(h.max_levels)] == versions_before
         assert ctx.sim.clock == clock_before
 
     def test_fine_workload_triggers_plan_even_if_level0_uniform(self):

@@ -269,7 +269,8 @@ class TestApplyClusterBoxesMatchesReference:
             pieces.append(Box(tuple(lo), tuple(hi)))
         idx = np.array(idx, dtype=np.int64)
         c = _corners(pieces).reshape(len(pieces), 2, ndim)
-        got = _outcome(_validate_pieces, 1, parents, refined, idx, c[:, 0], c[:, 1])
+        got = _outcome(_validate_pieces, 1, h.level_gids(0), refined, idx,
+                       c[:, 0], c[:, 1])
         want = _outcome(_validate_pieces_reference, 1, parents, idx, c[:, 0],
                         c[:, 1], 2)
         assert got == want

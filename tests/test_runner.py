@@ -184,14 +184,16 @@ class TestRunnerCommAttribution:
 
     def test_ghost_cache_consistent_after_redistribution(self):
         """A carve changes level-0 grids; the geometry cache must follow:
-        served at the current version, it equals a fresh computation."""
+        served at the level's current version, it equals a fresh
+        computation."""
         runner = small_runner(make_scheme("distributed"), steps=4)
         h = runner.hierarchy
         assert runner._geometry
-        for level, (version, _geometry) in runner._geometry.items():
-            assert version <= h.version
+        for level, (version, _geometry) in list(runner._geometry.items()):
+            assert version <= h.level_version(level)
             (gids_a, gids_b, cells), (parents, gids, pc_cells) = (
                 runner._level_geometry(level))
+            assert runner._geometry[level][0] == h.level_version(level)
             pairs = h.sibling_pairs(level, runner.sim_params.ghost_width)
             assert [gids_a, gids_b, cells.tolist()] == pairs.T.tolist()
             grids = h.level_grids(level) if level > 0 else []

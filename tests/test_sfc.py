@@ -34,7 +34,7 @@ from repro.partition.sfc import (
     contiguous_segments,
     curve_bits,
     curve_key,
-    grids_curve_order,
+    curve_order,
     hilbert_decode,
     hilbert_key,
     morton_decode,
@@ -127,12 +127,13 @@ class TestCentroidKeys:
     def test_grids_curve_order_ties_break_by_gid(self):
         domain = Box.cube(0, 8, 3)
         h = GridHierarchy(domain, 2, 2)
-        roots = h.create_root_grids(root_blocks(domain, (2, 1, 1)))
+        h.create_root_grids(root_blocks(domain, (2, 1, 1)))
+        boxes, gids = h.level_boxes(0), h.level_gids(0)
         # duplicate centroids cannot happen at level 0; check determinism
         # of the order itself instead
         for curve in CURVES:
-            order = grids_curve_order(roots, curve)
-            np.testing.assert_array_equal(order, grids_curve_order(roots, curve))
+            order = curve_order(boxes, gids, curve)
+            np.testing.assert_array_equal(order, curve_order(boxes, gids, curve))
 
 
 class TestContiguousSegments:
@@ -204,7 +205,8 @@ class TestSFCPolicies:
         ctx = make_sfc_ctx()
         SFCPartition(curve).initial_distribution(ctx, NominalWeights())
         grids = ctx.hierarchy.level_grids(0)
-        order = grids_curve_order(grids, curve)
+        order = curve_order(ctx.hierarchy.level_boxes(0),
+                            ctx.hierarchy.level_gids(0), curve)
         owners = [ctx.assignment.group_of(grids[i].gid) for i in order]
         # group ids along the curve never revisit an earlier group
         assert owners == sorted(owners)
