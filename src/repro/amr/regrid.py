@@ -10,16 +10,16 @@ adaptation").  The pipeline implemented here:
 3. cluster the flags into efficient boxes (Berger--Rigoutsos);
 4. clip each cluster box against the level-``l`` grids so every resulting
    child has exactly one parent (proper nesting by construction);
-5. refine the clipped pieces by the refinement ratio, check that they nest
-   and are pairwise disjoint, and install them as the new level ``l+1`` (the
-   old level ``l+1`` subtree is discarded -- the paper relies on exactly this
-   property in §4.4: after a global move of level-0 grids "the finer grids
-   would be reconstructed completely from the grids at level 0").
+5. refine the clipped pieces by the refinement ratio and insert them as the
+   new level ``l+1`` in one batch (the old level ``l+1`` subtree is
+   discarded -- the paper relies on exactly this property in §4.4: after a
+   global move of level-0 grids "the finer grids would be reconstructed
+   completely from the grids at level 0").
 
 Steps 4--5 (:func:`apply_cluster_boxes`) run on every regrid, live or
-replayed from a trace, and always validate: both pair searches -- clusters
-against parents, pieces against pieces -- are one
-:meth:`~repro.amr.boxarray.BoxArray.overlap_pairs` query each.
+replayed from a trace, and always validate: the clip is one
+:meth:`~repro.amr.boxarray.BoxArray.overlap_pairs` query, and
+:meth:`~repro.amr.hierarchy.GridHierarchy.insert_grids` checks the pieces.
 """
 
 from __future__ import annotations
@@ -128,13 +128,14 @@ def apply_cluster_boxes(
     intersected, and they come sorted cluster-major, parent-minor, which
     is the order new grid ids are allocated in.
 
-    Every call validates the new level before installing it: each piece
-    nests in its parent's refined box, and the pieces are pairwise
-    disjoint.  Clipping makes nesting hold by construction, but
-    disjointness holds only when the cluster boxes are disjoint, which a
-    workload trace cannot promise; overlapping cluster boxes raise
-    :exc:`ValueError` naming both pieces and the level, and leave the fine
-    level empty.
+    The pieces enter the fine level as one
+    :meth:`~repro.amr.hierarchy.GridHierarchy.insert_grids` batch, which
+    checks that each nests in its parent's refined box and that they are
+    pairwise disjoint, and keeps them as the level's table.  Clipping makes
+    nesting hold by construction, but disjointness holds only when the
+    cluster boxes are disjoint, which a workload trace cannot promise;
+    overlapping cluster boxes raise :exc:`ValueError` naming both pieces
+    and the level, and leave the fine level empty.
     """
     fine_level = coarse_level + 1
     if fine_level >= hierarchy.max_levels:
@@ -150,56 +151,10 @@ def apply_cluster_boxes(
     lo = np.maximum(cba.lo[ci], pba.lo[pi])
     hi = np.minimum(cba.hi[ci], pba.hi[pi])
     keep = (hi - lo).prod(axis=1) >= max(1, min_piece_cells)
-    pi = pi[keep]
-    piece_lo = lo[keep] * ratio
-    piece_hi = hi[keep] * ratio
-    gids = hierarchy.level_gids(coarse_level)
-    _validate_pieces(fine_level, gids, pba.refine(ratio), pi, piece_lo, piece_hi)
-    created: List[Grid] = []
-    for k, parent_gid in enumerate(gids[pi].tolist()):
-        # corners come from clipped int64 arrays with hi > lo (overlapping
-        # pairs only), so the validating constructor adds nothing here
-        child_box = Box._unchecked(tuple(int(x) for x in piece_lo[k]),
-                                   tuple(int(x) for x in piece_hi[k]))
-        created.append(
-            hierarchy._insert(fine_level, child_box, parent_gid, work_per_cell)
-        )
-    return created
-
-
-def _validate_pieces(
-    fine_level: int,
-    parent_gids: np.ndarray,
-    refined: BoxArray,
-    parent_idx: np.ndarray,
-    piece_lo: np.ndarray,
-    piece_hi: np.ndarray,
-) -> None:
-    """Batched equivalent of the per-insert ``add_grid`` checks.
-
-    Verifies every piece nests in its parent's refined box (``refined``
-    holds every parent's, in ``parent_gids`` order) and that the pieces are
-    pairwise disjoint (the fine level was just cleared, so the pieces are
-    the whole level).  Raises :exc:`ValueError` like
-    :meth:`~repro.amr.hierarchy.GridHierarchy.add_grid` on violation.
-    """
-    pieces = BoxArray(np.stack([piece_lo, piece_hi], axis=1))
-    nested = (
-        (refined.lo[parent_idx] <= piece_lo) & (refined.hi[parent_idx] >= piece_hi)
-    ).all(axis=1)
-    if not bool(nested.all()):
-        k = int(np.argmin(nested))
-        p = int(parent_idx[k])
-        raise ValueError(
-            f"child box {pieces.box(k)} not nested in parent "
-            f"{parent_gids[p]}'s refined box {refined.box(p)}"
-        )
-    ia, ib = pieces.overlap_pairs()
-    if len(ia):
-        raise ValueError(
-            f"box {pieces.box(ib[0])} overlaps box {pieces.box(ia[0])} "
-            f"on level {fine_level}"
-        )
+    pieces = BoxArray(np.stack([lo[keep], hi[keep]], axis=1) * ratio)
+    return hierarchy.insert_grids(fine_level, pieces,
+                                  hierarchy.level_gids(coarse_level)[pi[keep]],
+                                  work_per_cell)
 
 
 def regrid_level(

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..box import Box
+from ..boxarray import BoxArray
 from ..hierarchy import GridHierarchy
 from ..integrator import IntegratorHooks, SAMRIntegrator, SubStep
 from ..regrid import RegridParams, regrid_level
@@ -127,7 +128,7 @@ class AdvectionDriver(IntegratorHooks):
         self.domain_cells = int(domain_cells)
         domain = Box((0,) * ndim, (domain_cells,) * ndim)
         self.hierarchy = GridHierarchy(domain, refinement_ratio, max_levels)
-        self.hierarchy.create_root_grids([domain])
+        self.hierarchy.create_root_grids(BoxArray.from_box(domain))
         self.criterion = GradientCriterion(threshold)
         self.regrid_params = regrid_params or RegridParams()
         self.initial = initial

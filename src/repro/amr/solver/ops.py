@@ -79,12 +79,12 @@ def fill_ghosts(
     grids = hierarchy.level_grids(level)
     level_dom = hierarchy.level_domain(level)
     # Sibling-overlap discovery for the whole level in one pair query:
-    # ghosted outer box of every grid against every interior.  The pairs
-    # come sorted by (grid, other), so each grid's copies below run in
-    # level order.
-    outer_ba = BoxArray.from_boxes([data[g.gid].outer for g in grids],
-                                   ndim=level_dom.ndim)
+    # ghosted outer box of every grid (its table row grown by its nghost)
+    # against every interior.  The pairs come sorted by (grid, other), so
+    # each grid's copies below run in level order.
     inner_ba = hierarchy.level_boxes(level)
+    nghost = np.array([data[g.gid].nghost for g in grids], dtype=np.int64)
+    outer_ba = BoxArray(inner_ba.corners + np.stack([-nghost, nghost], axis=1)[:, :, None])
     rows, cols = outer_ba.overlap_pairs(inner_ba)
     sibling = rows != cols
     rows, cols = rows[sibling], cols[sibling]

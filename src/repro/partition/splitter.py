@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..amr.boxarray import BoxArray
 from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from .mapping import GridAssignment
@@ -43,12 +44,10 @@ def split_level0_grid(
     if grid.level != 0:
         raise ValueError(f"only level-0 grids may be split, got level {grid.level}")
     owner = assignment.pid_of(gid)
-    low_box, high_box = grid.box.split(axis, at)
-    wpc = grid.work_per_cell
+    halves = BoxArray.from_boxes(grid.box.split(axis, at))
     hierarchy.remove_grid(gid)  # removes the whole subtree
     assignment.prune()
-    low = hierarchy._insert(0, low_box, None, wpc)
-    high = hierarchy._insert(0, high_box, None, wpc)
+    low, high = hierarchy.insert_grids(0, halves, None, grid.work_per_cell)
     assignment.assign(low.gid, owner)
     assignment.assign(high.gid, owner)
     return low, high

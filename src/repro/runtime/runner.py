@@ -10,12 +10,12 @@ hooks delegate to the scheme (Fig. 4's control flow).
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..amr.box import Box
+from ..amr.boxarray import BoxArray
 from ..amr.hierarchy import GridHierarchy
 from ..amr.integrator import IntegratorHooks, SAMRIntegrator, SubStep
 from ..amr.grid import Grid
@@ -95,12 +95,12 @@ def _paired_batch(
     return MessageBatch.of_kind(s, d, b, kind)
 
 
-def root_blocks(domain: Box, blocks_per_axis: Sequence[int]) -> List[Box]:
+def root_blocks(domain: Box, blocks_per_axis: Sequence[int]) -> BoxArray:
     """Tile ``domain`` into a regular lattice of blocks.
 
     Every axis count must divide the domain size on that axis exactly.
     Blocks are ordered lexicographically by their lattice position, so the
-    list is contiguous along axis 0 first -- the layout the distributed
+    rows are contiguous along axis 0 first -- the layout the distributed
     scheme's contiguous group split relies on.
     """
     ndim = domain.ndim
@@ -113,13 +113,11 @@ def root_blocks(domain: Box, blocks_per_axis: Sequence[int]) -> List[Box]:
             raise ValueError(
                 f"axis {d}: {counts[d]} blocks do not divide {shape[d]} cells"
             )
-    sizes = [shape[d] // counts[d] for d in range(ndim)]
-    blocks = []
-    for idx in itertools.product(*(range(c) for c in counts)):
-        lo = tuple(domain.lo[d] + idx[d] * sizes[d] for d in range(ndim))
-        hi = tuple(domain.lo[d] + (idx[d] + 1) * sizes[d] for d in range(ndim))
-        blocks.append(Box(lo, hi))
-    return blocks
+    sizes = np.array(shape, dtype=np.int64) // counts
+    # lattice positions in row-major order: the last axis varies fastest
+    position = np.indices(counts).reshape(ndim, -1).T
+    lo = np.array(domain.lo, dtype=np.int64) + position * sizes
+    return BoxArray(np.ascontiguousarray(np.stack([lo, lo + sizes], axis=1)))
 
 
 class SAMRRunner(IntegratorHooks):

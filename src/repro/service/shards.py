@@ -35,6 +35,7 @@ from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from ..distsys.system import DistributedSystem
 from ..partition.mapping import GridAssignment
+from ..runtime.runner import root_blocks
 
 __all__ = ["ShardMap", "build_shard_hierarchy"]
 
@@ -55,11 +56,7 @@ def build_shard_hierarchy(nshards: int, shard_side: int) -> GridHierarchy:
         raise ValueError(f"shard_side must be >= 2, got {shard_side}")
     domain = Box((0, 0), (nshards * shard_side, shard_side))
     hierarchy = GridHierarchy(domain, refinement_ratio=2, max_levels=1)
-    boxes = [
-        Box((i * shard_side, 0), ((i + 1) * shard_side, shard_side))
-        for i in range(nshards)
-    ]
-    hierarchy.create_root_grids(boxes, work_per_cell=1.0)
+    hierarchy.create_root_grids(root_blocks(domain, (nshards, 1)), work_per_cell=1.0)
     return hierarchy
 
 

@@ -22,6 +22,7 @@ import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..amr.box import Box
+from ..amr.boxarray import BoxArray
 from ..amr.integrator import SubStep
 from ..obs import get_default_metrics
 from .schema import Trace, build_header, encode_box, write_trace
@@ -47,7 +48,7 @@ class TraceRecorder:
         self.scheme_name = scheme_name
         self.records: List[Dict[str, Any]] = []
         self.runner = None
-        self._root_boxes: List[Box] = []
+        self._root_boxes: Optional[BoxArray] = None
         self._root_wpc = 1.0
         self._nglobals = 0
 
@@ -56,9 +57,8 @@ class TraceRecorder:
     def attach(self, runner) -> None:
         """Called once by the runner, right after the root grids exist."""
         self.runner = runner
-        roots = runner.hierarchy.level_grids(0)
-        self._root_boxes = [g.box for g in roots]
-        self._root_wpc = roots[0].work_per_cell
+        self._root_boxes = runner.hierarchy.level_boxes(0)
+        self._root_wpc = runner.hierarchy.level_grids(0)[0].work_per_cell
 
     def on_global(self, time: float) -> None:
         self.records.append({"op": "global", "t": time, "s": self._nglobals})

@@ -343,10 +343,11 @@ def generate_trace(workload: SyntheticWorkload, *, steps: int, nprocs: int,
         raise ValueError("steps must be >= 1")
     hierarchy = GridHierarchy(workload.domain, workload.refinement_ratio,
                               workload.max_levels)
-    boxes = root_blocks(workload.domain,
-                        default_blocks_per_axis(workload.domain, nprocs))
     root_wpc = workload.work_per_cell(0)
-    hierarchy.create_root_grids(boxes, work_per_cell=root_wpc)
+    hierarchy.create_root_grids(
+        root_blocks(workload.domain, default_blocks_per_axis(workload.domain, nprocs)),
+        work_per_cell=root_wpc)
+    roots = hierarchy.level_boxes(0)
     records: List[dict] = []
     builder = _SynthBuilder(workload, hierarchy, records, min_piece_cells)
     # initial adaptation, mirroring SAMRRunner.__init__
@@ -364,7 +365,7 @@ def generate_trace(workload: SyntheticWorkload, *, steps: int, nprocs: int,
         domain=workload.domain,
         refinement_ratio=workload.refinement_ratio,
         max_levels=workload.max_levels,
-        root_boxes=boxes,
+        root_boxes=roots,
         root_wpc=root_wpc,
         min_piece_cells=min_piece_cells,
         seed=workload.seed,

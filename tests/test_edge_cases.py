@@ -14,8 +14,7 @@ class TestDefaultBlocks:
         """Never creates blocks thinner than 2 cells."""
         counts = default_blocks_per_axis(Box.cube(0, 8, 3), nprocs=64)
         domain = Box.cube(0, 8, 3)
-        for b in root_blocks(domain, counts):
-            assert min(b.shape) >= 2
+        assert root_blocks(domain, counts).shapes().min() >= 2
 
     def test_single_processor_still_splits_for_granularity(self):
         counts = default_blocks_per_axis(Box.cube(0, 16, 3), nprocs=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.integrator import (
     IntegratorHooks,
@@ -91,7 +92,7 @@ class TestSAMRIntegrator:
     def test_no_fine_grids_no_recursion(self):
         domain = Box.cube(0, 8, 2)
         h = GridHierarchy(domain, 2, 3)
-        h.create_root_grids([domain])
+        h.create_root_grids(BoxArray.from_box(domain))
         hooks = RecordingHooks()
         SAMRIntegrator(h, hooks).step()
         assert [s.level for s in hooks.solves] == [0]

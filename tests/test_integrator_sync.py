@@ -4,6 +4,7 @@ from __future__ import annotations
 
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.integrator import IntegratorHooks, SAMRIntegrator
 from repro.runtime import root_blocks
@@ -62,7 +63,7 @@ class TestSynchronizeHook:
     def test_no_sync_without_fine_grids(self):
         domain = Box.cube(0, 8, 2)
         h = GridHierarchy(domain, 2, 3)
-        h.create_root_grids([domain])
+        h.create_root_grids(BoxArray.from_box(domain))
         hooks = SyncRecorder()
         SAMRIntegrator(h, hooks).step()
         assert not any(c[0] == "sync" for c in hooks.calls)

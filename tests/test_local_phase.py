@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.grid import Grid
 from repro.amr.hierarchy import GridHierarchy
 from repro.cli import main
@@ -124,7 +125,8 @@ def _tiny_level():
     from pid 1 to 2 and later from 2 to 0, naming it twice."""
     cuts = [0, 4, 12, 17, 18, 21]
     h = GridHierarchy(Box((0,), (21,)), 2, 1)
-    h.create_root_grids([Box((lo,), (hi,)) for lo, hi in zip(cuts, cuts[1:])])
+    h.create_root_grids(
+        BoxArray.from_boxes([Box((lo,), (hi,)) for lo, hi in zip(cuts, cuts[1:])]))
     system = build_system(parallel_spec(3))
     ctx = BalanceContext(hierarchy=h, assignment=GridAssignment(h, system),
                          system=system, sim=ClusterSimulator(system))

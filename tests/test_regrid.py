@@ -12,7 +12,6 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import (
     RegridParams,
-    _validate_pieces,
     apply_cluster_boxes,
     assemble_flags,
     regrid_level,
@@ -247,8 +246,10 @@ class TestApplyClusterBoxesMatchesReference:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_property_validate_pieces_matches(self, data):
-        """Pieces drawn mostly inside their parent's refined box, sometimes
-        anywhere, so both the nesting and the overlap raise are reached."""
+        """``insert_grids`` checks a fine level's pieces as the former
+        ``_validate_pieces`` did.  Pieces drawn mostly inside their parent's
+        refined box, sometimes anywhere, so both the nesting and the
+        overlap raise are reached."""
         ndim = data.draw(st.sampled_from([2, 3]))
         domain = Box.cube(0, 8, ndim)
         h = GridHierarchy(domain, 2, 2)
@@ -269,11 +270,15 @@ class TestApplyClusterBoxesMatchesReference:
             pieces.append(Box(tuple(lo), tuple(hi)))
         idx = np.array(idx, dtype=np.int64)
         c = _corners(pieces).reshape(len(pieces), 2, ndim)
-        got = _outcome(_validate_pieces, 1, h.level_gids(0), refined, idx,
-                       c[:, 0], c[:, 1])
+
+        def insert():
+            h.insert_grids(1, BoxArray(c), h.level_gids(0)[idx], 1.0)
+
+        got = _outcome(insert)
         want = _outcome(_validate_pieces_reference, 1, parents, idx, c[:, 0],
                         c[:, 1], 2)
         assert got == want
+        assert len(h.level_grids(1)) == (0 if got else len(pieces))
 
     def test_overlapping_cluster_boxes_raise(self):
         app = BoxFlagApp(Box((0, 0, 0), (1, 1, 1)))

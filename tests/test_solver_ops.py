@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.grid import Grid
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.solver import (
@@ -113,7 +114,7 @@ class TestFillGhosts:
         domain = Box((0, 0), (8, 4))
         h = GridHierarchy(domain, 2, 2)
         left, right = h.create_root_grids(
-            [Box((0, 0), (4, 4)), Box((4, 0), (8, 4))]
+            BoxArray.from_boxes([Box((0, 0), (4, 4)), Box((4, 0), (8, 4))])
         )
         data = {
             left.gid: GridData(left),
@@ -142,7 +143,7 @@ class TestFillGhosts:
     def test_parent_ghosts_interpolated(self):
         domain = Box((0, 0), (8, 8))
         h = GridHierarchy(domain, 2, 2)
-        (root,) = h.create_root_grids([domain])
+        (root,) = h.create_root_grids(BoxArray.from_box(domain))
         child = h.add_grid(1, Box((4, 4), (8, 8)), root.gid)
         pdata = GridData(root)
         pdata.set_from_function(lambda x, y: x, cell_width=1.0)
@@ -183,11 +184,12 @@ def ghost_levels(draw):
     ndim = draw(st.sampled_from([2, 3]))
     domain = Box.cube(0, 8, ndim)
     h = GridHierarchy(domain, 2, 2)
-    (root,) = h.create_root_grids([domain])
+    (root,) = h.create_root_grids(BoxArray.from_box(domain))
     blocks = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=ndim, max_size=ndim))
     tiles = root_blocks(domain.refine(2), blocks)
     keep = draw(st.lists(st.booleans(), min_size=len(tiles), max_size=len(tiles)))
-    for tile in draw(st.permutations([t for t, k in zip(tiles, keep) if k])):
+    kept = [tiles.box(i) for i, k in enumerate(keep) if k]
+    for tile in draw(st.permutations(kept)):
         h.add_grid(1, tile, root.gid)
     return h
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import ExecParams, FaultParams, TraceParams
+from repro.core.registry import available_schemes
 from repro.exec import make_executor
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -39,7 +40,8 @@ DATA = Path(__file__).parent / "data"
 
 SMALL = ExperimentConfig(procs_per_group=2, steps=3, domain_cells=16,
                          max_levels=3)
-ALL_SCHEMES = ("parallel", "distributed", "static", "diffusion")
+#: every registered scheme (the built-ins, at collection time)
+ALL_SCHEMES = available_schemes()
 
 
 def _events_as_tuples(result):
