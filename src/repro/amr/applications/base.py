@@ -116,23 +116,6 @@ class AMRApplication:
         """
         return 1.0
 
-    # ------------------------------------------------------------------ #
-    # conveniences
-    # ------------------------------------------------------------------ #
-
-    def flag_fraction(self, level: int, time: float) -> float:
-        """Fraction of the whole level-``level`` domain that is flagged.
-
-        Diagnostic used by tests and workload reports; evaluates the flags
-        over the full domain at that level's resolution.
-        """
-        dom = Box(
-            tuple(l * self.refinement_ratio**level for l in self.domain.lo),
-            tuple(h * self.refinement_ratio**level for h in self.domain.hi),
-        )
-        f = self.flags(level, dom, time)
-        return float(np.count_nonzero(f)) / dom.ncells
-
     def describe(self) -> str:
         """One-line description for reports."""
         return (

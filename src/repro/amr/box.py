@@ -158,17 +158,6 @@ class Box:
         self._check_rank_vec(p)
         return all(l <= x < h for l, x, h in zip(self.lo, p, self.hi))
 
-    def bounding_union(self, other: "Box") -> "Box":
-        """Smallest box containing both boxes (not a set union)."""
-        self._check_rank(other)
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(max(a, b) for a, b in zip(self.hi, other.hi))
-        return Box(lo, hi)
-
     def difference(self, other: "Box") -> Tuple["Box", ...]:
         """Decompose ``self - other`` into disjoint boxes.
 
@@ -302,10 +291,6 @@ class Box:
         recv_self = self.grow(ghost).intersection(other).ncells - direct
         recv_other = other.grow(ghost).intersection(self).ncells - direct
         return max(0, recv_self) + max(0, recv_other)
-
-    def is_adjacent(self, other: "Box", ghost: int = 1) -> bool:
-        """True if the boxes are disjoint but within ``ghost`` cells."""
-        return (not self.intersects(other)) and self.shared_face_area(other, ghost) > 0
 
     # ------------------------------------------------------------------ #
     # iteration helpers

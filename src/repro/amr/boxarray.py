@@ -87,10 +87,6 @@ class BoxArray:
         """A one-element batch (convenient broadcasting partner)."""
         return cls.from_boxes([box])
 
-    def to_boxes(self) -> List[Box]:
-        """Unpack into scalar :class:`Box` objects (clamping ``hi >= lo``)."""
-        return [self.box(i) for i in range(len(self))]
-
     def box(self, i: int) -> Box:
         """The ``i``-th entry as a :class:`Box` (clamping ``hi >= lo``)."""
         lo = self.corners[i, 0]

@@ -50,11 +50,6 @@ class FlagField:
     def any(self) -> bool:
         return bool(self.flags.any())
 
-    def flagged_coordinates(self) -> np.ndarray:
-        """Lattice coordinates of flagged cells, shape ``(nflagged, ndim)``."""
-        idx = np.argwhere(self.flags)
-        return idx + np.asarray(self.box.lo, dtype=idx.dtype)
-
     def restrict(self, sub: Box) -> "FlagField":
         """The flag field over ``sub`` (must be contained in :attr:`box`)."""
         if not self.box.contains(sub):

@@ -54,24 +54,17 @@ class CostModel:
         if initial_delta < 0:
             raise ValueError(f"initial_delta must be >= 0, got {initial_delta}")
         self._delta = float(initial_delta)
-        self._nmeasurements = 0
 
     @property
     def delta(self) -> float:
         """Current remembered computational overhead (seconds)."""
         return self._delta
 
-    @property
-    def nmeasurements(self) -> int:
-        """How many actual redistributions have refreshed ``delta``."""
-        return self._nmeasurements
-
     def record_overhead(self, measured_seconds: float) -> None:
         """Store the computational overhead of the redistribution just done."""
         if measured_seconds < 0:
             raise ValueError(f"measured_seconds must be >= 0, got {measured_seconds}")
         self._delta = float(measured_seconds)
-        self._nmeasurements += 1
 
     def estimate(self, alpha: float, beta: float, migrate_bytes: float) -> CostEstimate:
         """Evaluate Eq. 1 for a planned migration of ``migrate_bytes``.

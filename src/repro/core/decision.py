@@ -25,11 +25,6 @@ class Decision:
     gamma: float
     invoke: bool
 
-    @property
-    def margin(self) -> float:
-        """``gain - gamma*cost``; positive means redistribution fires."""
-        return self.gain - self.gamma * self.cost
-
 
 def decide(gain: float, cost: CostEstimate, gamma: float) -> Decision:
     """Apply the paper's gate to an estimated gain and cost."""

@@ -104,10 +104,6 @@ class WorkloadHistory:
         """The most recent fully recorded coarse step (None before the first)."""
         return self._complete[-1] if self._complete else None
 
-    @property
-    def completed_steps(self) -> int:
-        return len(self._complete)
-
 
 def estimate_gain(
     history: WorkloadHistory,

@@ -53,8 +53,6 @@ class Scheduler:
         self._running: Dict[str, Tuple[Any, Any]] = {}  # job_id -> (proc, conn)
         self._watchers: Dict[str, asyncio.Task] = {}
         self._seq = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         #: set once a force-drain decided nothing more may start
         self._stopped = False
 
@@ -134,7 +132,6 @@ class Scheduler:
         job._submitted_at = time.monotonic()
         self.state.add(job)
         self.state.metrics.counter("serve.jobs_submitted").inc()
-        self._idle.clear()
         return job
 
     def _enqueue(self, job: Job) -> None:
@@ -249,7 +246,6 @@ class Scheduler:
         await job.push_update(done)
         if job.parent_id is not None:
             await self._child_finished(job)
-        self._check_idle()
 
     async def _child_finished(self, child: Job) -> None:
         parent = self.state.get(child.parent_id)
@@ -289,7 +285,6 @@ class Scheduler:
         await parent.push_update({"event": "done", "job_id": parent.job_id,
                                   "status": status, "cached": False,
                                   "runs": runs})
-        self._check_idle()
 
     def running_count(self) -> int:
         return len(self._running)
@@ -332,7 +327,6 @@ class Scheduler:
         """Stop accepting submissions; with ``force``, cancel everything."""
         self.state.draining = True
         if not force:
-            self._check_idle()
             return
         self._stopped = True
         for job in self.queue.drain():
@@ -343,12 +337,3 @@ class Scheduler:
             if job is not None:
                 job.cancel_requested = True
             self._running[job_id][0].terminate()
-        self._check_idle()
-
-    async def wait_idle(self) -> None:
-        """Block until no job is queued or running."""
-        await self._idle.wait()
-
-    def _check_idle(self) -> None:
-        if not self._running and not len(self.queue) and not self.state.in_flight():
-            self._idle.set()

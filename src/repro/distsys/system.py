@@ -80,8 +80,7 @@ class DistributedSystem:
         self._processors: List[Processor] = [
             self._procs[pid] for pid in range(nprocs)
         ]
-        #: group id of every processor, indexed by pid (group-indexed
-        #: replacement for pairwise ``is_remote`` scans)
+        #: group id of every processor, indexed by pid
         self.pid_groups: np.ndarray = np.fromiter(
             (p.group_id for p in self._processors), dtype=np.int64, count=nprocs
         )
@@ -131,13 +130,6 @@ class DistributedSystem:
 
     def processor(self, pid: int) -> Processor:
         return self._procs[pid]
-
-    def group_of(self, pid: int) -> Group:
-        return self.groups[self._procs[pid].group_id]
-
-    def is_remote(self, pid_a: int, pid_b: int) -> bool:
-        """True when the two processors live in different groups."""
-        return self._procs[pid_a].group_id != self._procs[pid_b].group_id
 
     def route_between(self, group_a: int, group_b: int) -> Route:
         """The precomputed route between two (distinct) groups."""

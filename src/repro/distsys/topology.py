@@ -212,9 +212,6 @@ class TopologyEdge:
     v: int
     link: Link
 
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
-
 
 class Route:
     """The path a message between two groups takes.

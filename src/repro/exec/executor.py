@@ -128,10 +128,6 @@ class ExecStats:
         return sum(t.wall_seconds for t in self.tasks)
 
     @property
-    def max_queue_seconds(self) -> float:
-        return max((t.queue_seconds for t in self.tasks), default=0.0)
-
-    @property
     def speedup_over_serial(self) -> float:
         """``run_wall_seconds / elapsed_seconds`` -- how much faster the
         batch finished than executing its runs back to back.  Driven above 1

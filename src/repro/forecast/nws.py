@@ -171,10 +171,6 @@ class AdaptiveForecaster(Forecaster):
                 best, best_mae = pred, mae
         return best
 
-    def member_errors(self) -> List[float]:
-        """Mean absolute error per member (inf before any scoring)."""
-        return [t.error / t.n if t.n else float("inf") for t in self._members]
-
     def reset(self) -> None:
         for t in self._members:
             t.forecaster.reset()

@@ -67,10 +67,6 @@ class ReplicatedResult:
             f"{len(self.seeds)} traffic seeds)"
         )
 
-    def exec_summary(self) -> str:
-        """One-line execution summary (empty when no stats were recorded)."""
-        return self.exec_stats.summary() if self.exec_stats is not None else ""
-
 
 def replicate(
     config: ExperimentConfig,

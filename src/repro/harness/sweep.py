@@ -126,13 +126,6 @@ class SweepResult:
         vals = self.improvements
         return sum(vals) / len(vals) if vals else 0.0
 
-    def by_label(self) -> Dict[str, PairedResult]:
-        return {p.config.label: p for p in self.pairs}
-
-    def exec_summary(self) -> str:
-        """One-line execution summary (empty when no stats were recorded)."""
-        return self.exec_stats.summary() if self.exec_stats is not None else ""
-
 
 def _run_pairs(
     configs: Sequence[ExperimentConfig],

@@ -59,11 +59,6 @@ class RunResult:
     #: result cache and the persistence layer.
     service: Optional[Dict[str, Any]] = None
 
-    @property
-    def comm_fraction(self) -> float:
-        """Share of wall-clock spent communicating."""
-        return self.comm_time / self.total_time if self.total_time > 0 else 0.0
-
     def improvement_over(self, other: "RunResult") -> float:
         """Relative execution-time improvement of *this* run vs ``other``.
 

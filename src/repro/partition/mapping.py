@@ -75,9 +75,6 @@ class GridAssignment:
         except KeyError as exc:
             raise KeyError(f"grid {exc.args[0]} is not assigned") from None
 
-    def is_assigned(self, gid: int) -> bool:
-        return gid in self._owner
-
     def prune(self) -> None:
         """Drop assignments of grids no longer in the hierarchy."""
         stale = [gid for gid in self._owner if not self.hierarchy.has_grid(gid)]

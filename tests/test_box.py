@@ -89,17 +89,6 @@ class TestSetOps:
         assert b.contains_point((3, 3))
         assert not b.contains_point((4, 0))
 
-    def test_bounding_union(self):
-        a = Box((0, 0), (2, 2))
-        b = Box((4, 4), (6, 6))
-        assert a.bounding_union(b) == Box((0, 0), (6, 6))
-
-    def test_bounding_union_with_empty(self):
-        a = Box((0, 0), (2, 2))
-        e = Box((5, 5), (5, 5))
-        assert a.bounding_union(e) == a
-        assert e.bounding_union(a) == a
-
     def test_difference_no_overlap(self):
         a = Box((0,), (4,))
         assert a.difference(Box((10,), (12,))) == (a,)
@@ -202,12 +191,6 @@ class TestFaces:
         b = Box((5, 5), (7, 7))
         assert a.shared_face_area(b) == 0
 
-    def test_is_adjacent(self):
-        a = Box((0, 0), (2, 2))
-        assert a.is_adjacent(Box((2, 0), (4, 2)))
-        assert not a.is_adjacent(Box((1, 1), (3, 3)))  # overlapping not adjacent
-        assert not a.is_adjacent(Box((6, 6), (8, 8)))
-
     def test_wider_ghost_reaches_farther(self):
         a = Box((0, 0), (2, 2))
         b = Box((3, 0), (5, 2))
@@ -281,11 +264,6 @@ class TestProperties:
     @given(boxes(), boxes())
     def test_intersects_iff_nonempty_intersection(self, a, b):
         assert a.intersects(b) == (not a.intersection(b).is_empty)
-
-    @given(boxes(), boxes())
-    def test_bounding_union_contains_both(self, a, b):
-        u = a.bounding_union(b)
-        assert u.contains(a) and u.contains(b)
 
     @given(boxes(), st.integers(min_value=1, max_value=4))
     def test_coarsen_covers(self, a, r):

@@ -354,7 +354,7 @@ class TestOverlapPairsMatchesReference:
 def test_roundtrip_and_box_accessor():
     boxes = [Box((0, 0), (2, 3)), Box((5, 5), (5, 9)), Box((-4, 1), (0, 2))]
     ba = BoxArray.from_boxes(boxes)
-    assert ba.to_boxes() == boxes
+    assert [ba.box(i) for i in range(len(ba))] == boxes
     # inverted entries clamp on unpacking, like Box.intersection
     inv = BoxArray(np.array([[[3, 0], [1, 4]]]))
     assert inv.box(0) == Box((3, 0), (3, 4))

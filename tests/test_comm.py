@@ -163,7 +163,7 @@ def _phase_time_reference(system, messages, time):
         if msg.src == msg.dst:
             continue  # self-message: no network cost
         bundles[(msg.src, msg.dst)] = bundles.get((msg.src, msg.dst), 0.0) + msg.nbytes
-        if system.is_remote(msg.src, msg.dst):
+        if system.pid_groups[msg.src] != system.pid_groups[msg.dst]:
             result.remote_messages += 1
             result.remote_bytes += msg.nbytes
             kind = msg.kind.value

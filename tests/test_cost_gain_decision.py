@@ -24,7 +24,6 @@ class TestCostModel:
         assert model.delta == 0.5
         model.record_overhead(0.12)
         assert model.delta == 0.12
-        assert model.nmeasurements == 1
         est = model.estimate(0.0, 0.0, 0.0)
         assert est.total == pytest.approx(0.12)
 
@@ -65,14 +64,14 @@ class TestWorkloadHistory:
         assert rec.proc_level_loads[1].tolist() == [3.0, 5.0]
         assert rec.walltime == 2.0
         assert h.last_complete is rec
-        assert h.completed_steps == 1
+        assert len(h._complete) == 1
 
     def test_keep_bounds_history(self):
         h = WorkloadHistory(keep=2)
         for i in range(5):
             h.record_solve(0, np.array([float(i)]))
             h.end_coarse_step(1.0)
-        assert h.completed_steps == 2
+        assert len(h._complete) == 2
         assert h.last_complete.proc_level_loads[0].tolist() == [4.0]
 
     def test_group_math_eq2_eq3(self):
@@ -139,7 +138,6 @@ class TestDecide:
     def test_gate_fires_above_gamma_cost(self):
         d = decide(gain=1.0, cost=self.est(0.4), gamma=2.0)
         assert d.invoke
-        assert d.margin == pytest.approx(0.2)
 
     def test_gate_blocks_below(self):
         d = decide(gain=0.5, cost=self.est(0.4), gamma=2.0)

@@ -331,7 +331,7 @@ class TestHarnessIntegration:
                              executor=ParallelExecutor(jobs=2))
         assert serial.exec_stats is not None and parallel.exec_stats is not None
         assert parallel.exec_stats.jobs == 2
-        assert "runs" in parallel.exec_summary()
+        assert "runs" in parallel.exec_stats.summary()
         for s, p in zip(serial.pairs, parallel.pairs):
             assert comparable(s.parallel) == comparable(p.parallel)
             assert comparable(s.distributed) == comparable(p.distributed)
@@ -356,7 +356,7 @@ class TestHarnessIntegration:
                         seeds=(1, 2), executor=SerialExecutor())
         assert len(rep.pairs) == 2
         assert rep.exec_stats is not None and rep.exec_stats.ntasks == 4
-        assert rep.exec_summary().startswith("executor:")
+        assert rep.exec_stats.summary().startswith("executor:")
 
     def test_fault_scenarios_keep_events_by_default(self, tmp_path):
         from repro.harness import run_fault_scenarios

@@ -28,12 +28,6 @@ class TestFlagField:
         assert FlagField.empty(box).nflagged == 0
         assert FlagField.full(box).nflagged == 9
 
-    def test_flagged_coordinates_offset_by_box_lo(self):
-        flags = np.zeros((2, 2), dtype=bool)
-        flags[0, 1] = True
-        f = FlagField(Box((10, 20), (12, 22)), flags)
-        assert f.flagged_coordinates().tolist() == [[10, 21]]
-
     def test_restrict(self):
         f = FlagField.full(Box((0, 0), (4, 4)))
         sub = f.restrict(Box((1, 1), (3, 3)))

@@ -111,14 +111,6 @@ class TestAdaptive:
         # forecast should be near the baseline, not dragged to the spike
         assert f.forecast() < 0.3
 
-    def test_member_errors_tracked(self):
-        f = AdaptiveForecaster()
-        for v in (1.0, 2.0, 3.0):
-            f.update(v)
-        errors = f.member_errors()
-        assert len(errors) == 4
-        assert all(e >= 0 for e in errors)
-
     def test_beats_last_value_on_noisy_series(self):
         """Ensemble MAE <= the worst member's MAE by construction; check it
         also tracks a noisy AR series sensibly."""
@@ -141,4 +133,4 @@ class TestAdaptive:
             f.update(v)
         f.reset()
         assert f.forecast() is None
-        assert all(e == float("inf") for e in f.member_errors())
+        assert all(t.n == 0 and t.error == 0.0 for t in f._members)

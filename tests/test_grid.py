@@ -17,12 +17,6 @@ class TestGridIdAllocator:
         alloc = GridIdAllocator(start=10)
         assert alloc.allocate() == 10
 
-    def test_peek_does_not_consume(self):
-        alloc = GridIdAllocator()
-        assert alloc.peek == 0
-        assert alloc.peek == 0
-        assert alloc.allocate() == 0
-
 
 class TestGrid:
     def test_basic(self):

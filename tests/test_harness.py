@@ -119,7 +119,7 @@ class TestSweep:
         sw = run_sweep(cfg, procs_per_group=(1, 2), with_sequential=True)
         assert sw.pairs[0].sequential is sw.pairs[1].sequential
         assert len(sw.improvements) == 2
-        assert sw.by_label()["1+1"] is sw.pairs[0]
+        assert sw.pairs[0].config.label == "1+1"
 
     def test_spec_pair_reports_the_spec_shape(self):
         """Efficiency divides by the processors the runs actually use."""

@@ -78,9 +78,6 @@ class TestRunResult:
         with pytest.raises(ValueError):
             self.make(1.0).improvement_over(self.make(0.0))
 
-    def test_comm_fraction(self):
-        assert self.make(10.0).comm_fraction == pytest.approx(0.4)
-
     def test_summary_mentions_key_facts(self):
         text = self.make(10.0).summary()
         assert "distributed DLB" in text

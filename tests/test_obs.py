@@ -113,8 +113,7 @@ class TestMetricsRegistry:
         g = m.gauge("run.total_time")
         g.set(4.0)
         g.inc(1.0)
-        g.dec(2.0)
-        assert m.snapshot()["gauges"]["run.total_time"] == pytest.approx(3.0)
+        assert m.snapshot()["gauges"]["run.total_time"] == pytest.approx(5.0)
 
     def test_histogram_summary(self):
         m = MetricsRegistry()

@@ -84,7 +84,7 @@ class TestGridAssignment:
         a.assign(gid, 2)
         assert a.pid_of(gid) == 2
         assert a.group_of(gid) == 1
-        assert a.is_assigned(gid)
+        assert gid in a._owner
 
     def test_unknown_grid_raises(self):
         h, s, a = make_setup()
@@ -122,7 +122,7 @@ class TestGridAssignment:
             a.assign(g.gid, 0)
         h.remove_grid(gid)
         a.prune()
-        assert not a.is_assigned(gid)
+        assert gid not in a._owner
 
     def test_validate_catches_unassigned(self):
         h, s, a = make_setup()
@@ -168,7 +168,7 @@ class TestSplitter:
         a.assign(child.gid, 0)
         split_level0_grid(h, a, g.gid, axis=1, at=8)
         assert not h.has_grid(child.gid)
-        assert not a.is_assigned(child.gid)
+        assert child.gid not in a._owner
 
     def test_split_fine_level_raises(self):
         h, s, a = make_setup()
@@ -206,4 +206,5 @@ class TestSplitter:
         low, high = carve_workload(h, a, g.gid, frac * total)
         assert low.workload + high.workload == pytest.approx(total)
         assert not low.box.intersects(high.box)
-        assert low.box.bounding_union(high.box) == Box.cube(0, 16, 3)
+        assert (min(low.box.lo, high.box.lo), max(low.box.hi, high.box.hi)) == (
+            (0, 0, 0), (16, 16, 16))

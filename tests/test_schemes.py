@@ -187,7 +187,8 @@ class TestDistributedDLBPolicy:
         assert ev.imbalance_detected
         assert ev.invoked
         assert ctx.sim.log.of_type(RedistributionEvent)
-        assert scheme.decision_policy.cost_model.nmeasurements == 1  # delta recorded
+        # the redistribution's measured overhead replaced the initial delta
+        assert scheme.decision_policy.cost_model.delta != 0.05
 
     def test_gate_blocked_by_huge_gamma(self):
         ctx, scheme = self._imbalanced_ctx(gamma=1e9)

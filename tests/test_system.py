@@ -90,12 +90,10 @@ class TestDistributedSystem:
         assert s.nprocs == 4
         assert [p.pid for p in s.processors] == [0, 1, 2, 3]
 
-    def test_group_of_and_is_remote(self):
+    def test_pid_groups(self):
         s = build_system(wan_spec(2))
-        assert s.group_of(0).group_id == 0
-        assert s.group_of(3).group_id == 1
-        assert s.is_remote(0, 3)
-        assert not s.is_remote(0, 1)
+        assert s.pid_groups.tolist() == [0, 0, 1, 1]
+        assert [p.group_id for p in s.processors] == [0, 0, 1, 1]
 
     def test_route_between(self):
         s = build_system(wan_spec(2))
@@ -128,7 +126,7 @@ class TestDistributedSystem:
         s = build_system(parallel_spec(8))
         assert s.ngroups == 1
         assert s.nprocs == 8
-        assert not s.is_remote(0, 7)
+        assert set(s.pid_groups.tolist()) == {0}
 
     def test_missing_inter_link_raises(self):
         g0 = Group(0, "a", [Processor(0, 0)])
