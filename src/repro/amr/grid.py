@@ -8,12 +8,20 @@ redistribution phase, producing new grids).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .box import Box
 
-__all__ = ["Grid", "GridIdAllocator"]
+__all__ = ["Grid", "GridIdAllocator", "check_work_per_cell"]
+
+
+def check_work_per_cell(value: float) -> None:
+    """Raise :exc:`ValueError` unless ``value`` is finite and >= 0: a NaN
+    or infinite cost would flow into every load sum."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"work_per_cell must be finite and >= 0, got {value}")
 
 
 class GridIdAllocator:
@@ -52,6 +60,11 @@ class Grid:
         how applications express spatially varying solver cost.
     parent_gid:
         Id of the parent grid one level coarser (``None`` for level 0).
+
+    ``ncells`` and ``workload`` are values fixed when the grid is built.  In
+    a hierarchy, ``work_per_cell`` and ``workload`` change only through
+    :meth:`~repro.amr.hierarchy.GridHierarchy.set_work_per_cell`, which
+    keeps them equal to the level's columns.
     """
 
     gid: int
@@ -60,47 +73,40 @@ class Grid:
     work_per_cell: float = 1.0
     parent_gid: Optional[int] = None
     _children: list = field(default_factory=list, repr=False)
+    #: number of cells in the grid
+    ncells: int = field(init=False, repr=False, compare=False)
+    #: work units to advance the grid one time step at its own level: the
+    #: :math:`w^i_{proc}(t)` building block of the paper's gain model (Eq. 2)
+    workload: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError(f"level must be >= 0, got {self.level}")
-        if self.work_per_cell < 0:
-            raise ValueError(f"work_per_cell must be >= 0, got {self.work_per_cell}")
+        check_work_per_cell(self.work_per_cell)
         if self.box.is_empty:
             raise ValueError(f"grid {self.gid} has an empty box {self.box}")
         if self.level == 0 and self.parent_gid is not None:
             raise ValueError("level-0 grids cannot have a parent")
         if self.level > 0 and self.parent_gid is None:
             raise ValueError(f"grid {self.gid} at level {self.level} needs a parent")
+        self.ncells = self.box.ncells
+        self.workload = self.ncells * self.work_per_cell
 
     @classmethod
     def _unchecked(cls, gid: int, level: int, box: Box, work_per_cell: float,
-                   parent_gid: Optional[int]) -> "Grid":
+                   parent_gid: Optional[int], ncells: int, workload: float) -> "Grid":
         """Construct without validation, as :meth:`Box._unchecked` does:
         :meth:`~repro.amr.hierarchy.GridHierarchy.insert_grids` checks a
-        whole batch as arrays first."""
+        whole batch as arrays first and computes ``ncells`` and
+        ``workload`` as columns."""
         grid = object.__new__(cls)
         grid.__dict__.update(gid=gid, level=level, box=box,
                              work_per_cell=work_per_cell,
-                             parent_gid=parent_gid, _children=[])
+                             parent_gid=parent_gid, _children=[],
+                             ncells=ncells, workload=workload)
         return grid
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def ncells(self) -> int:
-        """Number of cells in the grid."""
-        return self.box.ncells
-
-    @property
-    def workload(self) -> float:
-        """Work units to advance this grid one time step at its own level.
-
-        This is the :math:`w^i_{proc}(t)` building block of the paper's gain
-        model (Eq. 2): per-processor, per-level workloads are sums of this
-        quantity over the grids assigned to the processor.
-        """
-        return self.ncells * self.work_per_cell
 
     @property
     def children(self) -> tuple:

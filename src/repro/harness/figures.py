@@ -347,8 +347,7 @@ def fig6_global_redistribution(cfg: Optional[ExperimentConfig] = None) -> Fig6Re
                 captures.append((pre, self._group_loads()))
 
         def _group_loads(self) -> Dict[int, float]:
-            owners = self.assignment.pids_of(self.hierarchy.level_gids(0).tolist())
-            loads = np.bincount(self.system.pid_groups[owners],
+            loads = np.bincount(self.system.pid_groups[self.assignment.owners(0)],
                                 weights=effective_level0_loads(self.ctx),
                                 minlength=self.system.ngroups)
             return dict(enumerate(loads.tolist()))

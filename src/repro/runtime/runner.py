@@ -95,6 +95,17 @@ def _paired_batch(
     return MessageBatch.of_kind(s, d, b, kind)
 
 
+def _exchange(src: np.ndarray, dst: np.ndarray, cells: np.ndarray,
+              bytes_per_cell: float, kind: MessageKind) -> MessageBatch:
+    """Two-way messages of ``cells * bytes_per_cell`` bytes between each
+    ``(src, dst)`` pair of owners; co-located pairs exchange in memory and
+    send nothing."""
+    cross = src != dst
+    if not cross.any():
+        return MessageBatch.empty()
+    return _paired_batch(src[cross], dst[cross], cells[cross] * bytes_per_cell, kind)
+
+
 def root_blocks(domain: Box, blocks_per_axis: Sequence[int]) -> BoxArray:
     """Tile ``domain`` into a regular lattice of blocks.
 
@@ -225,9 +236,9 @@ class SAMRRunner(IntegratorHooks):
         self.assignment.validate()
         self.integrator = SAMRIntegrator(self.hierarchy, self, dt0=dt0)
         self._step_start_clock = 0.0
-        #: per-level message geometry, keyed by the level's version at
-        #: which it was computed (see :meth:`_level_geometry`)
-        self._geometry: Dict[int, Tuple[int, Tuple[tuple, tuple]]] = {}
+        #: per-level message geometry, keyed by the versions of the level
+        #: and its parent level (see :meth:`_level_geometry`)
+        self._geometry: Dict[int, Tuple[Tuple[int, int], Tuple[tuple, tuple]]] = {}
 
     def _create_root_grids(self, blocks_per_axis: Optional[Sequence[int]]) -> None:
         """Tile the domain into the level-0 grids.
@@ -265,14 +276,17 @@ class SAMRRunner(IntegratorHooks):
             loads = self.assignment.level_loads(level)
             self.sim.run_compute(loads, level=level, seq=step.seq)
             self.history.record_solve(level, loads)
-            sibling, parent_child = self._level_geometry(level)
+            (rows_a, rows_b, cells), (parents, shells) = self._level_geometry(level)
+            owners = self.assignment.owners(level)
             bpc = self.sim_params.bytes_per_cell
             batch = MessageBatch.concatenate([
                 # a sibling volume counts both directions: half each way
-                self._exchange(*sibling, bpc / 2.0, MessageKind.SIBLING),
-                self._exchange(*parent_child,
-                               bpc * self.sim_params.parent_child_factor,
-                               MessageKind.PARENT_CHILD),
+                _exchange(owners[rows_a], owners[rows_b], cells, bpc / 2.0,
+                          MessageKind.SIBLING),
+                _exchange(self.assignment.owners(level - 1)[parents], owners,
+                          shells, bpc * self.sim_params.parent_child_factor,
+                          MessageKind.PARENT_CHILD)
+                if level else MessageBatch.empty(),
             ])
             if len(batch):
                 self.sim.run_comm(batch, level=level, purpose="ghost")
@@ -284,7 +298,6 @@ class SAMRRunner(IntegratorHooks):
     def regrid(self, level: int, time: float) -> None:
         with self.tracer.span("regrid", level=level) as span:
             created = self._rebuild_fine_level(level, time)
-            self.assignment.prune()
             if created:
                 self.sim.charge_overhead(
                     self.sim_params.regrid_seconds_per_grid * len(created),
@@ -296,7 +309,9 @@ class SAMRRunner(IntegratorHooks):
                     time=self.sim.clock,
                     fine_level=level + 1,
                     ngrids=len(created),
-                    ncells=sum(g.ncells for g in created),
+                    # the created grids are the whole fine level
+                    ncells=int(self.hierarchy.level_boxes(level + 1).ncells().sum())
+                    if created else 0,
                 )
             )
             span.set_attribute("created_grids", len(created))
@@ -364,46 +379,33 @@ class SAMRRunner(IntegratorHooks):
     # ------------------------------------------------------------------ #
 
     def _level_geometry(self, level: int) -> Tuple[tuple, tuple]:
-        """Message geometry at ``level``, cached on the level's version.
+        """Message geometry at ``level`` as rows of the level tables,
+        cached on the versions of the level and of its parent level.
 
         Returns ``(sibling, parent_child)``: the sibling pairs of
         :meth:`~repro.amr.hierarchy.GridHierarchy.sibling_pairs` as
-        ``(gids_a, gids_b, cells)``, and each grid's link to its parent as
-        ``(parent_gids, gids, cells)`` with the grid's surface shell as the
+        ``(rows_a, rows_b, cells)``, and each row's link to its parent as
+        ``(parent_rows, cells)`` with the grid's surface shell as the
         prolongation/restriction volume (empty on level 0, which has no
-        parents).  The gid columns are lists: they feed the owner lookups
-        of every solve at this version.  A level's parents change only
-        with its own grid set, so its version keys both.
+        parents).  Every solve at these versions gathers its owners from
+        the owner columns at these rows.
         """
         h = self.hierarchy
-        version = h.level_version(level)
+        key = (h.level_version(level), h.level_version(level - 1) if level else 0)
         cached = self._geometry.get(level)
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] == key:
             return cached[1]
         pairs = h.sibling_pairs(level, self.sim_params.ghost_width)
+        gids = h.level_gids(level)
+        sibling = (gids.searchsorted(pairs[:, 0]), gids.searchsorted(pairs[:, 1]),
+                   pairs[:, 2])
         if level > 0:
-            parent_child = ([g.parent_gid for g in h.level_grids(level)],
-                            h.level_gids(level).tolist(),
-                            h.level_boxes(level).surface_cells())
+            parent_child = (h.parent_rows(level), h.level_boxes(level).surface_cells())
         else:
-            parent_child = ([], [], np.zeros(0, dtype=np.int64))
-        geometry = ((pairs[:, 0].tolist(), pairs[:, 1].tolist(), pairs[:, 2]),
-                    parent_child)
-        self._geometry[level] = (version, geometry)
+            parent_child = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        geometry = (sibling, parent_child)
+        self._geometry[level] = (key, geometry)
         return geometry
-
-    def _exchange(self, src_gids: list, dst_gids: list, cells: np.ndarray,
-                  bytes_per_cell: float, kind: MessageKind) -> MessageBatch:
-        """Two-way messages of ``cells * bytes_per_cell`` bytes between the
-        owners of each ``(src, dst)`` grid pair; co-located pairs exchange
-        in memory and send nothing."""
-        src = self.assignment.pids_of(src_gids)
-        dst = self.assignment.pids_of(dst_gids)
-        cross = src != dst
-        if not cross.any():
-            return MessageBatch.empty()
-        return _paired_batch(src[cross], dst[cross],
-                             cells[cross] * bytes_per_cell, kind)
 
     # ------------------------------------------------------------------ #
     # driving

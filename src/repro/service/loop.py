@@ -237,12 +237,12 @@ def simulate_service(
     # -------------------------------------------------------------- report
     duration = nticks * dt
     state_cells = shard_map.state_cells()
-    placement = shard_map.placement()
+    primary = shard_map.placement().tolist()
     per_shard = [
         {
             "gid": gid,
             "requests": requests_by_gid.get(gid, 0),
-            "primary": placement[gid],
+            "primary": primary[i],
             "state_cells": int(state_cells[i]),
             "share": float(shares[i]),
         }

@@ -111,6 +111,7 @@ class MigrationEngine:
         self.history.record_solve(0, per_pid_work)
         self.history.end_coarse_step(max(float(interval), 1e-12))
 
+        before_gids = self.shard_map.gids
         before = self.shard_map.placement()
         self.sim.clock = float(time)
 
@@ -121,18 +122,20 @@ class MigrationEngine:
 
         duration = max(0.0, self.sim.clock - float(time))
         after = self.shard_map.placement()
+        gids, ia, ib = np.intersect1d(self.shard_map.gids, before_gids,
+                                      assume_unique=True, return_indices=True)
+        moved = after[ia] != before[ib]
         moves = {
-            gid: (before[gid], pid)
-            for gid, pid in after.items()
-            if gid in before and before[gid] != pid
+            gid: (src, dst)
+            for gid, src, dst in zip(gids[moved].tolist(),
+                                     before[ib[moved]].tolist(),
+                                     after[ia[moved]].tolist())
         }
         # state shipped: every moved shard's full state crosses a link --
         # intra-group moves included (the simulator accounts those as local
         # bytes, so the remote-bytes accumulator alone would undercount)
-        bytes_moved = sum(
-            self.shard_map.hierarchy.grid(gid).migration_cells()
-            for gid in moves
-        ) * self.ctx.sim_params.bytes_per_cell
+        cells = self.shard_map.state_cells()[ia[moved]]
+        bytes_moved = int(cells.sum()) * self.ctx.sim_params.bytes_per_cell
         # splits create fresh gids the diff cannot pair with a source; their
         # transfer is still priced into `duration` by the scheme's own comm
         return MigrationOutcome(

@@ -10,9 +10,10 @@ the paper's machinery changes:
   ``migration_cells() * bytes_per_cell`` shipped over topology routes,
   exactly as for an AMR grid;
 * its ``work_per_cell`` is updated each balance interval to the observed
-  request load per key, so ``grid.workload`` is the shard's measured load
-  and every registered weight/decision/partition/local policy reads it
-  through the interfaces it already has;
+  request load per key (:meth:`~repro.amr.hierarchy.GridHierarchy.set_work_per_cell`),
+  so its workload is the shard's measured load and every registered
+  weight/decision/partition/local policy reads it through the interfaces
+  it already has;
 * the global phase's *carve* step becomes a **shard split**: a hot shard's
   key range is cut and the halves are re-owned, with the Zipf popularity
   field re-summed over the new boxes.
@@ -26,7 +27,7 @@ replication factor the shard simply runs fewer replicas.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -115,7 +116,7 @@ class ShardMap:
         S, R = self.nshards, self.replication
         pids = np.zeros((S, R), dtype=np.int64)
         mask = np.zeros((S, R), dtype=bool)
-        primary = self.assignment.pids_of(self.gids.tolist())
+        primary = self.placement()
         primary_group = self.system.pid_groups[primary]
         for g, members in enumerate(self.system.group_pids):
             rows = np.flatnonzero(primary_group == g)
@@ -131,22 +132,23 @@ class ShardMap:
     # ------------------------------------------------------------------ #
 
     def update_loads(self, work_by_shard: np.ndarray) -> None:
-        """Write observed per-shard work into the grids (shard order).
+        """Write observed per-shard work into the shards (shard order).
 
-        Sets each shard grid's ``work_per_cell`` so ``grid.workload``
-        equals the shard's observed work -- the per-shard load estimate
-        every weight policy and the gain/cost gate consume.  A tiny floor
-        keeps completely idle shards movable (zero-workload grids would
-        make proportional targets degenerate).
+        Sets each shard's ``work_per_cell`` so its workload equals the
+        shard's observed work -- the per-shard load estimate every weight
+        policy and the gain/cost gate consume.  A tiny floor keeps
+        completely idle shards movable (zero-workload grids would make
+        proportional targets degenerate).
         """
-        grids = self.grids()
-        if len(work_by_shard) != len(grids):
+        cells = self.state_cells()
+        if len(work_by_shard) != len(cells):
             raise ValueError(
-                f"{len(work_by_shard)} work entries for {len(grids)} shards"
+                f"{len(work_by_shard)} work entries for {len(cells)} shards"
             )
-        for grid, work in zip(grids, work_by_shard):
-            grid.work_per_cell = max(float(work), 1e-9 * grid.ncells) / grid.ncells
+        work = np.asarray(work_by_shard, dtype=np.float64)
+        self.hierarchy.set_work_per_cell(0, np.maximum(work, 1e-9 * cells) / cells)
 
-    def placement(self) -> Dict[int, int]:
-        """``gid -> pid`` snapshot (for migration diffing)."""
-        return {int(g): self.assignment.pid_of(int(g)) for g in self.gids}
+    def placement(self) -> np.ndarray:
+        """Primary pid per shard, shard order: the level-0 owner column,
+        a read-only snapshot (for migration diffing)."""
+        return self.assignment.owners(0)

@@ -58,14 +58,14 @@ class TraceRecorder:
         """Called once by the runner, right after the root grids exist."""
         self.runner = runner
         self._root_boxes = runner.hierarchy.level_boxes(0)
-        self._root_wpc = runner.hierarchy.level_grids(0)[0].work_per_cell
+        self._root_wpc = float(runner.hierarchy.level_work_per_cell(0)[0])
 
     def on_global(self, time: float) -> None:
         self.records.append({"op": "global", "t": time, "s": self._nglobals})
         self._nglobals += 1
 
     def on_solve(self, step: SubStep) -> None:
-        w = [g.workload for g in self.runner.hierarchy.level_grids(step.level)]
+        w = self.runner.hierarchy.level_workloads(step.level).tolist()
         self.records.append({"op": "solve", "l": step.level, "q": step.seq,
                              "w": w})
 

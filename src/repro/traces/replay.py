@@ -154,7 +154,7 @@ class TraceReplayRunner(SAMRRunner):
                 f"seq={rec['q']}"
             )
         if self.strict:
-            w = [g.workload for g in self.hierarchy.level_grids(step.level)]
+            w = self.hierarchy.level_workloads(step.level).tolist()
             if w != rec["w"]:
                 raise TraceReplayError(
                     f"strict replay divergence at level {step.level} "

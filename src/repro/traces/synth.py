@@ -310,7 +310,7 @@ class _SynthBuilder(IntegratorHooks):
         self._nglobals += 1
 
     def solve(self, step) -> None:
-        w = [g.workload for g in self.hierarchy.level_grids(step.level)]
+        w = self.hierarchy.level_workloads(step.level).tolist()
         self.records.append({"op": "solve", "l": step.level, "q": step.seq,
                              "w": w})
 

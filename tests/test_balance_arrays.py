@@ -444,8 +444,7 @@ def build_ctx(case, skip_level: Optional[int] = None, keep_fraction=0.5):
     domain = Box.cube(0, 16, 3)
     h = GridHierarchy(domain, 2, 3)
     roots = h.create_root_grids(root_blocks(domain, blocks))
-    for root, wpc in zip(roots, work):
-        root.work_per_cell = wpc
+    h.set_work_per_cell(0, work)
     for root, kids in zip(roots, shape):
         fine = root.box.refine(2)
         lo, hi = fine.lo, fine.hi

@@ -189,14 +189,18 @@ class TestRunnerCommAttribution:
         runner = small_runner(make_scheme("distributed"), steps=4)
         h = runner.hierarchy
         assert runner._geometry
-        for level, (version, _geometry) in list(runner._geometry.items()):
-            assert version <= h.level_version(level)
-            (gids_a, gids_b, cells), (parents, gids, pc_cells) = (
+        for level, (key, _geometry) in list(runner._geometry.items()):
+            current = (h.level_version(level),
+                       h.level_version(level - 1) if level else 0)
+            assert key <= current
+            (rows_a, rows_b, cells), (parents, pc_cells) = (
                 runner._level_geometry(level))
-            assert runner._geometry[level][0] == h.level_version(level)
+            assert runner._geometry[level][0] == current
+            gids = h.level_gids(level)
             pairs = h.sibling_pairs(level, runner.sim_params.ghost_width)
-            assert [gids_a, gids_b, cells.tolist()] == pairs.T.tolist()
+            assert [gids[rows_a].tolist(), gids[rows_b].tolist(),
+                    cells.tolist()] == pairs.T.tolist()
             grids = h.level_grids(level) if level > 0 else []
-            assert gids == [g.gid for g in grids]
-            assert parents == [g.parent_gid for g in grids]
+            above = h.level_gids(level - 1) if level else gids
+            assert above[parents].tolist() == [g.parent_gid for g in grids]
             assert pc_cells.tolist() == [g.box.surface_cells() for g in grids]
