@@ -9,8 +9,7 @@ Invariants enforced here (and property-tested in ``tests/``):
 
 * grids on one level are pairwise disjoint;
 * every grid at level ``l >= 1`` is fully nested inside its parent's
-  refined footprint;
-* parent/child links are consistent both ways;
+  refined footprint, and its parent is a grid of level ``l - 1``;
 * level-0 grids tile the domain exactly (checked on construction).
 
 Every grid enters through :meth:`GridHierarchy.insert_grids`, which checks a
@@ -19,10 +18,12 @@ joins or leaves it, and a table that every change keeps current: the
 level's boxes and gids, and per grid its ``work_per_cell``, its workload
 (``ncells * work_per_cell``) and its parent's gid.  An insertion appends its
 rows (a level built whole keeps the inserted arrays as its table), a
-removal drops its row and a cleared level gets an empty table.
+removal drops its rows and a cleared level gets an empty table.
 ``work_per_cell`` changes only through :meth:`GridHierarchy.set_work_per_cell`,
-which moves the level's workload version.  No table is ever packed from the
-grids.  The tables are the only whole-level arrays of the runtime.
+which moves the level's workload version.  The tables are the only store of
+a grid's cost and parent: a grid's children are the rows of the next level
+whose parent it is, and a :class:`~repro.amr.grid.Grid` is an immutable
+record of its row's gid, level, box and parent.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ class GridHierarchy:
         self.refinement_ratio = int(refinement_ratio)
         self.max_levels = int(max_levels)
         self._grids: Dict[int, Grid] = {}
-        #: per level: its grids in creation order, the order of its table
-        self._levels: List[List[Grid]] = [[] for _ in range(max_levels)]
         self._ids = GridIdAllocator()
         self._versions: List[int] = [0] * max_levels
         self._workload_versions: List[int] = [0] * max_levels
@@ -109,7 +108,7 @@ class GridHierarchy:
         disjoint, so covering the domain's cell count means tiling it.
         Returns the created grids in row order.
         """
-        if self._levels[0]:
+        if len(self._tables[0].gids):
             raise ValueError("root grids already exist")
         total = int(boxes.ncells().sum())
         if total != self.domain.ncells:
@@ -117,19 +116,6 @@ class GridHierarchy:
                 f"root boxes cover {total} cells but the domain has {self.domain.ncells}"
             )
         return self.insert_grids(0, boxes, None, work_per_cell)
-
-    def add_grid(
-        self,
-        level: int,
-        box: Box,
-        parent_gid: Optional[int] = None,
-        work_per_cell: float = 1.0,
-    ) -> Grid:
-        """Add one finer grid: a one-row :meth:`insert_grids`."""
-        if level == 0:
-            raise ValueError("use create_root_grids for level 0")
-        parents = None if parent_gid is None else np.array([parent_gid], dtype=np.int64)
-        return self.insert_grids(level, BoxArray.from_box(box), parents, work_per_cell)[0]
 
     def insert_grids(
         self,
@@ -205,65 +191,59 @@ class GridHierarchy:
             if len(ia):
                 raise ValueError(f"box {boxes.box(ia[0])} overlaps existing grid "
                                  f"{old.gids[ib[0]]} on level {level}")
-        # every check passed: allocate in row order, build the grids unchecked
+        # every check passed: allocate in row order, build the records
         wpc = float(work_per_cell)
-        ncells = boxes.ncells()
         batch = _LevelTable(
             boxes,
             np.arange(n, dtype=np.int64) + self._ids.allocate(n),
-            np.full(n, wpc), ncells * wpc,
+            np.full(n, wpc), boxes.ncells() * wpc,
             np.full(n, -1, dtype=np.int64) if parent_gids is None else parent_gids)
+        gids = batch.gids.tolist()
         parents = [None] * n if parent_gids is None else parent_gids.tolist()
         created = [
-            Grid._unchecked(gid, level, Box._unchecked(tuple(lo), tuple(hi)),
-                            wpc, parent, cells, work)
-            for gid, lo, hi, parent, cells, work in zip(
-                batch.gids.tolist(), boxes.lo.tolist(), boxes.hi.tolist(),
-                parents, ncells.tolist(), batch.workload.tolist())
+            Grid(gid, level, Box._unchecked(tuple(lo), tuple(hi)), parent)
+            for gid, lo, hi, parent in zip(gids, boxes.lo.tolist(),
+                                           boxes.hi.tolist(), parents)
         ]
-        for grid in created:
-            self._grids[grid.gid] = grid
-            if grid.parent_gid is not None:
-                self._grids[grid.parent_gid]._add_child(grid.gid)
-        self._levels[level].extend(created)
+        self._grids.update(zip(gids, created))
         self._versions[level] += 1
         self._tables[level] = old.append(batch)
         return created
 
     def remove_grid(self, gid: int) -> None:
-        """Remove a grid and its entire subtree of descendants, dropping
-        each one's row from its level's table."""
-        grid = self.grid(gid)
-        for child in list(grid.children):
-            self.remove_grid(child)
-        if grid.parent_gid is not None:
-            self._grids[grid.parent_gid]._remove_child(gid)
-        table = self._tables[grid.level]
-        keep = table.gids != gid
-        del self._levels[grid.level][int(np.argmin(keep))]
-        del self._grids[gid]
-        self._versions[grid.level] += 1
-        self._tables[grid.level] = table.take(keep)
+        """Remove a grid and its entire subtree of descendants, one level
+        at a time: a level's removed rows are the grid itself or the rows
+        whose parent the level above removed.  Each level that loses a row
+        drops its rows from its table at once and moves its version once.
+        """
+        level = self.grid(gid).level
+        doomed = np.array([gid], dtype=np.int64)
+        for lvl in range(level, self.max_levels):
+            table = self._tables[lvl]
+            drop = np.isin(table.gids if lvl == level else table.parents, doomed)
+            if not drop.any():
+                break
+            doomed = table.gids[drop]
+            for child in doomed.tolist():
+                del self._grids[child]
+            self._versions[lvl] += 1
+            self._tables[lvl] = table.take(~drop)
 
     def clear_level(self, level: int) -> None:
         """Remove every grid at ``level`` and below (finer).  Level 0 is kept.
 
         Batch equivalent of calling :meth:`remove_grid` on each grid of
-        ``level``: every level >= ``level`` is dropped wholesale, parents one
-        level coarser forget their children, and the version of every level
-        that held a grid moves.
+        ``level``: every level >= ``level`` is dropped wholesale, and the
+        version of every level that held a grid moves.
         """
         if level == 0:
             raise ValueError("cannot clear level 0")
-        cleared = [lvl for lvl in range(level, self.max_levels) if self._levels[lvl]]
-        if cleared:
-            # every surviving child link points into the cleared subtree
-            for gid in np.unique(self.level_parents(level)).tolist():
-                self._grids[gid]._clear_children()
-        for lvl in cleared:
-            for grid in self._levels[lvl]:
-                del self._grids[grid.gid]
-            self._levels[lvl] = []
+        for lvl in range(level, self.max_levels):
+            gids = self._tables[lvl].gids
+            if not len(gids):
+                continue
+            for gid in gids.tolist():
+                del self._grids[gid]
             self._versions[lvl] += 1
             self._tables[lvl] = self._empty_table()
 
@@ -279,12 +259,17 @@ class GridHierarchy:
         return gid in self._grids
 
     def level_grids(self, level: int) -> List[Grid]:
-        """Grids at ``level`` in creation order."""
-        return list(self._levels[level])
+        """Grids at ``level`` in table (creation) order."""
+        return list(map(self._grids.__getitem__, self._tables[level].gids.tolist()))
 
-    def all_grids(self) -> List[Grid]:
-        """Every grid, coarsest level first."""
-        return [g for level in self._levels for g in level]
+    def children(self, gid: int) -> np.ndarray:
+        """Ids of the grids one level finer whose parent is ``gid``,
+        ascending: the rows of the next level's parent column that name it."""
+        level = self.grid(gid).level + 1
+        if level == self.max_levels:
+            return np.empty(0, dtype=np.int64)
+        table = self._tables[level]
+        return table.gids[table.parents == gid]
 
     @property
     def ngrids(self) -> int:
@@ -294,8 +279,8 @@ class GridHierarchy:
     def nlevels(self) -> int:
         """Number of levels that currently hold at least one grid."""
         n = 0
-        for i, level in enumerate(self._levels):
-            if level:
+        for i, table in enumerate(self._tables):
+            if len(table.gids):
                 n = i + 1
         return n
 
@@ -305,14 +290,6 @@ class GridHierarchy:
 
     def total_cells(self) -> int:
         return sum(int(t.boxes.ncells().sum()) for t in self._tables)
-
-    def subtree(self, gid: int) -> List[Grid]:
-        """The grid and all its descendants (pre-order)."""
-        grid = self.grid(gid)
-        out = [grid]
-        for child in grid.children:
-            out.extend(self.subtree(child))
-        return out
 
     # ------------------------------------------------------------------ #
     # level tables
@@ -344,13 +321,26 @@ class GridHierarchy:
 
     def level_workloads(self, level: int) -> np.ndarray:
         """``level``'s workload (``ncells * work_per_cell``) per row,
-        read-only ``float64``: each grid's :attr:`Grid.workload`."""
+        read-only ``float64``: the per-grid :math:`w^i_{proc}(t)` building
+        block of the paper's gain model (Eq. 2)."""
         return self._tables[level].workload
 
     def level_parents(self, level: int) -> np.ndarray:
         """``level``'s parent gid per row (-1 on level 0), read-only
         ``int64``."""
         return self._tables[level].parents
+
+    def level_rows(self, level: int, gids) -> np.ndarray:
+        """The rows of ``gids`` in ``level``'s table; :exc:`KeyError`
+        naming the first gid that is not on ``level``."""
+        gids = np.asarray(gids, dtype=np.int64)
+        known = self._tables[level].gids
+        rows = np.searchsorted(known, gids)
+        found = rows < len(known)
+        found[found] = known[rows[found]] == gids[found]
+        if not found.all():
+            raise KeyError(f"grid {gids[np.argmin(found)]} is not on level {level}")
+        return rows
 
     def parent_rows(self, level: int) -> np.ndarray:
         """Each row's parent as a row of ``level - 1``'s table."""
@@ -361,9 +351,9 @@ class GridHierarchy:
         way a grid's cost changes after it is inserted.
 
         Every value must be finite and >= 0; otherwise :exc:`ValueError`
-        and nothing changes.  The level's workload column, its grids'
-        ``work_per_cell`` and ``workload`` and its workload version move
-        together.
+        and nothing changes.
+        The level's ``work_per_cell`` and workload columns and its workload
+        version move together.
         """
         table = self._tables[level]
         values = np.array(values, dtype=np.float64)
@@ -373,13 +363,9 @@ class GridHierarchy:
         bad = ~(np.isfinite(values) & (values >= 0))
         if bad.any():
             check_work_per_cell(float(values[np.argmax(bad)]))
-        workload = table.boxes.ncells() * values
         self._tables[level] = _LevelTable.of(table.boxes, table.gids, values,
-                                             workload, table.parents)
-        for grid, wpc, work in zip(self._levels[level], values.tolist(),
-                                   workload.tolist()):
-            grid.work_per_cell = wpc
-            grid.workload = work
+                                             table.boxes.ncells() * values,
+                                             table.parents)
         self._workload_versions[level] += 1
 
     def _empty_table(self) -> _LevelTable:
@@ -418,45 +404,60 @@ class GridHierarchy:
         """Check every structural invariant; raises :exc:`ValueError` on a
         breach (under ``python -O`` too), naming the first offending grid.
 
+        Per level: the columns have one entry per row, the gids ascend, the
+        boxes are disjoint and inside the level's domain, each parent is a
+        grid of the level above whose refined box holds its child, each
+        workload is ``ncells * work_per_cell`` and each row has its record.
+        Every record has a row, and level 0 tiles the domain.
+
         Intended for tests and debugging -- not called on hot paths.
         """
-        for level_idx, grids in enumerate(self._levels):
-            for g in grids:
-                if g.level != level_idx:
-                    raise ValueError(f"grid {g.gid} level mismatch")
-            boxes = BoxArray.from_boxes([g.box for g in grids], ndim=self.domain.ndim)
+        rows: set = set()
+        for level, table in enumerate(self._tables):
+            boxes, gids, parents = table.boxes, table.gids, table.parents
+            n = len(gids)
+            if any(len(column) != n for column in table):
+                raise ValueError(f"level {level}'s columns differ in length")
+            if (np.diff(gids) <= 0).any():
+                raise ValueError(f"level {level}'s gids do not ascend")
             ia, ib = boxes.overlap_pairs()
             if len(ia):
                 raise ValueError(
-                    f"grids {grids[ia[0]].gid} and {grids[ib[0]].gid} overlap "
-                    f"on level {level_idx}"
-                )
-            for g in grids:
-                if g.ncells != g.box.ncells or g.workload != g.ncells * g.work_per_cell:
-                    raise ValueError(f"grid {g.gid}'s ncells or workload is stale")
-            # every change to the level keeps its table current
-            fresh = _LevelTable(
-                boxes, np.array([g.gid for g in grids], dtype=np.int64),
-                np.array([g.work_per_cell for g in grids], dtype=np.float64),
-                np.array([g.workload for g in grids], dtype=np.float64),
-                np.array([-1 if g.parent_gid is None else g.parent_gid
-                          for g in grids], dtype=np.int64))
-            table = self._tables[level_idx]
-            if not (np.array_equal(table.boxes.corners, fresh.boxes.corners)
-                    and all(np.array_equal(a, b) for a, b in zip(table[1:], fresh[1:]))):
-                raise ValueError(f"level {level_idx}'s table is stale")
-        for g in self._grids.values():
-            if g.level > 0:
-                parent = self._grids[g.parent_gid]
-                if g.gid not in parent.children:
-                    raise ValueError(f"grid {g.gid} missing from parent's children")
-                if not parent.box.refine(self.refinement_ratio).contains(g.box):
-                    raise ValueError(f"grid {g.gid} not nested in parent {parent.gid}")
-                if not self.level_domain(g.level).contains(g.box):
-                    raise ValueError(f"grid {g.gid} escapes the domain")
-            for child in g.children:
-                if self._grids[child].parent_gid != g.gid:
-                    raise ValueError(f"grid {child} does not name its parent {g.gid}")
-        root_cells = sum(g.ncells for g in self.level_grids(0))
-        if root_cells != self.domain.ncells:
+                    f"grids {gids[ia[0]]} and {gids[ib[0]]} overlap on level {level}")
+            domain = BoxArray.from_box(self.level_domain(level)).corners
+            inside = ((domain[:, 0] <= boxes.lo) & (domain[:, 1] >= boxes.hi)).all(axis=1)
+            if not inside.all():
+                raise ValueError(f"grid {gids[np.argmin(inside)]} escapes the domain")
+            if level == 0:
+                orphan = parents != -1
+                if orphan.any():
+                    raise ValueError(f"grid {gids[np.argmax(orphan)]} on level 0 "
+                                     f"names a parent")
+            else:
+                known = self.level_gids(level - 1)
+                at = np.searchsorted(known, parents)
+                found = at < len(known)
+                found[found] = known[at[found]] == parents[found]
+                if not found.all():
+                    k = int(np.argmin(found))
+                    raise ValueError(f"grid {gids[k]}'s parent {parents[k]} is not "
+                                     f"on level {level - 1}")
+                bounds = self.level_boxes(level - 1).corners[at] * self.refinement_ratio
+                nested = ((bounds[:, 0] <= boxes.lo) & (bounds[:, 1] >= boxes.hi)).all(axis=1)
+                if not nested.all():
+                    k = int(np.argmin(nested))
+                    raise ValueError(f"grid {gids[k]} not nested in parent {parents[k]}")
+            stale = table.workload != boxes.ncells() * table.work_per_cell
+            if stale.any():
+                raise ValueError(f"grid {gids[np.argmax(stale)]}'s workload is stale")
+            for gid, lo, hi, parent in zip(gids.tolist(), boxes.lo.tolist(),
+                                           boxes.hi.tolist(), parents.tolist()):
+                if self._grids.get(gid) != (gid, level, Box(tuple(lo), tuple(hi)),
+                                            None if parent < 0 else parent):
+                    raise ValueError(f"grid {gid}'s record does not match its row")
+            rows.update(gids.tolist())
+        extra = self._grids.keys() - rows
+        if extra:
+            raise ValueError(f"grid {min(extra)} has a record but no row")
+        if int(self._tables[0].boxes.ncells().sum()) != self.domain.ncells:
             raise ValueError("level 0 does not tile the domain")

@@ -305,7 +305,7 @@ class AdvectionDriver(IntegratorHooks):
                 u = self.data[grid.gid].interior
                 mass = u.sum()
                 # subtract regions covered by finer grids (counted there)
-                for child_gid in grid.children:
+                for child_gid in self.hierarchy.children(grid.gid).tolist():
                     child = self.hierarchy.grid(child_gid)
                     cover = child.box.coarsen(ratio).intersection(grid.box)
                     mass -= self.data[grid.gid].view(cover).sum()

@@ -11,7 +11,9 @@ updates the assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..amr.hierarchy import GridHierarchy
 from ..config import SchemeParams, SimParams
@@ -50,7 +52,12 @@ def execute_moves(
     level: int,
     purpose: str,
 ) -> Tuple[int, int]:
-    """Migrate the planned grids and charge the communication.
+    """Migrate the planned grids of ``level`` and charge the communication.
+
+    Every move is checked against the level's owner column before anything
+    is charged: a gid not on ``level`` raises :exc:`KeyError`, a move whose
+    source no longer owns its grid :exc:`ValueError`.  The new owners are
+    written as one batch after the communication.
 
     Returns ``(moved_grids, moved_cells)``.  No-op (and no cost) for an
     empty plan.  The event log receives a :class:`LocalBalanceEvent` for
@@ -67,32 +74,31 @@ def execute_moves(
                 )
             )
         return 0, 0
-    srcs: List[int] = []
-    dsts: List[int] = []
-    nbytes: List[float] = []
-    cells = 0
-    for gid, src, dst in moves:
-        if ctx.assignment.pid_of(gid) != src:
-            raise ValueError(f"move plan stale: grid {gid} is not on {src}")
-        grid = ctx.hierarchy.grid(gid)
-        cells += grid.migration_cells()
-        srcs.append(src)
-        dsts.append(dst)
-        nbytes.append(grid.migration_cells() * ctx.sim_params.bytes_per_cell)
+    gids = [m[0] for m in moves]
+    srcs = [m[1] for m in moves]
+    dsts = [m[2] for m in moves]
+    rows = ctx.hierarchy.level_rows(level, gids)
+    stale = ctx.assignment.owners(level)[rows] != srcs
+    if stale.any():
+        k = int(np.argmax(stale))
+        raise ValueError(f"move plan stale: grid {gids[k]} is not on {srcs[k]}")
+    cells = ctx.hierarchy.level_boxes(level).ncells()[rows].tolist()
+    moved_cells = sum(cells)
     result = ctx.sim.run_comm(
-        MessageBatch.of_kind(srcs, dsts, nbytes, MessageKind.MIGRATION),
+        MessageBatch.of_kind(srcs, dsts,
+                             [c * ctx.sim_params.bytes_per_cell for c in cells],
+                             MessageKind.MIGRATION),
         level=level, purpose=purpose, count_as_balance=True,
     )
-    for gid, _src, dst in moves:
-        ctx.assignment.assign(gid, dst)
+    ctx.assignment.assign(level, gids, dsts)
     if purpose != "global-redistribution":
         ctx.sim.log.record(
             LocalBalanceEvent(
                 time=ctx.sim.clock,
                 level=level,
                 moved_grids=len(moves),
-                moved_cells=cells,
+                moved_cells=moved_cells,
                 elapsed=result.elapsed,
             )
         )
-    return len(moves), cells
+    return len(moves), moved_cells

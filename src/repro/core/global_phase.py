@@ -231,8 +231,8 @@ def execute_global_redistribution(
         return 0, 0, 0.0
     moves: List[Move] = list(plan.moves)
     for carve in plan.carves:
-        grid = ctx.hierarchy.grid(carve.gid)
-        workload = carve.fraction * grid.workload
+        row = ctx.hierarchy.level_rows(0, [carve.gid])[0]
+        workload = carve.fraction * float(ctx.hierarchy.level_workloads(0)[row])
         low, high = carve_workload(ctx.hierarchy, ctx.assignment, carve.gid, workload)
         # carve_workload puts ~`workload` in the low half; that slice crosses
         # the boundary.

@@ -6,7 +6,8 @@ machine); the *distributed DLB* local phase runs it once per group, over the
 group's processors only, so "an overloaded processor can migrate its
 workload to an underloaded processor of the same group only" (Section 4.1).
 
-Two primitives:
+Two primitives, each taking the grids as a gid -> workload mapping built
+in table-row order from the level's workload column:
 
 * :func:`lpt_assign` -- longest-processing-time-first placement of a fresh
   set of grids onto processors with weight-proportional targets (used for
@@ -26,22 +27,22 @@ Two primitives:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional
 
-from ..amr.grid import Grid
 from .base import Move
 
 __all__ = ["lpt_assign", "plan_rebalance"]
 
 
 def lpt_assign(
-    grids: Sequence[Grid], targets: Mapping[int, float]
+    work: Mapping[int, float], targets: Mapping[int, float]
 ) -> Dict[int, int]:
-    """Place ``grids`` on the target processors, heaviest first.
+    """Place the grids of ``work`` (gid -> workload) on the target
+    processors, heaviest first, ties by gid.
 
     ``targets`` maps pid -> desired workload share.  Each grid goes to the
     processor with the largest remaining deficit (target minus assigned),
-    the classic LPT heuristic.  Returns gid -> pid.
+    the classic LPT heuristic.  Returns gid -> pid in placement order.
     """
     if not targets:
         raise ValueError("targets must be non-empty")
@@ -52,16 +53,16 @@ def lpt_assign(
     heap = [(-(targets[p] - loads[p]), p) for p in loads]
     heapq.heapify(heap)
     out: Dict[int, int] = {}
-    for g in sorted(grids, key=lambda g: (-g.workload, g.gid)):
+    for gid, w in sorted(work.items(), key=lambda kv: (-kv[1], kv[0])):
         pid = heap[0][1]
-        out[g.gid] = pid
-        loads[pid] += g.workload
+        out[gid] = pid
+        loads[pid] += w
         heapq.heapreplace(heap, (-(targets[pid] - loads[pid]), pid))
     return out
 
 
 def plan_rebalance(
-    grids: Sequence[Grid],
+    work: Mapping[int, float],
     owner_of: Mapping[int, int],
     targets: Mapping[int, float],
     tolerance: float = 0.05,
@@ -71,8 +72,10 @@ def plan_rebalance(
 
     Parameters
     ----------
-    grids:
-        The grids being balanced (one level, one processor set).
+    work:
+        gid -> workload of the grids being balanced (one level, one
+        processor set).  Each processor's load adds its grids in this
+        mapping's order.
     owner_of:
         Current owner of each grid (must cover every grid; owners must all
         be in ``targets``).
@@ -88,13 +91,13 @@ def plan_rebalance(
     each from the grid's owner in ``owner_of``.
     """
     loads: Dict[int, float] = {pid: 0.0 for pid in targets}
-    on_proc: Dict[int, List[Grid]] = {pid: [] for pid in targets}
-    for g in grids:
-        pid = owner_of[g.gid]
+    on_proc: Dict[int, List[int]] = {pid: [] for pid in targets}
+    for gid, w in work.items():
+        pid = owner_of[gid]
         if pid not in targets:
-            raise ValueError(f"grid {g.gid} owned by {pid}, outside the balance set")
-        loads[pid] += g.workload
-        on_proc[pid].append(g)
+            raise ValueError(f"grid {gid} owned by {pid}, outside the balance set")
+        loads[pid] += w
+        on_proc[pid].append(gid)
 
     nprocs = len(targets)
     mean_target = sum(targets.values()) / nprocs
@@ -113,27 +116,27 @@ def plan_rebalance(
         # Feasible grids: moving w reduces total |deviation| iff w < go + gu.
         # Among those, the best fit minimises |gap_over - w| (bring the
         # overloaded processor as close to target as possible).
-        best: Grid = None  # type: ignore[assignment]
+        best: Optional[int] = None
         best_fit = float("inf")
-        for g in on_proc[over]:
-            w = g.workload
+        for gid in on_proc[over]:
+            w = work[gid]
             if w <= 0 or w >= gap_over + gap_under:
                 continue
             fit = abs(gap_over - w)
-            if fit < best_fit or (fit == best_fit and best is not None and g.gid < best.gid):
-                best, best_fit = g, fit
+            if fit < best_fit or (fit == best_fit and best is not None and gid < best):
+                best, best_fit = gid, fit
         if best is None:
             break  # nothing movable without making matters worse
-        i = entry.get(best.gid)
+        i = entry.get(best)
         if i is None:
-            entry[best.gid] = len(moves)
-            moves.append((best.gid, over, under))
+            entry[best] = len(moves)
+            moves.append((best, over, under))
         else:
             # moved again: one transfer from the original owner instead
-            moves[i] = (best.gid, moves[i][1], under)
+            moves[i] = (best, moves[i][1], under)
         on_proc[over].remove(best)
         on_proc[under].append(best)
-        loads[over] -= best.workload
-        loads[under] += best.workload
+        loads[over] -= work[best]
+        loads[under] += work[best]
     # a grid that came back to its owner does not move at all
     return [m for m in moves if m[1] != m[2]]

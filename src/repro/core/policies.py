@@ -408,14 +408,15 @@ class FlatPartition:
         self, ctx: BalanceContext, weights: WeightPolicy
     ) -> None:
         w0 = weights.processor_weights(ctx.system, 0.0)
-        for level in range(ctx.hierarchy.max_levels):
-            grids = ctx.hierarchy.level_grids(level)
-            if not grids:
+        h = ctx.hierarchy
+        for level in range(h.max_levels):
+            gids = h.level_gids(level)
+            if not len(gids):
                 continue
-            total = sum(ctx.hierarchy.level_workloads(level).tolist())
-            targets = processor_targets(ctx.system, total, w0)
-            for gid, pid in lpt_assign(grids, _by_pid(targets)).items():
-                ctx.assignment.assign(gid, pid)
+            work = h.level_workloads(level).tolist()
+            targets = processor_targets(ctx.system, sum(work), w0)
+            placed = lpt_assign(dict(zip(gids.tolist(), work)), _by_pid(targets))
+            ctx.assignment.assign(level, list(placed), list(placed.values()))
 
     def active(self, ctx: BalanceContext) -> bool:
         return False
@@ -525,17 +526,19 @@ class ContiguousGroupPartition(_GroupPartition):
             ctx, w0, lambda boxes, gids: np.lexsort((gids, *boxes.lo.T[::-1]))
         )
         for level in range(h.max_levels):
-            grids = h.level_grids(level)
+            gids = h.level_gids(level)
             work = h.level_workloads(level)
-            by_group = _by_group(groups[level], np.arange(len(grids)))
+            by_group = _by_group(groups[level], np.arange(len(gids)))
+            placed: Dict[int, int] = {}
             for group in ctx.system.groups:
                 rows = by_group.get(group.group_id)
                 if rows is None:
                     continue
-                pids, shares = _group_shares(group, sum(work[rows].tolist()), w0)
-                ggrids = [grids[i] for i in rows.tolist()]
-                for gid, pid in lpt_assign(ggrids, dict(zip(pids, shares))).items():
-                    ctx.assignment.assign(gid, pid)
+                loads = work[rows].tolist()
+                pids, shares = _group_shares(group, sum(loads), w0)
+                placed.update(lpt_assign(dict(zip(gids[rows].tolist(), loads)),
+                                         dict(zip(pids, shares))))
+            ctx.assignment.assign(level, list(placed), list(placed.values()))
 
     def plan(
         self, ctx: BalanceContext, weights: np.ndarray
@@ -586,13 +589,13 @@ class SFCPartition(_GroupPartition):
                 continue
             work = h.level_workloads(level)
             order = curve_order(h.level_boxes(level), gids, self.curve)
+            owners = np.empty(len(gids), dtype=np.int64)
             for group_id, rows in _by_group(groups[level], order).items():
                 loads = work[rows].tolist()
                 pids, shares = _group_shares(ctx.system.groups[group_id],
                                              sum(loads), w0)
-                pseg = contiguous_segments(loads, shares)
-                for gid, si in zip(gids[rows].tolist(), pseg.tolist()):
-                    ctx.assignment.assign(gid, pids[si])
+                owners[rows] = np.asarray(pids)[contiguous_segments(loads, shares)]
+            ctx.assignment.assign(level, gids, owners)
 
     def plan(
         self, ctx: BalanceContext, weights: np.ndarray
@@ -641,17 +644,15 @@ class SFCPartition(_GroupPartition):
 def _rebalance(
     ctx: BalanceContext,
     level: int,
-    grids: Sequence[Any],
     rows: np.ndarray,
     targets: Mapping[int, float],
 ) -> None:
-    """Move the whole grids at ``rows`` of ``level`` (whose grids are
-    ``grids``) toward per-processor ``targets``."""
-    owner_of = dict(zip(ctx.hierarchy.level_gids(level)[rows].tolist(),
-                        ctx.assignment.owners(level)[rows].tolist()))
+    """Move the whole grids at ``rows`` of ``level`` toward per-processor
+    ``targets``."""
+    gids = ctx.hierarchy.level_gids(level)[rows].tolist()
     moves = plan_rebalance(
-        [grids[i] for i in rows.tolist()],
-        owner_of,
+        dict(zip(gids, ctx.hierarchy.level_workloads(level)[rows].tolist())),
+        dict(zip(gids, ctx.assignment.owners(level)[rows].tolist())),
         targets,
         tolerance=ctx.scheme_params.local_tolerance,
         max_moves=ctx.scheme_params.max_local_moves,
@@ -720,18 +721,21 @@ class GlobalGreedyLocal:
         loads = ctx.assignment.level_loads(level).tolist()
         w = weights.processor_weights(ctx.system, ctx.sim.clock).tolist()
         heap = _ratio_heap(loads, w, range(ctx.system.nprocs))
+        placed: List[int] = []
         srcs: List[int] = []
         dsts: List[int] = []
         nbytes: List[float] = []
         # heaviest first, ties in the given order
-        for k in np.argsort(-work, kind="stable").tolist():
+        order = np.argsort(-work, kind="stable").tolist()
+        for k in order:
             pid = _place_on_top(heap, loads, w, float(work[k]))
-            ctx.assignment.assign(new_gids[k], pid)
+            placed.append(pid)
             parent_pid = int(parents[k])
             if parent_pid != pid:
                 srcs.append(parent_pid)
                 dsts.append(pid)
                 nbytes.append(cells[k] * ctx.sim_params.bytes_per_cell)
+        ctx.assignment.assign(level, [new_gids[k] for k in order], placed)
         if srcs:
             ctx.sim.run_comm(
                 MessageBatch.of_kind(srcs, dsts, nbytes, MessageKind.MIGRATION),
@@ -744,14 +748,14 @@ class GlobalGreedyLocal:
         time: float,
         weights: WeightPolicy,
     ) -> None:
-        grids = ctx.hierarchy.level_grids(level)
-        if not grids:
+        n = len(ctx.hierarchy.level_gids(level))
+        if not n:
             return
         total = sum(ctx.hierarchy.level_workloads(level).tolist())
         targets = processor_targets(
             ctx.system, total, weights.processor_weights(ctx.system, time)
         )
-        _rebalance(ctx, level, grids, np.arange(len(grids)), _by_pid(targets))
+        _rebalance(ctx, level, np.arange(n), _by_pid(targets))
 
 
 class GroupLocal:
@@ -779,15 +783,17 @@ class GroupLocal:
         # one heap per receiving group, built on first use: a group's loads
         # change only through its own placements
         heaps: Dict[int, List[Tuple[float, int]]] = {}
+        placed: List[int] = []
         # heaviest first, ties in the given order
-        for k in np.argsort(-work, kind="stable").tolist():
+        order = np.argsort(-work, kind="stable").tolist()
+        for k in order:
             group_id = group_of[k]
             heap = heaps.get(group_id)
             if heap is None:
                 heap = heaps[group_id] = _ratio_heap(
                     loads, w, ctx.system.groups[group_id].pids)
-            ctx.assignment.assign(new_gids[k],
-                                  _place_on_top(heap, loads, w, float(work[k])))
+            placed.append(_place_on_top(heap, loads, w, float(work[k])))
+        ctx.assignment.assign(level, [new_gids[k] for k in order], placed)
 
     def local_balance(
         self,
@@ -796,21 +802,21 @@ class GroupLocal:
         time: float,
         weights: WeightPolicy,
     ) -> None:
-        grids = ctx.hierarchy.level_grids(level)
-        if not grids:
+        n = len(ctx.hierarchy.level_gids(level))
+        if not n:
             return
         w = weights.processor_weights(ctx.system, time)
         work = ctx.hierarchy.level_workloads(level)
         # grids never leave their group here, so one bucketing serves
         # every group's pass
         by_group = _by_group(ctx.system.pid_groups[ctx.assignment.owners(level)],
-                             np.arange(len(grids)))
+                             np.arange(n))
         for group in ctx.system.groups:
             rows = by_group.get(group.group_id)
             if rows is None:
                 continue
             pids, shares = _group_shares(group, sum(work[rows].tolist()), w)
-            _rebalance(ctx, level, grids, rows, dict(zip(pids, shares)))
+            _rebalance(ctx, level, rows, dict(zip(pids, shares)))
 
 
 class _ParentPlacement:
@@ -824,9 +830,8 @@ class _ParentPlacement:
     ) -> None:
         if not new_gids:
             return
-        _level, _rows, parents = _new_grid_rows(ctx, new_gids)
-        for gid, pid in zip(new_gids, parents.tolist()):
-            ctx.assignment.assign(gid, pid)
+        level, _rows, parents = _new_grid_rows(ctx, new_gids)
+        ctx.assignment.assign(level, new_gids, parents)
 
 
 class StickyLocal(_ParentPlacement):
@@ -870,13 +875,13 @@ class _Diffusion(_ParentPlacement):
         time: float,
         weights: WeightPolicy,
     ) -> None:
-        grids = ctx.hierarchy.level_grids(level)
-        if not grids:
+        n = len(ctx.hierarchy.level_gids(level))
+        if not n:
             return
         w = weights.processor_weights(ctx.system, time)
         targets = self._targets(ctx.system, ctx.assignment.level_loads(level), w)
         if targets is not None:
-            _rebalance(ctx, level, grids, np.arange(len(grids)), _by_pid(targets))
+            _rebalance(ctx, level, np.arange(n), _by_pid(targets))
 
     def _targets(
         self,

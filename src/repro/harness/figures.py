@@ -82,7 +82,7 @@ def fig1_hierarchy(domain_cells: int = 32, max_levels: int = 4) -> Fig1Result:
         regrid_level(hierarchy, app, level, time=0.0)
     hierarchy.validate()
     levels = [
-        (l, len(hierarchy.level_grids(l)), sum(g.ncells for g in hierarchy.level_grids(l)))
+        (l, len(hierarchy.level_gids(l)), int(hierarchy.level_boxes(l).ncells().sum()))
         for l in range(max_levels)
     ]
     return Fig1Result(levels=levels, hierarchy=hierarchy)

@@ -4,17 +4,17 @@ The :class:`GridAssignment` is the mutable state every DLB scheme operates
 on: which processor owns which grid.  Per level it keeps one ``int64``
 owner column aligned with the level's table
 (:meth:`~repro.amr.hierarchy.GridHierarchy.level_gids`, -1 where a grid is
-unassigned), and an owner version that moves with every :meth:`assign` on
-that level.  Its one load view, :meth:`GridAssignment.level_loads`, is the
-pid-indexed work of one level that the bulk-synchronous compute phase
-charges; the per-group sums of the paper's Eqs. 2-3 are taken from the
-recorded history (:meth:`~repro.core.gain.CoarseStepRecord.group_totals`).
+unassigned), the only store of the owners, and an owner version that moves
+with every :meth:`assign` on that level.  Its one load view,
+:meth:`GridAssignment.level_loads`, is the pid-indexed work of one level
+that the bulk-synchronous compute phase charges; the per-group sums of the
+paper's Eqs. 2-3 are taken from the recorded history
+(:meth:`~repro.core.gain.CoarseStepRecord.group_totals`).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Iterable, List
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class GridAssignment:
     hierarchy:
         The grid hierarchy whose grids are being assigned.  An owner column
         realigns itself with its level's rows when the level's version
-        has moved, and forgets the owners of the grids that left.
+        has moved: surviving grids keep their owners.
     system:
         The distributed system providing processor/group structure.
     """
@@ -40,14 +40,11 @@ class GridAssignment:
     def __init__(self, hierarchy: GridHierarchy, system: DistributedSystem) -> None:
         self.hierarchy = hierarchy
         self.system = system
-        #: gid -> pid, for the O(1) per-grid lookup
-        self._owner: Dict[int, int] = {}
         levels = range(hierarchy.max_levels)
         #: per level: the gids its owner column is aligned with, at which
-        #: level version, each gid's row, and the column
+        #: level version, and the column
         self._gids: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in levels]
         self._aligned: List[int] = [-1 for _ in levels]
-        self._rows: List[Dict[int, int]] = [{} for _ in levels]
         self._columns: List[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in levels]
         self._versions: List[int] = [0 for _ in levels]
 
@@ -55,28 +52,39 @@ class GridAssignment:
     # basic operations
     # ------------------------------------------------------------------ #
 
-    def assign(self, gid: int, pid: int) -> None:
-        """Set (or change) the owner of a grid: the only writer of the
-        owner columns."""
-        try:
-            level = self.hierarchy.grid(gid).level
-        except KeyError:
-            raise KeyError(f"unknown grid {gid}") from None
-        if not 0 <= pid < self.system.nprocs:
-            raise ValueError(f"unknown processor {pid}")
-        column = self._columns[level]
-        if self._aligned[level] != self.hierarchy.level_version(level):
-            column = self._column(level)
-        elif not column.flags.writeable:  # handed out by owners(): copy on write
+    def assign(self, level: int, gids: Union[Sequence[int], np.ndarray],
+               pids: Union[Sequence[int], np.ndarray]) -> None:
+        """Set (or change) the owner of each of ``gids``, grids of
+        ``level``, to the matching entry of ``pids``: the only writer of
+        the owner columns.
+
+        The batch is checked before anything changes: a gid that is not on
+        ``level`` raises :exc:`KeyError` and a pid outside the system
+        :exc:`ValueError`, each naming the first bad value.  The level's
+        owner version moves once per non-empty batch.
+        """
+        gids = np.asarray(gids, dtype=np.int64)
+        pids = np.asarray(pids, dtype=np.int64)
+        if gids.shape != pids.shape:
+            raise ValueError(f"{gids.size} gids but {pids.size} pids")
+        if not len(gids):
+            return
+        column = self._column(level)
+        rows = self.hierarchy.level_rows(level, gids)
+        bad = (pids < 0) | (pids >= self.system.nprocs)
+        if bad.any():
+            raise ValueError(f"unknown processor {pids[np.argmax(bad)]}")
+        if not column.flags.writeable:  # handed out by owners(): copy on write
             column = self._columns[level] = column.copy()
-        column[self._rows[level][gid]] = pid
-        self._owner[gid] = pid
+        column[rows] = pids
         self._versions[level] += 1
 
     def pid_of(self, gid: int) -> int:
-        """Owner of grid ``gid`` (KeyError if unassigned)."""
-        pid = self._owner.get(gid)
-        if pid is None:
+        """Owner of grid ``gid`` (KeyError if unknown or unassigned)."""
+        level = self.hierarchy.grid(gid).level
+        column = self._column(level)
+        pid = int(column[np.searchsorted(self._gids[level], gid)])
+        if pid < 0:
             raise KeyError(f"grid {gid} is not assigned")
         return pid
 
@@ -93,21 +101,14 @@ class GridAssignment:
         return column
 
     def owner_version(self, level: int) -> int:
-        """Moves with every :meth:`assign` to a grid of ``level``; with the
+        """Moves with every :meth:`assign` to grids of ``level``; with the
         level's version it keys a cache of the level's owners."""
         return self._versions[level]
 
-    def prune(self) -> None:
-        """Realign every level's owner column now, dropping the owners of
-        grids no longer in the hierarchy (every read does this for its
-        own level)."""
-        for level in range(self.hierarchy.max_levels):
-            self._column(level)
-
     def _column(self, level: int) -> np.ndarray:
         """``level``'s owner column, first realigned with the level's rows
-        if they changed: surviving grids keep their owners, new ones are
-        unassigned and the owners of removed ones are forgotten."""
+        if they changed: surviving grids keep their owners and new ones
+        are unassigned."""
         version = self.hierarchy.level_version(level)
         if self._aligned[level] == version:
             return self._columns[level]
@@ -117,12 +118,7 @@ class GridAssignment:
         kept[kept] = old[rows[kept]] == gids[kept]
         column = np.full(len(gids), -1, dtype=np.int64)
         column[kept] = self._columns[level][rows[kept]]
-        gone = np.ones(len(old), dtype=bool)
-        gone[rows[kept]] = False
-        for gid in old[gone].tolist():
-            self._owner.pop(gid, None)
         self._gids[level], self._aligned[level] = gids, version
-        self._rows[level] = dict(zip(gids.tolist(), range(len(gids))))
         self._columns[level] = column
         return column
 
@@ -149,38 +145,26 @@ class GridAssignment:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Every hierarchy grid assigned to exactly one live processor, and
-        every owner column equal to the per-grid owners.
+        """Every hierarchy grid assigned to exactly one live processor.
 
         Raises :exc:`ValueError` (under ``python -O`` too) naming the first
         grid that is unassigned or on a pid outside the system.
         """
         for level in range(self.hierarchy.max_levels):
-            gids = self.hierarchy.level_gids(level)
-            owners = np.fromiter(map(self._owner.get, gids.tolist(), repeat(-1)),
-                                 dtype=np.int64, count=len(gids))
+            owners = self._column(level)
             bad = (owners < 0) | (owners >= self.system.nprocs)
             if bad.any():
-                gid, pid = int(gids[np.argmax(bad)]), int(owners[np.argmax(bad)])
+                k = int(np.argmax(bad))
+                gid, pid = int(self._gids[level][k]), int(owners[k])
                 if pid < 0:
                     raise ValueError(f"grid {gid} is unassigned")
                 raise ValueError(f"grid {gid} on bad pid {pid}")
-            if not np.array_equal(owners, self._column(level)):
-                raise ValueError(f"level {level}'s owner column is stale")
 
     def copy(self) -> "GridAssignment":
         """Shallow copy (same hierarchy/system, independent owners)."""
         out = GridAssignment(self.hierarchy, self.system)
-        out._owner = dict(self._owner)
         out._gids = list(self._gids)
         out._aligned = list(self._aligned)
-        out._rows = list(self._rows)
         out._columns = [column.copy() for column in self._columns]
         out._versions = list(self._versions)
         return out
-
-    def __len__(self) -> int:
-        return len(self._owner)
-
-    def items(self) -> Iterable:
-        return self._owner.items()

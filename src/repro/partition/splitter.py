@@ -17,12 +17,23 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 from ..amr.boxarray import BoxArray
 from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from .mapping import GridAssignment
 
 __all__ = ["split_level0_grid", "carve_workload"]
+
+
+def _level0_row(hierarchy: GridHierarchy, gid: int) -> Tuple[Grid, int]:
+    """Grid ``gid`` and its row in level 0's table; :exc:`ValueError` if it
+    is on another level."""
+    grid = hierarchy.grid(gid)
+    if grid.level != 0:
+        raise ValueError(f"only level-0 grids may be split, got level {grid.level}")
+    return grid, int(np.searchsorted(hierarchy.level_gids(0), gid))
 
 
 def split_level0_grid(
@@ -34,22 +45,20 @@ def split_level0_grid(
 ) -> Tuple[Grid, Grid]:
     """Split a level-0 grid in two along ``axis`` at plane ``at``.
 
-    Both halves inherit the original owner (the caller migrates one of them
-    afterwards).  Any finer grids nested in the original are removed -- they
-    are reconstructed from level 0 by the next regrid.
+    Both halves inherit the original owner and ``work_per_cell`` (the
+    caller migrates one of them afterwards).  Any finer grids nested in the
+    original are removed -- they are reconstructed from level 0 by the next
+    regrid.
 
     Returns the two new grids (low side, high side).
     """
-    grid = hierarchy.grid(gid)
-    if grid.level != 0:
-        raise ValueError(f"only level-0 grids may be split, got level {grid.level}")
+    grid, row = _level0_row(hierarchy, gid)
     owner = assignment.pid_of(gid)
+    work_per_cell = float(hierarchy.level_work_per_cell(0)[row])
     halves = BoxArray.from_boxes(grid.box.split(axis, at))
     hierarchy.remove_grid(gid)  # removes the whole subtree
-    assignment.prune()
-    low, high = hierarchy.insert_grids(0, halves, None, grid.work_per_cell)
-    assignment.assign(low.gid, owner)
-    assignment.assign(high.gid, owner)
+    low, high = hierarchy.insert_grids(0, halves, None, work_per_cell)
+    assignment.assign(0, [low.gid, high.gid], [owner, owner])
     return low, high
 
 
@@ -66,10 +75,11 @@ def carve_workload(
     less than the grid's total; the split plane is clamped so both halves
     are non-empty.
     """
-    grid = hierarchy.grid(gid)
-    if not 0 < workload < grid.workload:
+    grid, row = _level0_row(hierarchy, gid)
+    total = float(hierarchy.level_workloads(0)[row])
+    if not 0 < workload < total:
         raise ValueError(
-            f"workload {workload} must be inside (0, {grid.workload}) for grid {gid}"
+            f"workload {workload} must be inside (0, {total}) for grid {gid}"
         )
     axis = grid.box.longest_axis()
     length = grid.box.shape[axis]
@@ -82,7 +92,7 @@ def carve_workload(
                 break
         else:
             raise ValueError(f"grid {gid} is too small to split: {grid.box}")
-    frac = workload / grid.workload
+    frac = workload / total
     offset = round(frac * length)
     offset = min(length - 1, max(1, offset))
     return split_level0_grid(hierarchy, assignment, gid, axis, grid.box.lo[axis] + offset)

@@ -6,9 +6,9 @@ range with replicated state -- is represented as a genuine level-0
 genuine :class:`~repro.partition.mapping.GridAssignment`.  Nothing about
 the paper's machinery changes:
 
-* a shard's ``ncells`` is its *state size* -- migration cost is
-  ``migration_cells() * bytes_per_cell`` shipped over topology routes,
-  exactly as for an AMR grid;
+* a shard's cell count is its *state size* -- migration cost is the
+  cells of its level-0 row times ``bytes_per_cell``, shipped over topology
+  routes exactly as for an AMR grid;
 * its ``work_per_cell`` is updated each balance interval to the observed
   request load per key (:meth:`~repro.amr.hierarchy.GridHierarchy.set_work_per_cell`),
   so its workload is the shard's measured load and every registered

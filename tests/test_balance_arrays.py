@@ -66,6 +66,33 @@ from repro.partition import (
 from repro.runtime import root_blocks
 
 # --------------------------------------------------------------------- #
+# per-grid reads of the level tables and owner columns
+# --------------------------------------------------------------------- #
+
+
+def _workloads(h) -> Dict[int, float]:
+    """gid -> workload of every grid, level by level in row order."""
+    return {gid: w for level in range(h.max_levels)
+            for gid, w in zip(h.level_gids(level).tolist(),
+                              h.level_workloads(level).tolist())}
+
+
+def _owner_of(assignment, level) -> Dict[int, int]:
+    """gid -> pid of ``level``'s assigned grids, in row order."""
+    gids = assignment.hierarchy.level_gids(level).tolist()
+    return {gid: pid for gid, pid in zip(gids, assignment.owners(level).tolist())
+            if pid >= 0}
+
+
+def _subtree(h, gid) -> List[Grid]:
+    """The grid and all its descendants in pre-order, children ascending."""
+    out = [h.grid(gid)]
+    for child in h.children(gid).tolist():
+        out.extend(_subtree(h, child))
+    return out
+
+
+# --------------------------------------------------------------------- #
 # references: the per-pid dict code the arrays replaced
 # --------------------------------------------------------------------- #
 
@@ -103,9 +130,11 @@ def _processor_targets_reference(system, total, weights):
 def _level_loads_reference(assignment, level):
     """Former ``GridAssignment.level_loads``: pid -> work units."""
     loads = {pid: 0.0 for pid in range(assignment.system.nprocs)}
+    owner = _owner_of(assignment, level)
+    work = _workloads(assignment.hierarchy)
     for g in assignment.hierarchy.level_grids(level):
-        if g.gid in assignment._owner:
-            loads[assignment.pid_of(g.gid)] += g.workload
+        if g.gid in owner:
+            loads[owner[g.gid]] += work[g.gid]
     return loads
 
 
@@ -136,11 +165,12 @@ def _effective_level0_loads_reference(ctx):
         if rec is not None and rec.level_iterations
         else {l: ratio**l for l in range(ctx.hierarchy.max_levels)}
     )
+    work = _workloads(ctx.hierarchy)
     out: Dict[int, float] = {}
     for grid in ctx.hierarchy.level_grids(0):
         total = 0.0
-        for g in ctx.hierarchy.subtree(grid.gid):
-            total += g.workload * iters.get(g.level, ratio**g.level)
+        for g in _subtree(ctx.hierarchy, grid.gid):
+            total += work[g.gid] * iters.get(g.level, ratio**g.level)
         out[grid.gid] = total
     return out
 
@@ -152,7 +182,7 @@ def _group_centroids_reference(ctx):
     for grid in ctx.hierarchy.level_grids(0):
         g = ctx.assignment.group_of(grid.gid)
         c = grid.box.center()
-        w = float(grid.ncells)
+        w = float(grid.box.ncells)
         if g not in sums:
             sums[g] = [0.0] * ndim
             weights[g] = 0.0
@@ -242,13 +272,13 @@ def _plan_global_redistribution_reference(ctx, weights):
                 dst_memo[recv] = dst
             if load <= amount * (1.0 + WHOLE_GRID_SLACK):
                 plan.moves.append((grid.gid, src, dst))
-                plan.migrate_cells += grid.ncells
+                plan.migrate_cells += grid.box.ncells
                 planned.add(grid.gid)
                 moved = load
             elif amount >= MIN_CARVE_FRACTION * load and max(grid.box.shape) >= 2:
                 frac = amount / load
                 plan.carves.append(CarvePlan(grid.gid, frac, src, dst))
-                plan.migrate_cells += int(round(frac * grid.ncells))
+                plan.migrate_cells += int(round(frac * grid.box.ncells))
                 planned.add(grid.gid)
                 moved = amount
             else:
@@ -267,14 +297,15 @@ def _group_place_new_grids_reference(ctx, new_gids, weights):
         return
     level = ctx.hierarchy.grid(new_gids[0]).level
     loads = _level_loads_reference(ctx.assignment, level)
-    for gid in sorted(new_gids, key=lambda g: -ctx.hierarchy.grid(g).workload):
+    work = _workloads(ctx.hierarchy)
+    for gid in sorted(new_gids, key=lambda g: -work[g]):
         grid = ctx.hierarchy.grid(gid)
         parent_group = ctx.system.groups[
             ctx.system.processor(ctx.assignment.pid_of(grid.parent_gid)).group_id
         ]
         pid = min(parent_group.pids, key=lambda p: (loads[p] / weights[p], p))
-        ctx.assignment.assign(gid, pid)
-        loads[pid] += grid.workload
+        ctx.assignment.assign(level, [gid], [pid])
+        loads[pid] += work[gid]
 
 
 def _greedy_place_new_grids_reference(ctx, new_gids, weights):
@@ -287,16 +318,17 @@ def _greedy_place_new_grids_reference(ctx, new_gids, weights):
     srcs: List[int] = []
     dsts: List[int] = []
     nbytes: List[float] = []
-    for gid in sorted(new_gids, key=lambda g: -ctx.hierarchy.grid(g).workload):
+    work = _workloads(ctx.hierarchy)
+    for gid in sorted(new_gids, key=lambda g: -work[g]):
         grid = ctx.hierarchy.grid(gid)
         pid = min(loads, key=lambda p: (loads[p] / weights[p], p))
-        ctx.assignment.assign(gid, pid)
-        loads[pid] += grid.workload
+        ctx.assignment.assign(level, [gid], [pid])
+        loads[pid] += work[gid]
         parent_pid = ctx.assignment.pid_of(grid.parent_gid)
         if parent_pid != pid:
             srcs.append(parent_pid)
             dsts.append(pid)
-            nbytes.append(grid.ncells * ctx.sim_params.bytes_per_cell)
+            nbytes.append(grid.box.ncells * ctx.sim_params.bytes_per_cell)
     if srcs:
         ctx.sim.run_comm(
             MessageBatch.of_kind(srcs, dsts, nbytes, MessageKind.MIGRATION),
@@ -304,9 +336,10 @@ def _greedy_place_new_grids_reference(ctx, new_gids, weights):
 
 
 def _rebalance_reference(ctx, grids, targets, level):
+    work = _workloads(ctx.hierarchy)
     owner_of = {g.gid: ctx.assignment.pid_of(g.gid) for g in grids}
     moves: List[Move] = plan_rebalance(
-        grids, owner_of, targets,
+        {g.gid: work[g.gid] for g in grids}, owner_of, targets,
         tolerance=ctx.scheme_params.local_tolerance,
         max_moves=ctx.scheme_params.max_local_moves,
     )
@@ -319,11 +352,12 @@ def _group_local_balance_reference(ctx, level, weights):
     grids = ctx.hierarchy.level_grids(level)
     if not grids:
         return
+    work = _workloads(ctx.hierarchy)
     for group in ctx.system.groups:
         ggrids = [g for g in grids if ctx.assignment.group_of(g.gid) == group.group_id]
         if not ggrids:
             continue
-        gtotal = sum(g.workload for g in ggrids)
+        gtotal = sum(work[g.gid] for g in ggrids)
         shares = _proportional_shares_reference(
             gtotal, [weights[p.pid] for p in group.processors])
         targets = {p.pid: s for p, s in zip(group.processors, shares)}
@@ -335,18 +369,19 @@ def _contiguous_initial_distribution_reference(ctx, w0):
     from repro.partition.sfc import contiguous_segments
 
     grids = ctx.hierarchy.level_grids(0)
+    work = _workloads(ctx.hierarchy)
     eff = _effective_level0_loads_reference(ctx)
     total = sum(eff.values())
     if total <= 0:
-        total = sum(g.workload for g in grids)
-        eff = {g.gid: g.workload for g in grids}
+        total = sum(work[g.gid] for g in grids)
+        eff = {g.gid: work[g.gid] for g in grids}
     targets = _group_targets_reference(ctx.system, total, w0)
     gorder = sorted(targets)
     ordered = sorted(grids, key=lambda g: (g.box.lo, g.gid))
     seg = contiguous_segments([eff[g.gid] for g in ordered], [targets[g] for g in gorder])
     grid_group: Dict[int, int] = {}
     for root, si in zip(ordered, seg):
-        for g in ctx.hierarchy.subtree(root.gid):
+        for g in _subtree(ctx.hierarchy, root.gid):
             grid_group[g.gid] = gorder[si]
     for level in range(ctx.hierarchy.max_levels):
         level_grids = ctx.hierarchy.level_grids(level)
@@ -354,12 +389,13 @@ def _contiguous_initial_distribution_reference(ctx, w0):
             ggrids = [g for g in level_grids if grid_group[g.gid] == group.group_id]
             if not ggrids:
                 continue
-            gtotal = sum(g.workload for g in ggrids)
+            gtotal = sum(work[g.gid] for g in ggrids)
             shares = _proportional_shares_reference(
                 gtotal, [w0[p.pid] for p in group.processors])
             ptargets = {p.pid: s for p, s in zip(group.processors, shares)}
-            for gid, pid in lpt_assign(ggrids, ptargets).items():
-                ctx.assignment.assign(gid, pid)
+            placed = lpt_assign({g.gid: work[g.gid] for g in ggrids}, ptargets)
+            for gid, pid in placed.items():
+                ctx.assignment.assign(level, [gid], [pid])
 
 
 def _diffusion_targets_reference(loads, weights, sweeps):
@@ -435,6 +471,12 @@ def cases(draw, max_groups=32, max_procs=160):
     return system, blocks, work, shape, hot, owner_seed, child_work
 
 
+def _add(h, level, box, parent_gid, work_per_cell):
+    (grid,) = h.insert_grids(level, BoxArray.from_box(box),
+                             np.array([parent_gid]), work_per_cell)
+    return grid
+
+
 def build_ctx(case, skip_level: Optional[int] = None, keep_fraction=0.5):
     """Build the drawn context afresh (deterministic, so two calls give
     identical contexts).  Grids of ``skip_level`` are assigned with
@@ -451,25 +493,28 @@ def build_ctx(case, skip_level: Optional[int] = None, keep_fraction=0.5):
         mid = (lo[0] + hi[0]) // 2
         halves = [Box(lo, (mid,) + hi[1:]), Box((mid,) + lo[1:], hi)]
         for box, grandkids in zip(halves, kids):
-            child = h.add_grid(1, box, root.gid, work_per_cell=child_work)
+            child = _add(h, 1, box, root.gid, child_work)
             gfine = box.refine(2)
             glo, ghi = gfine.lo, gfine.hi
             gmid = (glo[1] + ghi[1]) // 2
             gboxes = [Box(glo, (ghi[0], gmid, ghi[2])),
                       Box((glo[0], gmid, glo[2]), ghi)]
             for gbox in gboxes[:grandkids]:
-                h.add_grid(2, gbox, child.gid,
-                           work_per_cell=float(rng.choice([1.0, 2.0, 0.3])))
+                _add(h, 2, gbox, child.gid, float(rng.choice([1.0, 2.0, 0.3])))
     a = GridAssignment(h, system)
     for level in range(3):
+        parents = _owner_of(a, level - 1) if level else {}
+        gids, pids = [], []
         for g in h.level_grids(level):
             if level == skip_level and rng.random() >= keep_fraction:
                 continue
             if level > 0 and rng.random() < 0.7:
-                pid = a.pid_of(g.parent_gid) if g.parent_gid in a._owner else 0
+                pid = parents.get(g.parent_gid, 0)
             else:
                 pid = int(rng.choice(hot))
-            a.assign(g.gid, pid)
+            gids.append(g.gid)
+            pids.append(pid)
+        a.assign(level, gids, pids)
     ctx = BalanceContext(
         hierarchy=h, assignment=a, system=system,
         sim=ClusterSimulator(system), sim_params=SimParams(),
@@ -497,7 +542,9 @@ def record_history(ctx, rng, sparse=False):
 
 
 def owners(ctx):
-    return dict(ctx.assignment.items())
+    """gid -> pid of every assigned grid."""
+    return {gid: pid for level in range(ctx.hierarchy.max_levels)
+            for gid, pid in _owner_of(ctx.assignment, level).items()}
 
 
 # --------------------------------------------------------------------- #
@@ -582,7 +629,7 @@ def test_place_new_grids_matches_reference(case, level, time, keep):
         ctx = build_ctx(case, skip_level=level, keep_fraction=keep)
         ref_ctx = build_ctx(case, skip_level=level, keep_fraction=keep)
         new = [g.gid for g in ctx.hierarchy.level_grids(level)
-               if g.gid not in ctx.assignment._owner]
+               if g.gid not in _owner_of(ctx.assignment, level)]
         ctx.sim.clock = ref_ctx.sim.clock = time
         policy.place_new_grids(ctx, new, MeasuredWeights())
         reference(ref_ctx, new, _processor_weights_reference(
@@ -644,8 +691,7 @@ def _tiny_ctx(groups: Sequence[int], assign: Mapping[int, int]):
     roots = h.create_root_grids(
         BoxArray.from_boxes([Box((i,), (i + 1,)) for i in range(len(assign))]))
     a = GridAssignment(h, system)
-    for i, g in enumerate(roots):
-        a.assign(g.gid, assign[i])
+    a.assign(0, [g.gid for g in roots], [assign[i] for i in range(len(roots))])
     return BalanceContext(
         hierarchy=h, assignment=a, system=system, sim=ClusterSimulator(system),
         history=WorkloadHistory(),
@@ -694,12 +740,11 @@ def test_placement_heap_breaks_ratio_ties_to_the_lowest_pid(policy, reference):
     h = GridHierarchy(Box((0,), (4,)), 2, 2)
     roots = h.create_root_grids(BoxArray.from_boxes([Box((0,), (2,)), Box((2,), (4,))]))
     a = GridAssignment(h, system)
-    a.assign(roots[0].gid, 0)
-    a.assign(roots[1].gid, 1)
-    a.assign(h.add_grid(1, Box((0,), (1,)), roots[0].gid).gid, 0)
-    a.assign(h.add_grid(1, Box((4,), (5,)), roots[1].gid).gid, 1)
-    new = [h.add_grid(1, Box((2,), (3,)), roots[0].gid).gid,
-           h.add_grid(1, Box((6,), (7,)), roots[1].gid).gid]
+    a.assign(0, [roots[0].gid, roots[1].gid], [0, 1])
+    a.assign(1, [_add(h, 1, Box((0,), (1,)), roots[0].gid, 1.0).gid,
+                 _add(h, 1, Box((4,), (5,)), roots[1].gid, 1.0).gid], [0, 1])
+    new = [_add(h, 1, Box((2,), (3,)), roots[0].gid, 1.0).gid,
+           _add(h, 1, Box((6,), (7,)), roots[1].gid, 1.0).gid]
 
     def ctx_of(assignment):
         return BalanceContext(hierarchy=h, assignment=assignment, system=system,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams, SimParams
 from repro.core.base import BalanceContext
@@ -30,8 +31,8 @@ def make_ctx(blocks=(8, 1, 1), n=16, assign_split=4):
     roots = h.create_root_grids(root_blocks(domain, blocks))
     system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.0))
     a = GridAssignment(h, system)
-    for i, g in enumerate(roots):
-        a.assign(g.gid, 0 if i < assign_split else 2)
+    a.assign(0, [g.gid for g in roots],
+             [0 if i < assign_split else 2 for i in range(len(roots))])
     ctx = BalanceContext(
         hierarchy=h, assignment=a, system=system,
         sim=ClusterSimulator(system),
@@ -39,6 +40,15 @@ def make_ctx(blocks=(8, 1, 1), n=16, assign_split=4):
         history=WorkloadHistory(),
     )
     return ctx, roots
+
+
+def add_child(ctx, box, parent_gid, pid):
+    """One level-1 grid under ``parent_gid``, owned by ``pid``; returns its
+    level-1 workload."""
+    (child,) = ctx.hierarchy.insert_grids(1, BoxArray.from_box(box),
+                                          np.array([parent_gid]), 1.0)
+    ctx.assignment.assign(1, [child.gid], [pid])
+    return ctx.hierarchy.level_workloads(1)[-1]
 
 
 def nominal(ctx):
@@ -52,20 +62,18 @@ class TestEffectiveLoads:
         eff = effective_level0_loads(ctx)
         # no history: N_iter(0) falls back to ratio^0 == 1; the array is
         # aligned with the level-0 grids
-        assert eff.tolist() == pytest.approx([g.workload for g in roots])
+        assert eff.tolist() == pytest.approx(ctx.hierarchy.level_workloads(0).tolist())
 
     def test_subtree_weighted_by_nominal_iterations(self):
         ctx, roots = make_ctx()
-        child = ctx.hierarchy.add_grid(1, Box((0, 0, 0), (4, 4, 4)), roots[0].gid)
-        ctx.assignment.assign(child.gid, 0)
+        child_work = add_child(ctx, Box((0, 0, 0), (4, 4, 4)), roots[0].gid, 0)
         eff = effective_level0_loads(ctx)
         # level 1 runs ratio^1 = 2 sub-iterations per coarse step
-        assert eff[0] == pytest.approx(roots[0].workload + 2 * child.workload)
+        assert eff[0] == pytest.approx(ctx.hierarchy.level_workloads(0)[0] + 2 * child_work)
 
     def test_history_iterations_override_nominal(self):
         ctx, roots = make_ctx()
-        child = ctx.hierarchy.add_grid(1, Box((0, 0, 0), (4, 4, 4)), roots[0].gid)
-        ctx.assignment.assign(child.gid, 0)
+        child_work = add_child(ctx, Box((0, 0, 0), (4, 4, 4)), roots[0].gid, 0)
         loads = np.zeros(ctx.system.nprocs)
         loads[0] = 1.0
         ctx.history.record_solve(0, loads)
@@ -73,7 +81,7 @@ class TestEffectiveLoads:
             ctx.history.record_solve(1, loads)
         ctx.history.end_coarse_step(1.0)
         eff = effective_level0_loads(ctx)
-        assert eff[0] == pytest.approx(roots[0].workload + 5 * child.workload)
+        assert eff[0] == pytest.approx(ctx.hierarchy.level_workloads(0)[0] + 5 * child_work)
 
 
 class TestPlan:
@@ -118,8 +126,7 @@ class TestPlan:
         all the refinement, so its effective load is larger."""
         ctx, roots = make_ctx(assign_split=4)  # even level-0 split
         # pile children under group 0's first slab
-        child = ctx.hierarchy.add_grid(1, roots[0].box.refine(2), roots[0].gid)
-        ctx.assignment.assign(child.gid, 0)
+        add_child(ctx, roots[0].box.refine(2), roots[0].gid, 0)
         plan = plan_global_redistribution(ctx, nominal(ctx))
         assert not plan.empty
 

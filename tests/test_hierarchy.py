@@ -9,7 +9,7 @@ import textwrap
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Set
+from typing import Dict, List, Set
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
-from repro.amr.grid import Grid
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.regrid import apply_cluster_boxes
 from repro.distsys import build_system, parallel_spec
@@ -31,6 +30,13 @@ def make_hierarchy(n=16, levels=3, blocks=(4, 1, 1)):
     h = GridHierarchy(domain, refinement_ratio=2, max_levels=levels)
     h.create_root_grids(root_blocks(domain, blocks))
     return h
+
+
+def _add(h, level, box, parent_gid, work_per_cell=1.0):
+    """One grid through a one-row insert_grids batch."""
+    (grid,) = h.insert_grids(level, BoxArray.from_box(box),
+                             np.array([parent_gid], dtype=np.int64), work_per_cell)
+    return grid
 
 
 class TestConstruction:
@@ -73,51 +79,67 @@ class TestAddRemove:
     def test_add_child(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        child = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        child = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         assert child.parent_gid == root.gid
-        assert root.children == (child.gid,)
+        assert h.children(root.gid).tolist() == [child.gid]
         h.validate()
-
-    def test_add_level0_via_add_grid_raises(self):
-        h = make_hierarchy()
-        with pytest.raises(ValueError):
-            h.add_grid(0, Box.cube(0, 2, 3))
 
     def test_child_outside_parent_raises(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]  # box [0,4) x [0,16)^2
         with pytest.raises(ValueError):
-            h.add_grid(1, Box((30, 0, 0), (32, 4, 4)), root.gid)
+            _add(h, 1, Box((30, 0, 0), (32, 4, 4)), root.gid)
 
     def test_overlapping_siblings_raise(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         with pytest.raises(ValueError):
-            h.add_grid(1, Box((2, 2, 2), (6, 6, 6)), root.gid)
+            _add(h, 1, Box((2, 2, 2), (6, 6, 6)), root.gid)
 
     def test_wrong_parent_level_raises(self):
         h = make_hierarchy(levels=3)
         root = h.level_grids(0)[0]
         with pytest.raises(ValueError):
-            h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), root.gid)
+            _add(h, 2, Box((0, 0, 0), (4, 4, 4)), root.gid)
 
     def test_remove_subtree(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        c1 = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        c2 = h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
+        c1 = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        c2 = _add(h, 2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
         h.remove_grid(c1.gid)
         assert not h.has_grid(c1.gid)
         assert not h.has_grid(c2.gid)
-        assert root.children == ()
+        assert h.children(root.gid).tolist() == []
+        assert (h.level_gids(1).tolist(), h.level_gids(2).tolist()) == ([], [])
+        h.validate()
+
+    def test_remove_takes_the_subtree_level_by_level(self):
+        """Every descendant goes, grandchildren included, and only they:
+        each level that loses a row moves its version once."""
+        h = make_hierarchy(levels=4)
+        roots = h.level_grids(0)
+        a = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), roots[0].gid)
+        b = _add(h, 1, Box((8, 0, 0), (12, 4, 4)), roots[1].gid)
+        a1 = _add(h, 2, Box((0, 0, 0), (2, 2, 2)), a.gid)
+        a2 = _add(h, 2, Box((4, 4, 4), (6, 6, 6)), a.gid)
+        b1 = _add(h, 2, Box((16, 0, 0), (18, 2, 2)), b.gid)
+        a11 = _add(h, 3, Box((0, 0, 0), (2, 2, 2)), a1.gid)
+        _add(h, 3, Box((32, 0, 0), (34, 2, 2)), b1.gid)
+        versions = [h.level_version(level) for level in range(4)]
+        h.remove_grid(a.gid)
+        assert [h.level_version(level) - v for level, v in enumerate(versions)] == [0, 1, 1, 1]
+        assert not any(h.has_grid(g) for g in (a.gid, a1.gid, a2.gid, a11.gid))
+        assert [len(h.level_gids(level)) for level in range(4)] == [4, 1, 1, 1]
+        assert h.children(roots[0].gid).tolist() == []
         h.validate()
 
     def test_clear_level_removes_finer(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        c1 = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
+        c1 = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
         h.clear_level(1)
         assert h.level_grids(1) == []
         assert h.level_grids(2) == []
@@ -132,7 +154,7 @@ class TestAddRemove:
         h = make_hierarchy()
         v0 = [h.level_version(level) for level in range(3)]
         root = h.level_grids(0)[0]
-        c = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        c = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         assert h.level_version(1) > v0[1]
         assert (h.level_version(0), h.level_version(2)) == (v0[0], v0[2])
         v1 = h.level_version(1)
@@ -146,7 +168,7 @@ class TestQueries:
         h = make_hierarchy()
         assert h.nlevels == 1
         root = h.level_grids(0)[0]
-        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         assert h.nlevels == 2
 
     def test_level_domain(self):
@@ -158,13 +180,14 @@ class TestQueries:
         h = make_hierarchy(n=16)
         assert h.total_cells() == 16**3
 
-    def test_subtree_preorder(self):
+    def test_children_follow_the_parent_columns(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        c1 = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        c2 = h.add_grid(2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
-        gids = [g.gid for g in h.subtree(root.gid)]
-        assert gids == [root.gid, c1.gid, c2.gid]
+        c1 = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        c2 = _add(h, 2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
+        assert h.children(root.gid).tolist() == [c1.gid]
+        assert h.children(c1.gid).tolist() == [c2.gid]
+        assert h.children(c2.gid).tolist() == []  # the finest level
 
 
 class TestSiblingPairs:
@@ -256,7 +279,7 @@ def sibling_levels(draw):
     h = GridHierarchy(domain, refinement_ratio=2, max_levels=2)
     (root,) = h.create_root_grids(BoxArray.from_box(domain))
     for box in order:
-        h.add_grid(1, box, root.gid)
+        _add(h, 1, box, root.gid)
     return h
 
 
@@ -278,26 +301,86 @@ class TestSiblingPairsMatchesReference:
 
 
 def _fresh_table(h, level):
-    """A level's boxes and gids packed afresh from its grids."""
+    """A level's boxes and gids packed afresh from its grid records."""
     grids = h.level_grids(level)
     return (BoxArray.from_boxes([g.box for g in grids], ndim=h.domain.ndim),
             np.array([g.gid for g in grids], dtype=np.int64))
 
 
-def _fresh_columns(h, owners, level):
-    """A level's ``work_per_cell``, workload, parent and owner columns read
-    afresh from its grids and the per-grid owner map."""
-    grids = h.level_grids(level)
-    return {
-        "work_per_cell": [g.work_per_cell for g in grids],
-        "workload": [g.workload for g in grids],
-        "parents": [-1 if g.parent_gid is None else g.parent_gid for g in grids],
-        "owners": [owners._owner.get(g.gid, -1) for g in grids],
-    }
+@dataclass
+class _Row:
+    """What the model knows of one grid."""
+
+    level: int
+    box: Box
+    #: the parent's gid, -1 on level 0
+    parent: int
+    work_per_cell: float
+    owner: int = -1
+
+
+class _Model:
+    """The hierarchy and its assignment as plain per-grid rows that the
+    test keeps from what each operation asked for: the oracle for the level
+    tables, the owner columns, the records and ``children``.  Gids are
+    predicted, not read: a hierarchy allocates them in row order, once per
+    accepted batch."""
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, _Row] = {}
+        self.next_gid = 0
+
+    def insert(self, level: int, boxes: List[Box], parents: List[int],
+               work_per_cell: float) -> List[int]:
+        gids = list(range(self.next_gid, self.next_gid + len(boxes)))
+        for gid, box, parent in zip(gids, boxes, parents):
+            self.rows[gid] = _Row(level, box, parent, work_per_cell)
+        self.next_gid += len(boxes)
+        return gids
+
+    def level(self, level: int) -> List[int]:
+        return sorted(g for g, row in self.rows.items() if row.level == level)
+
+    def nlevels(self) -> int:
+        return 1 + max((row.level for row in self.rows.values()), default=-1)
+
+    def children(self, gid: int) -> List[int]:
+        return sorted(g for g, row in self.rows.items() if row.parent == gid)
+
+    def remove(self, gid: int) -> None:
+        for child in self.children(gid):
+            self.remove(child)
+        del self.rows[gid]
+
+    def clear(self, level: int) -> None:
+        for gid in [g for g, row in self.rows.items() if row.level >= level]:
+            del self.rows[gid]
+
+    def record(self, grids, work_per_cell: float) -> None:
+        """Insert the grids a regrid created, each under the grid of the
+        level above whose refined box holds it (one at most: a level's
+        boxes are disjoint)."""
+        for grid in grids:
+            (parent,) = [g for g in self.level(grid.level - 1)
+                         if self.rows[g].box.refine(2).contains(grid.box)]
+            assert self.insert(grid.level, [grid.box], [parent], work_per_cell) == [grid.gid]
+
+    def columns(self, level: int) -> dict:
+        rows = [self.rows[g] for g in self.level(level)]
+        return {
+            "gids": self.level(level),
+            "corners": [[list(r.box.lo), list(r.box.hi)] for r in rows],
+            "work_per_cell": [r.work_per_cell for r in rows],
+            "workload": [r.box.ncells * r.work_per_cell for r in rows],
+            "parents": [r.parent for r in rows],
+            "owners": [r.owner for r in rows],
+        }
 
 
 def _columns(h, owners, level):
     return {
+        "gids": h.level_gids(level).tolist(),
+        "corners": h.level_boxes(level).corners.tolist(),
         "work_per_cell": h.level_work_per_cell(level).tolist(),
         "workload": h.level_workloads(level).tolist(),
         "parents": h.level_parents(level).tolist(),
@@ -307,11 +390,10 @@ def _columns(h, owners, level):
 
 @dataclass
 class _Expect:
-    """The levels one step changes: their rows (the level version), their
-    ``work_per_cell`` (the workload version) and their owners (the owner
-    version)."""
+    """The levels one step set ``work_per_cell`` on (the workload version)
+    and assigned grids of (the owner version); the levels whose rows
+    changed come from the model."""
 
-    rows: Set[int] = field(default_factory=set)
     work: Set[int] = field(default_factory=set)
     owners: Set[int] = field(default_factory=set)
 
@@ -325,143 +407,170 @@ def _sub_box(data, bounds):
     return Box(tuple(lo), tuple(hi))
 
 
-def _nonempty_from(h, level):
-    return {lvl for lvl in range(level, h.max_levels) if h.level_grids(lvl)}
-
-
-def _op_create_roots(data, h, owners):
+def _op_create_roots(data, h, owners, model):
     blocks = tuple(data.draw(st.sampled_from([1, 2, 4]))
                    for _ in range(h.domain.ndim))
-    if h.level_grids(0):
+    boxes = root_blocks(h.domain, blocks)
+    if model.level(0):
         with pytest.raises(ValueError, match="root grids already exist"):
-            h.create_root_grids(root_blocks(h.domain, blocks))
+            h.create_root_grids(boxes)
         return _Expect()
-    h.create_root_grids(root_blocks(h.domain, blocks))
-    return _Expect(rows={0})
+    h.create_root_grids(boxes)
+    model.insert(0, [boxes.box(i) for i in range(len(boxes))], [-1] * len(boxes), 1.0)
+    return _Expect()
 
 
-def _op_add_grid(data, h, owners):
-    """A child of a grid on a level drawn first, so deep levels fill as
-    often as shallow ones."""
-    levels = [lvl for lvl in range(h.max_levels - 1) if h.level_grids(lvl)]
+def _op_insert_child(data, h, owners, model):
+    """A one-row batch under a grid of a level drawn first, so deep levels
+    fill as often as shallow ones."""
+    levels = [lvl for lvl in range(h.max_levels - 1) if model.level(lvl)]
     if not levels:
         return _Expect()
-    parent = data.draw(st.sampled_from(h.level_grids(data.draw(st.sampled_from(levels)))))
+    parent = data.draw(st.sampled_from(model.level(data.draw(st.sampled_from(levels)))))
+    level = model.rows[parent].level + 1
+    box = _sub_box(data, model.rows[parent].box.refine(2))
+    work = data.draw(WORK)
     try:
-        h.add_grid(parent.level + 1, _sub_box(data, parent.box.refine(2)),
-                   parent.gid, work_per_cell=data.draw(WORK))
+        h.insert_grids(level, BoxArray.from_box(box), np.array([parent]), work)
     except ValueError:  # overlaps a sibling: nothing changes
         return _Expect()
-    return _Expect(rows={parent.level + 1})
+    model.insert(level, [box], [parent], work)
+    return _Expect()
 
 
-def _op_remove_grid(data, h, owners):
-    grids = h.all_grids()
-    if not grids:
+def _op_remove_grid(data, h, owners, model):
+    if not model.rows:
         return _Expect()
-    gid = data.draw(st.sampled_from(grids)).gid
-    expected = {g.level for g in h.subtree(gid)}
+    gid = data.draw(st.sampled_from(sorted(model.rows)))
     h.remove_grid(gid)
-    return _Expect(rows=expected)
+    model.remove(gid)
+    return _Expect()
 
 
-def _op_clear_level(data, h, owners):
+def _op_clear_level(data, h, owners, model):
     level = data.draw(st.integers(1, max(1, h.max_levels - 1)))
-    expected = _nonempty_from(h, level)
     h.clear_level(level)
-    return _Expect(rows=expected)
+    model.clear(level)
+    return _Expect()
 
 
-def _op_apply_cluster_boxes(data, h, owners):
+def _op_apply_cluster_boxes(data, h, owners, model):
     """One cluster over the whole coarse level (it refines every grid, so
     deep hierarchies come quickly), or up to three anywhere on it,
     overlapping or not; an overlap raises after the fine level was
     cleared."""
-    coarse = data.draw(st.integers(0, max(0, h.nlevels - 1)))
+    coarse = data.draw(st.integers(0, max(0, model.nlevels() - 1)))
     if data.draw(st.booleans()):
         clusters = [h.level_domain(coarse)]
     else:
         clusters = [_sub_box(data, h.level_domain(coarse))
                     for _ in range(data.draw(st.integers(0, 3)))]
-    cleared = _nonempty_from(h, coarse + 1)
+    if coarse + 1 < h.max_levels:
+        model.clear(coarse + 1)
     try:
         created = apply_cluster_boxes(h, coarse, clusters, 1.0)
     except ValueError:
-        return _Expect(rows=cleared)
-    return _Expect(rows=cleared | ({coarse + 1} if created else set()))
+        return _Expect()
+    model.record(created, 1.0)
+    return _Expect()
 
 
-def _op_refine_finest(data, h, owners):
+def _op_refine_finest(data, h, owners, model):
     """One child under every grid of the finest level."""
-    coarse = h.nlevels - 1
+    coarse = model.nlevels() - 1
     if coarse + 1 >= h.max_levels:
         return _Expect()
-    apply_cluster_boxes(h, coarse, [h.level_domain(coarse)], 1.0)
-    return _Expect(rows={coarse + 1})
+    created = apply_cluster_boxes(h, coarse, [h.level_domain(coarse)], 1.0)
+    assert [g.box for g in created] == [model.rows[g].box.refine(2)
+                                        for g in model.level(coarse)]
+    model.record(created, 1.0)
+    return _Expect()
 
 
-def _op_insert_grids(data, h, owners):
+def _op_insert_grids(data, h, owners, model):
     """One ``insert_grids`` batch of 1-4 boxes on a level drawn first, each
     inside a parent's refined box (or the domain on level 0).  A batch that
     overlaps itself or the level is refused and changes nothing; one on an
     empty level becomes its table."""
     level = data.draw(st.integers(0, h.max_levels - 1))
-    if level and not h.level_grids(level - 1):
+    if level and not model.level(level - 1):
         return _Expect()
     n = data.draw(st.integers(1, 4))
     if level:
-        parents = [data.draw(st.sampled_from(h.level_grids(level - 1))) for _ in range(n)]
-        bounds = [p.box.refine(2) for p in parents]
-        parent_gids = np.array([p.gid for p in parents], dtype=np.int64)
+        parents = [data.draw(st.sampled_from(model.level(level - 1))) for _ in range(n)]
+        bounds = [model.rows[p].box.refine(2) for p in parents]
     else:
-        bounds, parent_gids = [h.domain] * n, None
-    boxes = BoxArray.from_boxes([_sub_box(data, b) for b in bounds])
+        parents, bounds = [-1] * n, [h.domain] * n
+    boxes = [_sub_box(data, b) for b in bounds]
+    work = data.draw(WORK)
     try:
-        created = h.insert_grids(level, boxes, parent_gids, data.draw(WORK))
+        created = h.insert_grids(level, BoxArray.from_boxes(boxes),
+                                 np.array(parents) if level else None, work)
     except ValueError:
         return _Expect()
-    assert [g.box for g in created] == [boxes.box(i) for i in range(n)]
-    return _Expect(rows={level})
+    assert [g.box for g in created] == boxes
+    model.insert(level, boxes, parents, work)
+    return _Expect()
 
 
-def _op_carve(data, h, owners):
-    roots = [g for g in h.level_grids(0) if max(g.box.shape) >= 2 and g.workload > 0]
+def _op_carve(data, h, owners, model):
+    """Assign every grid to processor 0, then carve a root: its subtree
+    goes and two halves with its owner and ``work_per_cell`` take its
+    place."""
+    roots = [g for g in model.level(0)
+             if max(model.rows[g].box.shape) >= 2 and model.rows[g].work_per_cell > 0]
     if not roots:
         return _Expect()
-    root = data.draw(st.sampled_from(roots))
-    assigned = _nonempty_from(h, 0)
-    for g in h.all_grids():
-        owners.assign(g.gid, 0)
-    expected = {g.level for g in h.subtree(root.gid)} | {0}
+    gid = data.draw(st.sampled_from(roots))
+    assigned = {lvl for lvl in range(h.max_levels) if model.level(lvl)}
+    for level in sorted(assigned):
+        gids = model.level(level)
+        owners.assign(level, gids, [0] * len(gids))
+        for g in gids:
+            model.rows[g].owner = 0
+    root = model.rows[gid]
     fraction = data.draw(st.floats(0.05, 0.95))
-    carve_workload(h, owners, root.gid, fraction * root.workload)
-    return _Expect(rows=expected, owners=assigned)
+    low, high = carve_workload(h, owners, gid,
+                               fraction * (root.box.ncells * root.work_per_cell))
+    assert root.box.contains(low.box) and root.box.contains(high.box)
+    assert low.box.ncells + high.box.ncells == root.box.ncells
+    model.remove(gid)
+    for g in model.insert(0, [low.box, high.box], [-1, -1], root.work_per_cell):
+        model.rows[g].owner = root.owner
+    return _Expect(owners=assigned)
 
 
-def _op_set_work(data, h, owners):
+def _op_set_work(data, h, owners, model):
     """New ``work_per_cell`` for every row of a level drawn first."""
     level = data.draw(st.integers(0, h.max_levels - 1))
-    n = len(h.level_gids(level))
-    h.set_work_per_cell(level, data.draw(st.lists(WORK, min_size=n, max_size=n)))
+    gids = model.level(level)
+    values = data.draw(st.lists(WORK, min_size=len(gids), max_size=len(gids)))
+    h.set_work_per_cell(level, values)
+    for gid, value in zip(gids, values):
+        model.rows[gid].work_per_cell = value
     return _Expect(work={level})
 
 
-def _op_assign(data, h, owners):
-    """Up to three grids, each to a drawn processor."""
-    grids = h.all_grids()
-    if not grids:
+def _op_assign(data, h, owners, model):
+    """One batch of 1-4 grids of a level drawn first, each to a drawn
+    processor."""
+    levels = [lvl for lvl in range(h.max_levels) if model.level(lvl)]
+    if not levels:
         return _Expect()
-    changed = set()
-    for _ in range(data.draw(st.integers(1, 3))):
-        grid = data.draw(st.sampled_from(grids))
-        owners.assign(grid.gid, data.draw(st.integers(0, owners.system.nprocs - 1)))
-        changed.add(grid.level)
-    return _Expect(owners=changed)
+    level = data.draw(st.sampled_from(levels))
+    gids = data.draw(st.lists(st.sampled_from(model.level(level)), min_size=1,
+                              max_size=4, unique=True))
+    pids = data.draw(st.lists(st.integers(0, owners.system.nprocs - 1),
+                              min_size=len(gids), max_size=len(gids)))
+    owners.assign(level, gids, pids)
+    for gid, pid in zip(gids, pids):
+        model.rows[gid].owner = pid
+    return _Expect(owners={level})
 
 
 WORK = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5])
 
-_MUTATIONS = [_op_create_roots, _op_add_grid, _op_insert_grids, _op_remove_grid,
+_MUTATIONS = [_op_create_roots, _op_insert_child, _op_insert_grids, _op_remove_grid,
               _op_clear_level, _op_apply_cluster_boxes, _op_carve, _op_set_work,
               _op_assign]
 
@@ -470,7 +579,7 @@ class TestLevelTables:
     def test_tables_match_the_grids(self):
         h = make_hierarchy(blocks=(2, 2, 1))
         root = h.level_grids(0)[0]
-        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         for level in range(h.max_levels):
             boxes, gids = _fresh_table(h, level)
             assert h.level_boxes(level).corners.tolist() == boxes.corners.tolist()
@@ -485,7 +594,7 @@ class TestLevelTables:
             boxes.corners[0, 0, 0] = 1
         with pytest.raises(ValueError):
             gids[0] = 1
-        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), int(gids[0]))
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), int(gids[0]))
         assert h.level_boxes(0) is boxes  # level 1 changed, not level 0
 
     def test_a_level_built_whole_keeps_its_rows(self):
@@ -516,7 +625,7 @@ class TestLevelTables:
     def test_refused_batches_change_nothing(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         state = ([h.level_version(lvl) for lvl in range(3)], h.ngrids)
         bad = [
             (1, [Box((2, 2, 2), (6, 6, 6))], [root.gid], "overlaps existing grid"),
@@ -537,9 +646,9 @@ class TestLevelTables:
             with pytest.raises(ValueError, match=message):
                 h.insert_grids(level, BoxArray.from_boxes(boxes), gids, 1.0)
         with pytest.raises(ValueError, match="work_per_cell"):
-            h.add_grid(1, Box((4, 4, 4), (6, 6, 6)), root.gid, work_per_cell=-1.0)
+            _add(h, 1, Box((4, 4, 4), (6, 6, 6)), root.gid, work_per_cell=-1.0)
         with pytest.raises(ValueError, match="rank mismatch"):
-            h.add_grid(1, Box((4, 4), (6, 6)), root.gid)
+            _add(h, 1, Box((4, 4), (6, 6)), root.gid)
         assert ([h.level_version(lvl) for lvl in range(3)], h.ngrids) == state
         h.validate()
 
@@ -548,14 +657,12 @@ class TestLevelTables:
         with pytest.raises(ValueError, match="work_per_cell must be finite"):
             GridHierarchy(Box.cube(0, 4, 2)).create_root_grids(
                 root_blocks(Box.cube(0, 4, 2), (2, 2)), work_per_cell=bad)
-        with pytest.raises(ValueError, match="work_per_cell must be finite"):
-            Grid(gid=1, level=0, box=Box.cube(0, 2, 2), work_per_cell=bad)
         h = make_hierarchy()
         root = h.level_grids(0)[0]
         state = ([h.level_version(lvl) for lvl in range(3)],
                  [h.workload_version(lvl) for lvl in range(3)], h.ngrids)
         with pytest.raises(ValueError, match="work_per_cell must be finite"):
-            h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid, work_per_cell=bad)
+            _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid, work_per_cell=bad)
         values = np.full(len(h.level_gids(0)), 2.0)
         values[-1] = bad
         with pytest.raises(ValueError, match="work_per_cell must be finite"):
@@ -567,17 +674,16 @@ class TestLevelTables:
         assert h.level_work_per_cell(0).tolist() == [1.0] * 4
         h.validate()
 
-    def test_set_work_per_cell_moves_the_columns_and_the_grids(self):
+    def test_set_work_per_cell_moves_the_columns(self):
         h = make_hierarchy()
-        child = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), h.level_grids(0)[0].gid)
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), h.level_grids(0)[0].gid)
         workloads = h.level_workloads(0)
         h.set_work_per_cell(0, [0.5, 0.1, 0.0, 3.0])
         assert h.workload_version(0) == 1 and h.workload_version(1) == 0
         assert workloads.tolist() == [1024.0] * 4  # the old column is untouched
-        expected = [g.ncells * w for g, w in zip(h.level_grids(0), [0.5, 0.1, 0.0, 3.0])]
-        assert h.level_workloads(0).tolist() == expected
-        assert [g.workload for g in h.level_grids(0)] == expected
-        assert child.workload == 64.0
+        assert h.level_work_per_cell(0).tolist() == [0.5, 0.1, 0.0, 3.0]
+        assert h.level_workloads(0).tolist() == [512.0, 102.4, 0.0, 3072.0]
+        assert h.level_workloads(1).tolist() == [64.0]  # another level's row
         with pytest.raises(ValueError):
             h.level_workloads(0)[0] = 1.0
         h.validate()
@@ -586,12 +692,11 @@ class TestLevelTables:
         h = make_hierarchy()
         owners = GridAssignment(h, build_system(parallel_spec(3)))
         gids = h.level_gids(0).tolist()
-        for gid in gids:
-            owners.assign(gid, 1)
+        owners.assign(0, gids, [1] * len(gids))
         column, version = owners.owners(0), owners.owner_version(0)
         other = owners.copy()
-        other.assign(gids[0], 2)
-        other.assign(gids[1], 0)
+        other.assign(0, [gids[0]], [2])
+        other.assign(0, [gids[1]], [0])
         assert owners.owners(0) is column and column.tolist() == [1, 1, 1, 1]
         assert owners.owner_version(0) == version
         assert [owners.pid_of(g) for g in gids] == [1, 1, 1, 1]
@@ -605,10 +710,9 @@ class TestLevelTables:
     def test_gids_ascend_after_a_carve(self):
         h = make_hierarchy()
         owners = GridAssignment(h, build_system(parallel_spec(1)))
-        for g in h.all_grids():
-            owners.assign(g.gid, 0)
+        owners.assign(0, h.level_gids(0), np.zeros(4, dtype=np.int64))
         first = h.level_grids(0)[0]
-        carve_workload(h, owners, first.gid, first.workload / 2)
+        carve_workload(h, owners, first.gid, h.level_workloads(0)[0] / 2)
         gids = h.level_gids(0).tolist()
         assert gids == sorted(gids) and first.gid not in gids
 
@@ -618,41 +722,44 @@ class TestLevelTables:
         """After every mutation exactly the levels whose grid set changed
         have a new version, exactly the levels whose ``work_per_cell`` was
         set a new workload version and exactly the levels with an assigned
-        grid a new owner version; each table equals a fresh packing, and
-        its workload, parent and owner columns equal fresh values from the
-        grids and the owner map.  The tables and columns are read between
-        steps, so a stale one would be served.  Every sequence starts from
-        a hierarchy refined to its last level, so clears and carves empty
-        several levels at once."""
+        grid a new owner version; each level's table, columns, records and
+        children equal the model's.  The tables and columns are read
+        between steps, so a stale one would be served.  Every sequence
+        starts from a hierarchy refined to its last level, so removals,
+        clears and carves empty several levels at once."""
         ndim = data.draw(st.integers(1, 3))
         h = GridHierarchy(Box.cube(0, 4, ndim), refinement_ratio=2,
                           max_levels=data.draw(st.integers(1, 4)))
         owners = GridAssignment(h, build_system(parallel_spec(3)))
+        model = _Model()
         levels = range(h.max_levels)
         steps = ([_op_create_roots] + [_op_refine_finest] * (h.max_levels - 1)
                  + data.draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1,
                                       max_size=12)))
         for op in steps:
             for level in levels:
-                _columns(h, owners, level), h.level_boxes(level)
-            before = [_fresh_table(h, level)[1].tolist() for level in levels]
+                _columns(h, owners, level)
+            before = [model.level(level) for level in levels]
             versions = [(h.level_version(level), h.workload_version(level),
                          owners.owner_version(level)) for level in levels]
-            expected = op(data, h, owners)
-            changed = {level for level in levels
-                       if _fresh_table(h, level)[1].tolist() != before[level]}
+            expected = op(data, h, owners, model)
+            changed = {level for level in levels if model.level(level) != before[level]}
             bumped = [{level for level in levels
                        if version(level) != versions[level][k]}
                       for k, version in enumerate((h.level_version, h.workload_version,
                                                    owners.owner_version))]
-            assert changed == expected.rows, op.__name__
-            assert bumped == [expected.rows, expected.work, expected.owners], op.__name__
+            assert bumped == [changed, expected.work, expected.owners], op.__name__
             for level in levels:
-                boxes, gids = _fresh_table(h, level)
-                np.testing.assert_array_equal(h.level_boxes(level).corners,
-                                              boxes.corners)
-                np.testing.assert_array_equal(h.level_gids(level), gids)
-                assert _columns(h, owners, level) == _fresh_columns(h, owners, level)
+                assert _columns(h, owners, level) == model.columns(level), op.__name__
+                for gid in model.level(level):
+                    row = model.rows[gid]
+                    assert h.grid(gid) == (gid, level, row.box,
+                                           None if row.parent < 0 else row.parent)
+                    assert h.children(gid).tolist() == model.children(gid), op.__name__
+            assert h.ngrids == len(model.rows)
+            # removing a root leaves a hole in level 0 on purpose
+            if sum(model.rows[g].box.ncells for g in model.level(0)) == h.domain.ncells:
+                h.validate()
 
 
 class TestValidateCatchesCorruption:
@@ -663,33 +770,60 @@ class TestValidateCatchesCorruption:
     def test_validate_catches_a_stale_table(self):
         h = make_hierarchy()
         root = h.level_grids(0)[0]
-        child = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        h.level_gids(1)  # built while the child is there
+        child = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
         h.validate()
-        # drop the child without moving level 1's version, on purpose
-        h._levels[1].remove(child)
-        root._remove_child(child.gid)
-        del h._grids[child.gid]
-        with pytest.raises(ValueError, match="level 1's table is stale"):
+        # drop the child's row but keep its record, on purpose
+        h._tables[1] = h._tables[1].take(np.zeros(1, dtype=bool))
+        with pytest.raises(ValueError, match=f"grid {child.gid} has a record but no row"):
+            h.validate()
+
+    def test_validate_catches_a_record_that_differs_from_its_row(self):
+        h = make_hierarchy()
+        root = h.level_grids(0)[0]
+        child = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        h._grids[child.gid] = child._replace(box=Box((0, 0, 0), (2, 2, 2)))  # on purpose
+        with pytest.raises(ValueError, match=f"grid {child.gid}'s record does not match"):
+            h.validate()
+        h._grids[child.gid] = child
+        h.validate()
+        del h._grids[child.gid]  # a row without its record, on purpose
+        with pytest.raises(ValueError, match=f"grid {child.gid}'s record does not match"):
+            h.validate()
+
+    def test_validate_catches_a_stale_workload(self):
+        h = make_hierarchy()
+        workload = h.level_workloads(0).copy()
+        workload[2] += 1.0  # on purpose
+        h._tables[0] = h._tables[0]._replace(workload=workload)
+        with pytest.raises(ValueError, match=f"grid {h.level_gids(0)[2]}'s workload is stale"):
             h.validate()
 
     def test_validate_names_first_overlapping_pair(self):
         h = make_hierarchy(blocks=(2, 2, 1))
         root = h.level_grids(0)[0]
-        a = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        h.add_grid(1, Box((4, 0, 0), (8, 4, 4)), root.gid)
-        c = h.add_grid(1, Box((0, 4, 0), (4, 8, 4)), root.gid)
-        c.box = Box((3, 3, 3), (5, 5, 5))  # onto both siblings, on purpose
+        a = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        _add(h, 1, Box((4, 0, 0), (8, 4, 4)), root.gid)
+        c = _add(h, 1, Box((0, 4, 0), (4, 8, 4)), root.gid)
+        corners = h.level_boxes(1).corners.copy()
+        corners[2] = [[3, 3, 3], [5, 5, 5]]  # c onto both siblings, on purpose
+        h._tables[1] = h._tables[1]._replace(boxes=BoxArray(corners))
         with pytest.raises(ValueError,
                            match=f"grids {a.gid} and {c.gid} overlap on level 1"):
             h.validate()
 
     def test_validate_catches_bad_parent_link(self):
         h = make_hierarchy()
-        root = h.level_grids(0)[0]
-        c = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        root._children.remove(c.gid)  # corrupt on purpose
-        with pytest.raises(ValueError):
+        root, other = h.level_grids(0)[:2]
+        c = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
+        for parent, message in [(other.gid, f"grid {c.gid} not nested in parent {other.gid}"),
+                                (c.gid, f"grid {c.gid}'s parent {c.gid} is not on level 0"),
+                                (-1, f"grid {c.gid}'s parent -1 is not on level 0")]:
+            # corrupt the parent column on purpose
+            h._tables[1] = h._tables[1]._replace(parents=np.array([parent]))
+            with pytest.raises(ValueError, match=message):
+                h.validate()
+        h._tables[0] = h._tables[0]._replace(parents=np.array([-1, -1, root.gid, -1]))
+        with pytest.raises(ValueError, match=f"grid {other.gid + 1} on level 0 names a parent"):
             h.validate()
 
     def test_validators_raise_under_python_O(self):
@@ -698,7 +832,10 @@ class TestValidateCatchesCorruption:
         import repro
 
         script = textwrap.dedent("""
+            import numpy as np
+
             from repro.amr.box import Box
+            from repro.amr.boxarray import BoxArray
             from repro.amr.hierarchy import GridHierarchy
             from repro.distsys import build_system, wan_spec
             from repro.partition import GridAssignment
@@ -723,19 +860,23 @@ class TestValidateCatchesCorruption:
 
             h = hierarchy()
             root = h.level_grids(0)[0]
-            a = h.add_grid(1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-            c = h.add_grid(1, Box((0, 4, 0), (4, 8, 4)), root.gid)
-            c.box = Box((3, 3, 3), (5, 5, 5))  # onto a, on purpose
+            a, c = h.insert_grids(
+                1, BoxArray.from_boxes([Box((0, 0, 0), (4, 4, 4)), Box((0, 4, 0), (4, 8, 4))]),
+                np.array([root.gid, root.gid]), 1.0)
+            corners = h.level_boxes(1).corners.copy()
+            corners[1] = [[3, 3, 3], [5, 5, 5]]  # c onto a, on purpose
+            h._tables[1] = h._tables[1]._replace(boxes=BoxArray(corners))
             expect(h.validate, f"grids {a.gid} and {c.gid} overlap on level 1")
 
             h = hierarchy()
             system = build_system(wan_spec(2))
             owners = GridAssignment(h, system)
-            gids = [g.gid for g in h.all_grids()]
+            gids = h.level_gids(0).tolist()
             expect(owners.validate, f"grid {gids[0]} is unassigned")
-            for gid in gids:
-                owners.assign(gid, 0)
-            owners._owner[gids[-1]] = system.nprocs  # corrupt on purpose
+            owners.assign(0, gids, [0] * len(gids))
+            column = owners._columns[0].copy()
+            column[-1] = system.nprocs  # corrupt on purpose
+            owners._columns[0] = column
             expect(owners.validate, f"grid {gids[-1]} on bad pid {system.nprocs}")
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
@@ -759,7 +900,7 @@ def test_property_random_subtrees_keep_invariants(blocks, seed):
     h = make_hierarchy(n=16, levels=3, blocks=blocks)
     for _ in range(10):
         # pick a random grid, try to add a child in its refined box
-        grids = [g for g in h.all_grids() if g.level < h.max_levels - 1]
+        grids = [g for level in range(h.max_levels - 1) for g in h.level_grids(level)]
         g = grids[rng.integers(len(grids))]
         refined = g.box.refine(2)
         lo = [int(rng.integers(refined.lo[d], refined.hi[d])) for d in range(3)]
@@ -768,7 +909,7 @@ def test_property_random_subtrees_keep_invariants(blocks, seed):
         if box.is_empty:
             continue
         try:
-            h.add_grid(g.level + 1, box, g.gid)
+            _add(h, g.level + 1, box, g.gid)
         except ValueError:
             pass  # overlap with an existing sibling: legal rejection
     h.validate()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.amr.box import Box
@@ -76,7 +77,8 @@ def populated_hierarchy(levels=3):
     # nest one child chain so all levels exist
     g = roots[0]
     for level in range(1, levels):
-        g = h.add_grid(level, g.box.refine(2), g.gid)
+        (g,) = h.insert_grids(level, BoxArray.from_box(g.box.refine(2)),
+                              np.array([g.gid]), 1.0)
     return h
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
@@ -36,7 +37,8 @@ def populated(levels=3):
     roots = h.create_root_grids(root_blocks(domain, (2, 1)))
     g = roots[0]
     for level in range(1, levels):
-        g = h.add_grid(level, g.box.refine(2), g.gid)
+        (g,) = h.insert_grids(level, BoxArray.from_box(g.box.refine(2)),
+                              np.array([g.gid]), 1.0)
     return h
 
 

@@ -88,8 +88,7 @@ class TestThreeSiteRuns:
                               traffic=ConstantTraffic(0.0))
         a = GridAssignment(h, system)
         # pile everything on site 0: two receivers with deficits
-        for g in roots:
-            a.assign(g.gid, 0)
+        a.assign(0, [g.gid for g in roots], [0] * len(roots))
         ctx = BalanceContext(
             hierarchy=h, assignment=a, system=system,
             sim=ClusterSimulator(system), history=WorkloadHistory(),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams
 from repro.core import make_scheme
@@ -43,6 +44,28 @@ class TestExecuteMoves:
             execute_moves(ctx, [(gid, wrong_src, actual)], level=0,
                           purpose="local-balance")
 
+    def test_first_stale_move_is_named_before_anything_moves(self):
+        ctx = make_ctx()
+        make_scheme("parallel").initial_distribution(ctx)
+        gids = ctx.hierarchy.level_gids(0).tolist()
+        owners = ctx.assignment.owners(0).tolist()
+        other = [(pid + 1) % ctx.system.nprocs for pid in owners]
+        moves = [(gids[0], owners[0], other[0]), (gids[3], other[3], owners[3]),
+                 (gids[5], other[5], owners[5])]
+        with pytest.raises(ValueError, match=f"move plan stale: grid {gids[3]} "
+                                             f"is not on {other[3]}"):
+            execute_moves(ctx, moves, level=0, purpose="local-balance")
+        assert ctx.assignment.owners(0).tolist() == owners
+        assert ctx.sim.clock == 0.0
+
+    def test_a_grid_off_the_level_raises(self):
+        ctx = make_ctx()
+        make_scheme("parallel").initial_distribution(ctx)
+        gid = int(ctx.hierarchy.level_gids(0)[0])
+        with pytest.raises(KeyError, match=f"grid {gid} is not on level 1"):
+            execute_moves(ctx, [(gid, ctx.assignment.pid_of(gid), 0)], level=1,
+                          purpose="local-balance")
+
     def test_empty_moves_log_event_without_cost(self):
         ctx = make_ctx()
         make_scheme("parallel").initial_distribution(ctx)
@@ -60,7 +83,7 @@ class TestExecuteMoves:
         dst = (src + 2) % ctx.system.nprocs  # other group for nonzero cost
         n, cells = execute_moves(ctx, [(grid.gid, src, dst)], level=0,
                                  purpose="local-balance")
-        assert (n, cells) == (1, grid.ncells)
+        assert (n, cells) == (1, grid.box.ncells)  # migration moves the volume
         assert ctx.assignment.pid_of(grid.gid) == dst
         assert ctx.sim.balance_overhead > 0
 
@@ -111,7 +134,8 @@ class TestParallelPlacementCost:
         # force every processor except a remote one to look "loaded"
         parent = ctx.hierarchy.level_grids(0)[0]
         parent_pid = ctx.assignment.pid_of(parent.gid)
-        child = ctx.hierarchy.add_grid(1, parent.box.refine(2), parent.gid)
+        (child,) = ctx.hierarchy.insert_grids(1, BoxArray.from_box(parent.box.refine(2)),
+                                              np.array([parent.gid]), 1.0)
         clock = ctx.sim.clock
         scheme.place_new_grids(ctx, [child.gid])
         placed = ctx.assignment.pid_of(child.gid)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import GridHierarchy
 from repro.config import SchemeParams, SimParams
 from repro.core import make_scheme
@@ -61,12 +62,12 @@ class TestParallelDLBPolicy:
             g for g in ctx.hierarchy.level_grids(0)
             if ctx.assignment.group_of(g.gid) == 0
         )
-        new = []
         ref = parent.box.refine(2)
-        for i in range(8):
-            lo = (ref.lo[0], ref.lo[1] + 2 * i, ref.lo[2])
-            hi = (ref.lo[0] + 2, ref.lo[1] + 2 * i + 2, ref.lo[2] + 2)
-            new.append(ctx.hierarchy.add_grid(1, Box(lo, hi), parent.gid))
+        boxes = [Box((ref.lo[0], ref.lo[1] + 2 * i, ref.lo[2]),
+                     (ref.lo[0] + 2, ref.lo[1] + 2 * i + 2, ref.lo[2] + 2))
+                 for i in range(8)]
+        new = ctx.hierarchy.insert_grids(1, BoxArray.from_boxes(boxes),
+                                         np.full(8, parent.gid), 1.0)
         scheme.place_new_grids(ctx, [g.gid for g in new])
         groups = {ctx.assignment.group_of(g.gid) for g in new}
         assert groups == {0, 1}  # group-oblivious placement
@@ -79,7 +80,8 @@ class TestParallelDLBPolicy:
             g for g in ctx.hierarchy.level_grids(0)
             if ctx.assignment.group_of(g.gid) == 0
         )
-        child = ctx.hierarchy.add_grid(1, parent.box.refine(2), parent.gid)
+        (child,) = ctx.hierarchy.insert_grids(1, BoxArray.from_box(parent.box.refine(2)),
+                                              np.array([parent.gid]), 1.0)
         scheme.place_new_grids(ctx, [child.gid])
         # a single child lands on the globally least-loaded processor; the
         # interpolated data may cross the network -> time may be charged
@@ -91,8 +93,8 @@ class TestParallelDLBPolicy:
         scheme = make_scheme("parallel")
         scheme.initial_distribution(ctx)
         # skew everything onto pid 0
-        for g in ctx.hierarchy.level_grids(0):
-            ctx.assignment.assign(g.gid, 0)
+        gids = ctx.hierarchy.level_gids(0)
+        ctx.assignment.assign(0, gids, np.zeros(len(gids), dtype=np.int64))
         scheme.local_balance(ctx, 0, 0.0)
         loads = ctx.assignment.level_loads(0)
         assert loads.max() / (sum(loads.tolist()) / 4) < 1.3
@@ -124,7 +126,8 @@ class TestDistributedDLBPolicy:
         scheme = make_scheme("distributed")
         scheme.initial_distribution(ctx)
         for parent in ctx.hierarchy.level_grids(0):
-            child = ctx.hierarchy.add_grid(1, parent.box.refine(2), parent.gid)
+            (child,) = ctx.hierarchy.insert_grids(
+                1, BoxArray.from_box(parent.box.refine(2)), np.array([parent.gid]), 1.0)
             scheme.place_new_grids(ctx, [child.gid])
             assert (
                 ctx.assignment.group_of(child.gid)
@@ -137,9 +140,9 @@ class TestDistributedDLBPolicy:
         scheme.initial_distribution(ctx)
         # skew group 0's grids onto its first processor
         g0_pids = ctx.system.groups[0].pids
-        for g in ctx.hierarchy.level_grids(0):
-            if ctx.assignment.group_of(g.gid) == 0:
-                ctx.assignment.assign(g.gid, g0_pids[0])
+        g0_gids = [g.gid for g in ctx.hierarchy.level_grids(0)
+                   if ctx.assignment.group_of(g.gid) == 0]
+        ctx.assignment.assign(0, g0_gids, [g0_pids[0]] * len(g0_gids))
         before_groups = {
             g.gid: ctx.assignment.group_of(g.gid)
             for g in ctx.hierarchy.level_grids(0)
@@ -170,8 +173,8 @@ class TestDistributedDLBPolicy:
         scheme.initial_distribution(ctx)
         # skew the actual level-0 ownership: 6 of 8 slabs on group 0
         slabs = sorted(ctx.hierarchy.level_grids(0), key=lambda g: g.box.lo)
-        for i, g in enumerate(slabs):
-            ctx.assignment.assign(g.gid, 0 if i < 6 else 2)
+        ctx.assignment.assign(0, [g.gid for g in slabs],
+                              [0 if i < 6 else 2 for i in range(len(slabs))])
         # matching history: group 0 worked 3x harder, steps are expensive
         loads = np.zeros(4)
         loads[0] = 300.0

@@ -161,7 +161,7 @@ class TestShards:
         h = build_shard_hierarchy(4, 8)
         grids = h.level_grids(0)
         assert len(grids) == 4
-        assert all(g.ncells == 64 for g in grids)
+        assert h.level_boxes(0).ncells().tolist() == [64] * 4
         # strips tile [0, 32) x [0, 8) along axis 0, in order
         los = sorted(g.box.lo[0] for g in grids)
         assert los == [0, 8, 16, 24]
@@ -204,7 +204,7 @@ class TestShards:
         smap = ShardMap(h, make_system(CFG), replication=1)
         work = np.array([4.0, 0.0, 1.5])
         smap.update_loads(work)
-        observed = [g.workload for g in smap.grids()]
+        observed = h.level_workloads(0).tolist()
         assert observed[0] == pytest.approx(4.0)
         assert observed[2] == pytest.approx(1.5)
         assert 0 < observed[1] < 1e-6  # idle shards keep a movable floor
@@ -718,8 +718,8 @@ def test_replica_matrix_matches_per_shard_loop(sizes, replication):
     system = build_system(SystemSpec(groups=tuple(sizes)))
     smap = ShardMap(build_shard_hierarchy(9, 4), system, replication)
     # scattered owners; with two or more groups the last one owns nothing
-    for s, gid in enumerate(smap.gids):
-        smap.assignment.assign(int(gid), 3 * s % max(1, system.nprocs - 2))
+    smap.assignment.assign(0, smap.gids, [3 * s % max(1, system.nprocs - 2)
+                                          for s in range(smap.nshards)])
     pids, mask = smap.replica_matrix()
     ref_pids, ref_mask = _replica_matrix_reference(smap)
     assert pids.tolist() == ref_pids.tolist()

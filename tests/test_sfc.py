@@ -195,8 +195,9 @@ class TestSFCPolicies:
         ctx = make_sfc_ctx(group_weights=(1.0, 3.0))
         SFCPartition(curve).initial_distribution(ctx, NominalWeights())
         loads = {0: 0.0, 1: 0.0}
-        for g in ctx.hierarchy.level_grids(0):
-            loads[ctx.assignment.group_of(g.gid)] += g.workload
+        for g, work in zip(ctx.hierarchy.level_grids(0),
+                           ctx.hierarchy.level_workloads(0).tolist()):
+            loads[ctx.assignment.group_of(g.gid)] += work
         total = sum(loads.values())
         assert loads[1] / total == pytest.approx(0.75, abs=0.13)
 

@@ -166,7 +166,8 @@ class TestAdvectionDriver:
     def test_hierarchy_valid_after_run(self, driver):
         driver.hierarchy.validate()
         # every grid has data; every data belongs to a live grid
-        gids = {g.gid for g in driver.hierarchy.all_grids()}
+        h = driver.hierarchy
+        gids = {gid for level in range(h.max_levels) for gid in h.level_gids(level).tolist()}
         assert set(driver.data) == gids
 
     def test_uniform_field_stays_uniform(self):

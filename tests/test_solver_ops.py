@@ -144,7 +144,8 @@ class TestFillGhosts:
         domain = Box((0, 0), (8, 8))
         h = GridHierarchy(domain, 2, 2)
         (root,) = h.create_root_grids(BoxArray.from_box(domain))
-        child = h.add_grid(1, Box((4, 4), (8, 8)), root.gid)
+        (child,) = h.insert_grids(1, BoxArray.from_box(Box((4, 4), (8, 8))),
+                                  np.array([root.gid]), 1.0)
         pdata = GridData(root)
         pdata.set_from_function(lambda x, y: x, cell_width=1.0)
         cdata = GridData(child)
@@ -190,7 +191,7 @@ def ghost_levels(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(tiles), max_size=len(tiles)))
     kept = [tiles.box(i) for i, k in enumerate(keep) if k]
     for tile in draw(st.permutations(kept)):
-        h.add_grid(1, tile, root.gid)
+        h.insert_grids(1, BoxArray.from_box(tile), np.array([root.gid]), 1.0)
     return h
 
 

@@ -36,11 +36,11 @@ class TestStaticDLB:
         system = build_system(wan_spec(2, base_speed=2e4), traffic=ConstantTraffic(0.3))
         runner = SAMRRunner(app, system, make_scheme("static"))
         runner.integrator.step()
-        for g in runner.hierarchy.all_grids():
-            if g.level > 0:
-                assert runner.assignment.pid_of(g.gid) == runner.assignment.pid_of(
-                    g.parent_gid
-                )
+        h, owners = runner.hierarchy, runner.assignment
+        assert h.nlevels > 1
+        for level in range(1, h.nlevels):
+            parents = owners.owners(level - 1)[h.parent_rows(level)]
+            assert owners.owners(level).tolist() == parents.tolist()
 
     def test_no_remote_ghost_from_parent_child(self):
         """Subtrees stay on one processor, so all parent-child traffic is
