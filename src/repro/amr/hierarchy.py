@@ -230,14 +230,15 @@ class GridHierarchy:
             self._tables[lvl] = table.take(~drop)
 
     def clear_level(self, level: int) -> None:
-        """Remove every grid at ``level`` and below (finer).  Level 0 is kept.
+        """Remove every grid at ``level`` and below (finer).  Level 0 is kept:
+        a ``level`` below 1 raises :exc:`ValueError`.
 
         Batch equivalent of calling :meth:`remove_grid` on each grid of
         ``level``: every level >= ``level`` is dropped wholesale, and the
         version of every level that held a grid moves.
         """
-        if level == 0:
-            raise ValueError("cannot clear level 0")
+        if level < 1:
+            raise ValueError(f"cannot clear level {level}: only levels >= 1 can be cleared")
         for lvl in range(level, self.max_levels):
             gids = self._tables[lvl].gids
             if not len(gids):
@@ -350,11 +351,13 @@ class GridHierarchy:
         """Set ``level``'s ``work_per_cell``, one value per row: the only
         way a grid's cost changes after it is inserted.
 
-        Every value must be finite and >= 0; otherwise :exc:`ValueError`
-        and nothing changes.
+        ``level`` must lie in ``[0, max_levels)`` and every value must be
+        finite and >= 0; otherwise :exc:`ValueError` and nothing changes.
         The level's ``work_per_cell`` and workload columns and its workload
         version move together.
         """
+        if not 0 <= level < self.max_levels:
+            raise ValueError(f"level {level} out of range [0, {self.max_levels})")
         table = self._tables[level]
         values = np.array(values, dtype=np.float64)
         if values.shape != table.gids.shape:

@@ -163,6 +163,29 @@ class TestAddRemove:
         assert (h.level_version(0), h.level_version(2)) == (v0[0], v0[2])
 
 
+class TestLevelRange:
+    """``clear_level`` keeps level 0, and ``set_work_per_cell`` takes only a
+    level of the hierarchy: anything else raises and changes nothing."""
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_clear_level_below_1_raises(self, level):
+        h = make_hierarchy()
+        _add(h, 1, Box((0, 0, 0), (4, 4, 4)), h.level_gids(0)[0])
+        state = (h.ngrids, [h.level_version(lvl) for lvl in range(3)])
+        with pytest.raises(ValueError, match=f"cannot clear level {level}"):
+            h.clear_level(level)
+        assert (h.ngrids, [h.level_version(lvl) for lvl in range(3)]) == state
+        h.validate()
+
+    @pytest.mark.parametrize("level", [-3, -1, 3, 5])
+    def test_set_work_per_cell_outside_the_levels_raises(self, level):
+        h = make_hierarchy()
+        with pytest.raises(ValueError, match=rf"level {level} out of range \[0, 3\)"):
+            h.set_work_per_cell(level, np.full(4, 2.0))
+        assert [h.workload_version(lvl) for lvl in range(3)] == [0, 0, 0]
+        assert h.level_work_per_cell(0).tolist() == [1.0] * 4
+
+
 class TestQueries:
     def test_nlevels(self):
         h = make_hierarchy()
