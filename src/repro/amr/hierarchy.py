@@ -28,7 +28,7 @@ record of its row's gid, level, box and parent.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,15 @@ from .boxarray import BoxArray
 from .grid import Grid, GridIdAllocator, check_work_per_cell
 
 __all__ = ["GridHierarchy"]
+
+
+def _find(known: np.ndarray, gids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each of ``gids`` sits in the ascending ``known``, and whether
+    it is there."""
+    rows = np.searchsorted(known, gids)
+    found = rows < len(known)
+    found[found] = known[rows[found]] == gids[found]
+    return rows, found
 
 
 class _LevelTable(NamedTuple):
@@ -163,10 +172,7 @@ class GridHierarchy:
             parent_gids = np.asarray(parent_gids, dtype=np.int64)
             if parent_gids.shape != (n,):
                 raise ValueError(f"{n} boxes but parent gids of shape {parent_gids.shape}")
-            known = self.level_gids(level - 1)
-            rows = np.searchsorted(known, parent_gids)
-            found = rows < len(known)
-            found[found] = known[rows[found]] == parent_gids[found]
+            rows, found = _find(self.level_gids(level - 1), parent_gids)
             if not found.all():
                 gid = int(parent_gids[np.argmin(found)])
                 raise ValueError(f"parent {gid} is at level {self.grid(gid).level}, "
@@ -224,8 +230,8 @@ class GridHierarchy:
             if not drop.any():
                 break
             doomed = table.gids[drop]
-            for child in doomed.tolist():
-                del self._grids[child]
+            for removed in doomed.tolist():
+                del self._grids[removed]
             self._versions[lvl] += 1
             self._tables[lvl] = table.take(~drop)
 
@@ -331,14 +337,11 @@ class GridHierarchy:
         ``int64``."""
         return self._tables[level].parents
 
-    def level_rows(self, level: int, gids) -> np.ndarray:
+    def level_rows(self, level: int, gids: Union[Sequence[int], np.ndarray]) -> np.ndarray:
         """The rows of ``gids`` in ``level``'s table; :exc:`KeyError`
         naming the first gid that is not on ``level``."""
         gids = np.asarray(gids, dtype=np.int64)
-        known = self._tables[level].gids
-        rows = np.searchsorted(known, gids)
-        found = rows < len(known)
-        found[found] = known[rows[found]] == gids[found]
+        rows, found = _find(self._tables[level].gids, gids)
         if not found.all():
             raise KeyError(f"grid {gids[np.argmin(found)]} is not on level {level}")
         return rows
@@ -427,29 +430,25 @@ class GridHierarchy:
             if len(ia):
                 raise ValueError(
                     f"grids {gids[ia[0]]} and {gids[ib[0]]} overlap on level {level}")
-            domain = BoxArray.from_box(self.level_domain(level)).corners
-            inside = ((domain[:, 0] <= boxes.lo) & (domain[:, 1] >= boxes.hi)).all(axis=1)
-            if not inside.all():
-                raise ValueError(f"grid {gids[np.argmin(inside)]} escapes the domain")
             if level == 0:
                 orphan = parents != -1
                 if orphan.any():
                     raise ValueError(f"grid {gids[np.argmax(orphan)]} on level 0 "
                                      f"names a parent")
+                bounds = BoxArray.from_box(self.domain).corners
             else:
-                known = self.level_gids(level - 1)
-                at = np.searchsorted(known, parents)
-                found = at < len(known)
-                found[found] = known[at[found]] == parents[found]
+                at, found = _find(self.level_gids(level - 1), parents)
                 if not found.all():
                     k = int(np.argmin(found))
                     raise ValueError(f"grid {gids[k]}'s parent {parents[k]} is not "
                                      f"on level {level - 1}")
+                # nested in a parent inside the domain: inside the domain too
                 bounds = self.level_boxes(level - 1).corners[at] * self.refinement_ratio
-                nested = ((bounds[:, 0] <= boxes.lo) & (bounds[:, 1] >= boxes.hi)).all(axis=1)
-                if not nested.all():
-                    k = int(np.argmin(nested))
-                    raise ValueError(f"grid {gids[k]} not nested in parent {parents[k]}")
+            inside = ((bounds[:, 0] <= boxes.lo) & (bounds[:, 1] >= boxes.hi)).all(axis=1)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise ValueError(f"grid {gids[k]} escapes the domain" if level == 0 else
+                                 f"grid {gids[k]} not nested in parent {parents[k]}")
             stale = table.workload != boxes.ncells() * table.work_per_cell
             if stale.any():
                 raise ValueError(f"grid {gids[np.argmax(stale)]}'s workload is stale")

@@ -104,18 +104,6 @@ class TestAddRemove:
             _add(h, 2, Box((0, 0, 0), (4, 4, 4)), root.gid)
 
     def test_remove_subtree(self):
-        h = make_hierarchy()
-        root = h.level_grids(0)[0]
-        c1 = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        c2 = _add(h, 2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
-        h.remove_grid(c1.gid)
-        assert not h.has_grid(c1.gid)
-        assert not h.has_grid(c2.gid)
-        assert h.children(root.gid).tolist() == []
-        assert (h.level_gids(1).tolist(), h.level_gids(2).tolist()) == ([], [])
-        h.validate()
-
-    def test_remove_takes_the_subtree_level_by_level(self):
         """Every descendant goes, grandchildren included, and only they:
         each level that loses a row moves its version once."""
         h = make_hierarchy(levels=4)
@@ -202,15 +190,6 @@ class TestQueries:
     def test_total_cells(self):
         h = make_hierarchy(n=16)
         assert h.total_cells() == 16**3
-
-    def test_children_follow_the_parent_columns(self):
-        h = make_hierarchy()
-        root = h.level_grids(0)[0]
-        c1 = _add(h, 1, Box((0, 0, 0), (4, 4, 4)), root.gid)
-        c2 = _add(h, 2, Box((0, 0, 0), (4, 4, 4)), c1.gid)
-        assert h.children(root.gid).tolist() == [c1.gid]
-        assert h.children(c1.gid).tolist() == [c2.gid]
-        assert h.children(c2.gid).tolist() == []  # the finest level
 
 
 class TestSiblingPairs:
@@ -819,6 +798,14 @@ class TestValidateCatchesCorruption:
         workload[2] += 1.0  # on purpose
         h._tables[0] = h._tables[0]._replace(workload=workload)
         with pytest.raises(ValueError, match=f"grid {h.level_gids(0)[2]}'s workload is stale"):
+            h.validate()
+
+    def test_validate_catches_a_root_outside_the_domain(self):
+        h = make_hierarchy()
+        corners = h.level_boxes(0).corners.copy()
+        corners[3, :, 0] += 4  # the last slab moves past the domain, on purpose
+        h._tables[0] = h._tables[0]._replace(boxes=BoxArray(corners))
+        with pytest.raises(ValueError, match=f"grid {h.level_gids(0)[3]} escapes the domain"):
             h.validate()
 
     def test_validate_names_first_overlapping_pair(self):
