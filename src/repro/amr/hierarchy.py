@@ -175,6 +175,8 @@ class GridHierarchy:
             rows, found = _find(self.level_gids(level - 1), parent_gids)
             if not found.all():
                 gid = int(parent_gids[np.argmin(found)])
+                if gid not in self._grids:
+                    raise ValueError(f"parent {gid} is not a grid")
                 raise ValueError(f"parent {gid} is at level {self.grid(gid).level}, "
                                  f"expected {level - 1}")
             bounds = self.level_boxes(level - 1).corners[rows] * self.refinement_ratio

@@ -636,6 +636,7 @@ class TestLevelTables:
             (1, [Box((4, 4, 4), (4, 6, 6))], [root.gid], "empty box"),
             (1, [Box((30, 0, 0), (32, 4, 4))], [root.gid], "not nested"),
             (2, [Box((0, 0, 0), (2, 2, 2))], [root.gid], "expected 1"),
+            (1, [Box((4, 4, 4), (6, 6, 6))], [10**6], "parent 1000000 is not a grid"),
             (1, [Box((4, 4, 4), (6, 6, 6))], None, "need parents"),
             (1, [Box((4, 4, 4), (6, 6, 6)), Box((8, 8, 8), (9, 9, 9))], [root.gid],
              "parent gids of shape"),
